@@ -3,7 +3,10 @@ package ipcp_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,5 +114,59 @@ func TestAnalyzeMatrixContext(t *testing.T) {
 	cancel()
 	if _, err := prog.AnalyzeMatrixContext(ctx, cfgs, 2); !errors.Is(err, ipcp.ErrCanceled) {
 		t.Fatalf("canceled matrix run: error %v does not wrap ErrCanceled", err)
+	}
+}
+
+// pollContext reports cancellation from the fireAt-th call of Err on.
+// The analysis polls its context only through Err, so this cancels a
+// run at a chosen poll.
+type pollContext struct {
+	context.Context
+	fireAt int64
+	polls  atomic.Int64
+}
+
+func (c *pollContext) Err() error {
+	if c.polls.Add(1) >= c.fireAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAnalyzeMatrixContextMidRun cancels a grouped matrix at polls
+// spread over the run after the first shared stage 1: two (MOD, return
+// JFs) groups of four flavors each, on two workers. Each group leader
+// polls twice before building its group's stage 1 and once right after,
+// so by the fifth poll at least one group has built it. Every run must
+// fail with ErrCanceled and no reports, and leave no goroutine behind.
+func TestAnalyzeMatrixContextMidRun(t *testing.T) {
+	prog := contextTestProgram(t)
+	var cfgs []ipcp.Config
+	for _, j := range ipcp.JumpFunctions {
+		cfgs = append(cfgs,
+			ipcp.Config{Jump: j, ReturnJumpFunctions: true, MOD: true},
+			ipcp.Config{Jump: j, MOD: true})
+	}
+	full := &pollContext{Context: context.Background(), fireAt: math.MaxInt64}
+	if _, err := prog.AnalyzeMatrixContext(full, cfgs, 2); err != nil {
+		t.Fatalf("uncanceled run: %v", err)
+	}
+	total := full.polls.Load()
+
+	before := runtime.NumGoroutine()
+	for fireAt := int64(5); fireAt <= total; fireAt += (total-5)/8 + 1 {
+		ctx := &pollContext{Context: context.Background(), fireAt: fireAt}
+		reps, err := prog.AnalyzeMatrixContext(ctx, cfgs, 2)
+		if reps != nil || !errors.Is(err, ipcp.ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at poll %d of %d: %d reports, error %v", fireAt, total, len(reps), err)
+		}
+	}
+	// A worker that has signalled completion may still be unwinding.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running after the canceled runs, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }

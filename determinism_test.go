@@ -206,27 +206,53 @@ func TestDeterminismCloning(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMatrixMatchesAnalyze checks the matrix runner's IR-cloning
-// shortcut against per-configuration lowering on the realistic corpus
+// adversarialMatrix is a grid built to trip the matrix runner's
+// stage-1 sharing: interleaved stage-1 keys, a duplicated
+// configuration, a Complete configuration sharing a group's key, two
+// dependence-solver members, Debug on one non-leader member only, and
+// mixed worker counts.
+func adversarialMatrix() []ipcp.Config {
+	return []ipcp.Config{
+		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Workers: 1},
+		{Jump: ipcp.Polynomial, MOD: true, Workers: 2},
+		{Jump: ipcp.Literal, ReturnJumpFunctions: true, MOD: true, Workers: 8, Debug: true},
+		{Jump: ipcp.PassThrough},
+		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Complete: true, Workers: 2},
+		{Jump: ipcp.PassThrough, MOD: true, DependenceSolver: true, Workers: 1},
+		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Workers: 1},
+		{Jump: ipcp.Intraprocedural, ReturnJumpFunctions: true, Workers: 3},
+		{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true, DependenceSolver: true},
+		{Jump: ipcp.Intraprocedural, Workers: 2},
+	}
+}
+
+// TestAnalyzeMatrixMatchesAnalyze checks the matrix runner — one IR
+// clone, one SSA conversion and one stage 1 per (MOD, return JFs)
+// group — against per-configuration lowering on the realistic corpus
 // programs (COMMON blocks, arrays, GOTOs — everything CloneProgram must
-// reproduce faithfully).
+// reproduce faithfully). Every report must match positionally, pass
+// trace included; only the trace's wall-clock Nanos are normalized.
 func TestAnalyzeMatrixMatchesAnalyze(t *testing.T) {
 	for _, path := range corpusFiles(t) {
 		prog, err := ipcp.LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgs := determinismConfigs()
-		direct := make([]*ipcp.Report, len(cfgs))
-		for i, cfg := range cfgs {
-			direct[i] = prog.Analyze(cfg)
-		}
-		matrix := prog.AnalyzeMatrix(cfgs, 0)
-		normalizeReports(direct)
-		normalizeReports(matrix)
-		for i := range cfgs {
-			if !reflect.DeepEqual(direct[i], matrix[i]) {
-				t.Fatalf("%s config %+v: matrix report diverges from direct Analyze", path, cfgs[i])
+		for _, cfgs := range [][]ipcp.Config{determinismConfigs(), adversarialMatrix()} {
+			direct := make([]*ipcp.Report, len(cfgs))
+			for i, cfg := range cfgs {
+				direct[i] = prog.Analyze(cfg)
+			}
+			normalizeReports(direct)
+			for _, workers := range []int{1, 4} {
+				matrix := prog.AnalyzeMatrix(cfgs, workers)
+				normalizeReports(matrix)
+				for i := range cfgs {
+					if !reflect.DeepEqual(direct[i], matrix[i]) {
+						t.Fatalf("%s config %d %+v, %d matrix workers: matrix report diverges from direct Analyze\ndirect: %+v\nmatrix: %+v",
+							path, i, cfgs[i], workers, direct[i], matrix[i])
+					}
+				}
 			}
 		}
 	}

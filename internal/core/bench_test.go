@@ -28,10 +28,10 @@ func benchSema(b *testing.B, name string, scale int) *sema.Program {
 // solver benchmarks measure propagation alone.
 func prepared(b *testing.B, sp *sema.Program, cfg Config) *propagation {
 	b.Helper()
-	irp := irbuild.Build(sp)
-	pipe := newPropagation(irp, cfg, nil, nil, nil)
-	pipe.buildSSA()
-	pipe.stage1ReturnJFs()
+	s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+	s1.buildSSA(poolSize(cfg.Workers))
+	s1.stage1ReturnJFs(poolSize(cfg.Workers))
+	pipe := newPropagation(s1, cfg)
 	pipe.stage2ForwardJFs()
 	return pipe
 }
@@ -72,11 +72,10 @@ func BenchmarkStage1ReturnJFs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		irp := irbuild.Build(sp)
-		pipe := newPropagation(irp, cfg, nil, nil, nil)
-		pipe.buildSSA()
+		s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+		s1.buildSSA(poolSize(cfg.Workers))
 		b.StartTimer()
-		pipe.stage1ReturnJFs()
+		s1.stage1ReturnJFs(poolSize(cfg.Workers))
 	}
 }
 
@@ -117,11 +116,11 @@ func fullMatrix(pipelineWorkers int) []Config {
 }
 
 // BenchmarkAnalyzeMatrix compares the sequential 16-configuration sweep
-// (the pre-parallelism code path: one worker everywhere) against the
-// parallel matrix runner (configuration-level fan-out over cloned IRs,
-// parallel per-procedure stages inside each pipeline). The speedup
-// scales with cores; on one core the two are expected to tie, which
-// bounds the orchestration overhead.
+// (one worker everywhere) against the parallel matrix runner (fan-out
+// over the four stage-1 groups and their members, parallel
+// per-procedure stages inside each pipeline). The speedup scales with
+// cores; on one core the two are expected to tie, which bounds the
+// orchestration overhead.
 func BenchmarkAnalyzeMatrix(b *testing.B) {
 	sp := benchSema(b, "ocean", 8)
 	b.Run("seq", func(b *testing.B) {
@@ -148,9 +147,10 @@ func BenchmarkStage2(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				pipe := newPropagation(irbuild.Build(sp), cfg, nil, nil, nil)
-				pipe.buildSSA()
-				pipe.stage1ReturnJFs()
+				s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+				s1.buildSSA(poolSize(workers))
+				s1.stage1ReturnJFs(poolSize(workers))
+				pipe := newPropagation(s1, cfg)
 				b.StartTimer()
 				pipe.stage2ForwardJFs()
 			}
@@ -170,10 +170,10 @@ func BenchmarkStage1(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				pipe := newPropagation(irbuild.Build(sp), cfg, nil, nil, nil)
-				pipe.buildSSA()
+				s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+				s1.buildSSA(poolSize(workers))
 				b.StartTimer()
-				pipe.stage1ReturnJFs()
+				s1.stage1ReturnJFs(poolSize(workers))
 			}
 		}
 	}

@@ -125,7 +125,8 @@ type Result struct {
 	Config Config
 
 	// Prog is the analyzed IR (the DCE-transformed program for complete
-	// propagation).
+	// propagation). The members of one AnalyzeMatrix stage-1 group share
+	// it, so it must be treated as read-only.
 	Prog *ir.Program
 
 	// Procs maps procedure names to their results.
@@ -246,6 +247,22 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// Stage1Key is the part of a Config that SSA construction and stage 1
+// read: MOD picks the side-effect oracle, and ReturnJFs decides whether
+// return jump functions exist at all. The forward jump-function flavor
+// first enters in stage 2 (jump.Filter), so configurations with equal
+// keys share one stage-1 product (AnalyzeMatrix), and the summary store
+// keys its flavor-free records by the same pair (incr.SharedConfigKey).
+type Stage1Key struct {
+	MOD       bool
+	ReturnJFs bool
+}
+
+// Stage1Key returns the stage-1 key of cfg.
+func (cfg Config) Stage1Key() Stage1Key {
+	return Stage1Key{MOD: cfg.MOD, ReturnJFs: cfg.ReturnJFs}
+}
+
 // analyzeConfigured runs one full configured analysis over a fresh
 // pre-SSA program by executing the declared pass plan: a plain
 // propagation pipeline, or — for complete propagation — a verified
@@ -281,12 +298,18 @@ func runPlan(pl *plan, ctx *pass.Context, cfg Config) (*Result, error) {
 }
 
 // AnalyzeMatrix analyzes one program under every configuration of the
-// matrix, fanning the configurations out over a bounded worker pool
-// (workers <= 0 means one per CPU). The source program is lowered once;
-// each configuration then runs on its own deep clone of that IR, so the
-// workers share only immutable inputs. Results arrive in configuration
-// order and are identical to running Analyze per configuration — the
-// determinism tests assert it across the full config matrix.
+// matrix, fanning the work out over a bounded worker pool (workers <= 0
+// means one per CPU). The source program is lowered once. Configurations
+// that are not Complete are grouped by Stage1Key, in order of first
+// appearance; each group runs on its own copy of the lowering (the last
+// group takes the original, the others deep clones), converts it to SSA
+// form and runs stage 1 once, and then fans its members' stages 2–4 out
+// over that read-only product. A Complete configuration rewrites its
+// program every round, so it keeps a copy of its own. Results arrive in
+// configuration order and are identical to running Analyze per
+// configuration, pass traces included apart from their wall-clock
+// Nanos: only the group leader's propagate row carries the shared stage
+// time. The determinism tests assert it across the full config matrix.
 func AnalyzeMatrix(sp *sema.Program, cfgs []Config, workers int) []*Result {
 	out, err := AnalyzeMatrixErr(sp, cfgs, workers)
 	if err != nil {
@@ -303,17 +326,21 @@ func AnalyzeMatrixErr(sp *sema.Program, cfgs []Config, workers int) ([]*Result, 
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
+	groups := matrixGroups(cfgs)
 	base := irbuild.Build(sp)
 	out := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	parallelFor(poolSize(workers), len(cfgs), func(i int) {
-		irp := base
-		if len(cfgs) > 1 {
-			// BuildSSA mutates the IR in place, so every configuration
-			// after the first needs its own copy of the lowering.
-			irp = ir.CloneProgram(base, nil, nil)
-		}
-		out[i], errs[i] = analyzeConfigured(irp, cfgs[i].withDefaults())
+	pool := poolSize(workers)
+	// BuildSSA mutates the IR in place, so every group but the last
+	// gets its own copy of the lowering, made before any group starts,
+	// and the last takes the original.
+	progs := make([]*ir.Program, len(groups))
+	progs[len(groups)-1] = base
+	parallelFor(pool, len(groups)-1, func(g int) {
+		progs[g] = ir.CloneProgram(base, nil, nil)
+	})
+	parallelFor(pool, len(groups), func(g int) {
+		analyzeGroup(progs[g], cfgs, groups[g], pool, out, errs)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -321,6 +348,59 @@ func AnalyzeMatrixErr(sp *sema.Program, cfgs []Config, workers int) ([]*Result, 
 		}
 	}
 	return out, nil
+}
+
+// matrixGroups partitions the configuration indices into the groups
+// that share a stage-1 product: every Complete configuration on its
+// own, the others by Stage1Key. Groups come out in order of their first
+// member, and members in configuration order.
+func matrixGroups(cfgs []Config) [][]int {
+	var groups [][]int
+	byKey := make(map[Stage1Key]int)
+	for i, cfg := range cfgs {
+		if !cfg.Complete {
+			if g, ok := byKey[cfg.Stage1Key()]; ok {
+				groups[g] = append(groups[g], i)
+				continue
+			}
+			byKey[cfg.Stage1Key()] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// analyzeGroup analyzes one group's configurations over irp, a fresh
+// pre-SSA program of its own. The leader, the group's first member,
+// runs exactly as a standalone analysis, building the stage-1 product
+// inside its propagate pass. The other members then run their stages
+// 2–4 over that product concurrently. A canceled leader abandons the
+// group: the matrix fails anyway.
+func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, out []*Result, errs []error) {
+	lead := NewPropagate(cfgs[members[0]])
+	out[members[0]], errs[members[0]] = runPlan(newPlanWith(lead.cfg, lead), pass.NewContext(irp), lead.cfg)
+	if errs[members[0]] != nil || len(members) == 1 {
+		return
+	}
+	// A non-Complete plan traces exactly one row: propagate.
+	shared := out[members[0]].Stats.Passes[0]
+	rest := members[1:]
+	parallelFor(workers, len(rest), func(k int) {
+		i := rest[k]
+		prop := NewPropagate(cfgs[i])
+		prop.s1 = lead.s1
+		res, err := runPlan(newPlanWith(prop.cfg, prop), pass.NewContext(irp), prop.cfg)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		// The runner sized the program this member found, already in SSA
+		// form; a standalone run would have sized it before the
+		// conversion, as the leader's row did.
+		st := &res.Stats.Passes[0]
+		st.ProcsBefore, st.BlocksBefore, st.InstrsBefore = shared.ProcsBefore, shared.BlocksBefore, shared.InstrsBefore
+		out[i] = res
+	})
 }
 
 // AnalyzeIR runs one propagation (never the complete-propagation
@@ -339,25 +419,76 @@ func AnalyzeIR(irp *ir.Program, cfg Config) *Result {
 	return res
 }
 
-// pipeline carries the per-run state between stages.
-type propagation struct {
-	cfg     Config
-	workers int // resolved pool size for the per-procedure stages
-	prog    *ir.Program
-	cg      *callgraph.Graph
-	mods    *modref.Summary
+// stage1 is the configuration-invariant half of a propagation: the
+// program in SSA form, the value numbering of every procedure, and the
+// return jump functions, all derived under one Stage1Key. Once built it
+// is read-only, so every configuration with that key can run its
+// stages 2–4 over the same product, concurrently in a matrix group.
+type stage1 struct {
+	key  Stage1Key
+	prog *ir.Program
+	cg   *callgraph.Graph
+	mods *modref.Summary
 
 	oracle      ir.ModOracle
 	globalIndex map[*ir.GlobalVar]int
 
 	// reuse maps procedures whose stage-1/stage-2 outputs are injected
 	// from stored summaries instead of derived (nil outside incremental
-	// runs). See reuse.go.
+	// runs). The seeds carry flavor-dependent sites, so a seeded product
+	// serves only the configuration it was seeded for. See reuse.go.
 	reuse map[*ir.Proc]*ProcSeed
+
+	// ssaAll converts seeded procedures to SSA form too: complete mode's
+	// dead-code elimination runs SCCP over every procedure.
+	ssaAll bool
 
 	retJFs *jump.Store
 	vns    map[*ir.Proc]*valnum.Result
-	sites  map[*ir.Instr]*jump.Site
+}
+
+// newStage1 prepares the stage-1 state for cfg's key; buildSSA and
+// stage1ReturnJFs then fill it. cg and mods are the whole-program
+// caches, normally supplied by the pass Context so repeated
+// propagations over the same program share them; nil means build fresh
+// (the callgraph must come from the pre-SSA program, so it is taken
+// before any stage runs). reuse — normally nil — injects stored
+// summaries for unchanged procedures (reuse.go).
+func newStage1(irp *ir.Program, cfg Config, cg *callgraph.Graph, mods *modref.Summary, reuse map[*ir.Proc]*ProcSeed) *stage1 {
+	if cg == nil {
+		cg = callgraph.Build(irp)
+	}
+	if mods == nil {
+		mods = modref.Compute(irp, cg)
+	}
+	s := &stage1{
+		key:         cfg.Stage1Key(),
+		prog:        irp,
+		cg:          cg,
+		mods:        mods,
+		reuse:       reuse,
+		ssaAll:      cfg.Complete,
+		globalIndex: make(map[*ir.GlobalVar]int, len(irp.ScalarGlobals)),
+		vns:         make(map[*ir.Proc]*valnum.Result, len(irp.Procs)),
+	}
+	for i, g := range irp.ScalarGlobals {
+		s.globalIndex[g] = i
+	}
+	s.oracle = ir.WorstCase
+	if s.key.MOD {
+		s.oracle = s.mods.Oracle()
+	}
+	return s
+}
+
+// propagation carries one configuration's state through stages 2–4
+// over a stage-1 product it only reads.
+type propagation struct {
+	*stage1
+	cfg     Config
+	workers int // resolved pool size for the per-procedure stages
+
+	sites map[*ir.Instr]*jump.Site
 
 	vals         *vals
 	solverPasses atomic.Int64
@@ -381,38 +512,15 @@ type propagation struct {
 	cancel func() error
 }
 
-// newPropagation assembles the per-run stage state. cg and mods are
-// the whole-program caches, normally supplied by the pass Context so
-// repeated propagations over the same program share them; nil means
-// build fresh (the callgraph must come from the pre-SSA program, so it
-// is taken before any stage runs). reuse — normally nil — injects
-// stored summaries for unchanged procedures (reuse.go).
-func newPropagation(irp *ir.Program, cfg Config, cg *callgraph.Graph, mods *modref.Summary, reuse map[*ir.Proc]*ProcSeed) *propagation {
-	if cg == nil {
-		cg = callgraph.Build(irp)
+// newPropagation starts cfg's stages 2–4 over a built stage-1 product
+// with cfg's key.
+func newPropagation(s1 *stage1, cfg Config) *propagation {
+	return &propagation{
+		stage1:  s1,
+		cfg:     cfg,
+		workers: poolSize(cfg.Workers),
+		sites:   make(map[*ir.Instr]*jump.Site),
 	}
-	if mods == nil {
-		mods = modref.Compute(irp, cg)
-	}
-	p := &propagation{
-		cfg:         cfg,
-		workers:     poolSize(cfg.Workers),
-		prog:        irp,
-		cg:          cg,
-		mods:        mods,
-		reuse:       reuse,
-		globalIndex: make(map[*ir.GlobalVar]int, len(irp.ScalarGlobals)),
-		vns:         make(map[*ir.Proc]*valnum.Result, len(irp.Procs)),
-		sites:       make(map[*ir.Instr]*jump.Site),
-	}
-	for i, g := range irp.ScalarGlobals {
-		p.globalIndex[g] = i
-	}
-	p.oracle = ir.WorstCase
-	if cfg.MOD {
-		p.oracle = p.mods.Oracle()
-	}
-	return p
 }
 
 // buildSSA converts every procedure to SSA form, fanning out over the
@@ -424,16 +532,16 @@ func newPropagation(irp *ir.Program, cfg Config, cg *callgraph.Graph, mods *modr
 // vectors, so nothing downstream reads their SSA state — except
 // complete mode, whose dead-code elimination runs SCCP over every
 // procedure's entry values, so there everyone is converted.
-func (p *propagation) buildSSA() {
-	procs := p.prog.Procs
-	parallelFor(p.workers, len(procs), func(i int) {
-		if !p.cfg.Complete {
-			if seed := p.reuse[procs[i]]; seed != nil && seed.Uses != nil {
+func (s *stage1) buildSSA(workers int) {
+	procs := s.prog.Procs
+	parallelFor(workers, len(procs), func(i int) {
+		if !s.ssaAll {
+			if seed := s.reuse[procs[i]]; seed != nil && seed.Uses != nil {
 				procs[i].ElidedPhis = seed.Uses.Phis
 				return
 			}
 		}
-		procs[i].BuildSSA(p.oracle)
+		procs[i].BuildSSA(s.oracle)
 	})
 }
 
@@ -448,51 +556,51 @@ func (p *propagation) buildSSA() {
 // parallel; the summaries a wave produced are published sequentially
 // before the next wave starts. Without return jump functions there are
 // no cross-procedure reads at all and the whole stage is one wave.
-func (p *propagation) stage1ReturnJFs() {
-	p.retJFs = jump.NewStore(p.prog)
+func (s *stage1) stage1ReturnJFs(workers int) {
+	s.retJFs = jump.NewStore(s.prog)
 	// Reused procedures publish their stored return jump functions up
 	// front: a summary is injected only when the procedure's whole
 	// forward cone is unchanged (internal/incr's invalidation rule), so
 	// the stored functions are exactly what re-deriving would produce,
 	// and publishing before the waves keeps every caller's view
 	// identical to the scratch schedule.
-	if p.cfg.ReturnJFs {
-		for proc, seed := range p.reuse {
+	if s.key.ReturnJFs {
+		for proc, seed := range s.reuse {
 			if seed.Returns != nil {
-				p.retJFs.Set(proc, seed.Returns)
+				s.retJFs.Set(proc, seed.Returns)
 			}
 		}
 	}
 	var re valnum.ReturnEval
-	if p.cfg.ReturnJFs {
-		re = p.retJFs
+	if s.key.ReturnJFs {
+		re = s.retJFs
 	}
 	// Without return jump functions nothing crosses procedures and one
 	// wave covers everything; with them, the wave schedule guarantees a
 	// caller never runs before its callees' summaries are published.
-	waves := [][]*callgraph.Node{p.cg.BottomUp()}
-	if p.cfg.ReturnJFs {
-		waves = sccWaves(p.cg)
+	waves := [][]*callgraph.Node{s.cg.BottomUp()}
+	if s.key.ReturnJFs {
+		waves = sccWaves(s.cg)
 	}
 	for _, wave := range waves {
 		vns := make([]*valnum.Result, len(wave))
 		rets := make([]*jump.Returns, len(wave))
-		parallelFor(p.workers, len(wave), func(i int) {
+		parallelFor(workers, len(wave), func(i int) {
 			n := wave[i]
-			if p.reuse[n.Proc] != nil {
+			if s.reuse[n.Proc] != nil {
 				return // summary injected; nothing to derive
 			}
 			vns[i] = valnum.Analyze(n.Proc, re)
-			if p.cfg.ReturnJFs && !p.cg.InCycle(n) {
-				rets[i] = p.buildReturns(n.Proc, vns[i])
+			if s.key.ReturnJFs && !s.cg.InCycle(n) {
+				rets[i] = s.buildReturns(n.Proc, vns[i])
 			}
 		})
 		for i, n := range wave {
 			if vns[i] != nil {
-				p.vns[n.Proc] = vns[i]
+				s.vns[n.Proc] = vns[i]
 			}
 			if rets[i] != nil {
-				p.retJFs.Set(n.Proc, rets[i])
+				s.retJFs.Set(n.Proc, rets[i])
 			}
 		}
 	}
@@ -502,7 +610,7 @@ func (p *propagation) stage1ReturnJFs() {
 // value-numbered expressions of its Ret operands: the exit value of each
 // binding must agree (be congruent) across every RETURN and be a closed
 // polynomial over the procedure's entry values.
-func (p *propagation) buildReturns(proc *ir.Proc, vn *valnum.Result) *jump.Returns {
+func (s *stage1) buildReturns(proc *ir.Proc, vn *valnum.Result) *jump.Returns {
 	r := &jump.Returns{
 		Formal: make([]sym.Expr, len(proc.Formals)),
 		Global: make(map[*ir.GlobalVar]sym.Expr),
@@ -542,7 +650,7 @@ func (p *propagation) buildReturns(proc *ir.Proc, vn *valnum.Result) *jump.Retur
 		// unmodified — that assertion *is* MOD information. In the
 		// no-MOD configuration (Table 3, column 1) only constant-valued
 		// return jump functions are available.
-		if !p.cfg.MOD {
+		if !s.key.MOD {
 			if _, isConst := acc.(*sym.Const); !isConst {
 				continue
 			}

@@ -41,9 +41,14 @@ import (
 //     what makes the solver-effort counters (SolverPasses,
 //     JFEvaluations) reproducible run to run.
 //
-// The matrix level (AnalyzeMatrix) is embarrassingly parallel on top of
-// this: each configuration gets its own deep-cloned IR, so workers share
-// nothing but immutable inputs.
+// The matrix level (AnalyzeMatrix) fans out on top of this: each
+// stage-1 group (configurations with one Stage1Key) and each Complete
+// configuration gets its own copy of the IR, all cloned before any
+// group starts mutating one. Inside a group, the
+// leader's run builds the SSA form, value numbering and return jump
+// functions; only then do the other members start, and their stages
+// 2–4 read that product without writing it, so members share nothing
+// mutable.
 
 // poolSize resolves a Workers setting: n > 0 is taken literally, and
 // anything else means one worker per available CPU.

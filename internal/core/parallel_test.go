@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ipcp/internal/analysis/callgraph"
+	"ipcp/internal/core/jump"
+	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
@@ -147,5 +149,26 @@ func TestPoolSize(t *testing.T) {
 	}
 	if got := poolSize(-4); got < 1 {
 		t.Errorf("poolSize(-4) = %d, want >= 1", got)
+	}
+}
+
+// TestAnalyzeMatrixSharesStage1 pins the matrix runner's sharing: the
+// 16-configuration sweep converts a program to SSA form and runs stage
+// 1 once per (MOD, return JFs) group, four times in all, and every
+// member of a group reports its group's program. A Complete
+// configuration rewrites its program, so it keeps one of its own.
+func TestAnalyzeMatrixSharesStage1(t *testing.T) {
+	sp := mustSema(t, suite.Generate("ocean", 2).Source)
+	cfgs := append(fullMatrix(1), Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true, Complete: true})
+	keyOf := make(map[*ir.Program]Stage1Key)
+	for i, r := range AnalyzeMatrix(sp, cfgs, 2) {
+		k, seen := keyOf[r.Prog]
+		if seen && (cfgs[i].Complete || k != cfgs[i].Stage1Key()) {
+			t.Fatalf("configuration %d %+v shares the program of key %+v", i, cfgs[i], k)
+		}
+		keyOf[r.Prog] = cfgs[i].Stage1Key()
+	}
+	if len(keyOf) != 5 {
+		t.Fatalf("%d distinct programs, want 5: one per stage-1 group and one for the complete configuration", len(keyOf))
 	}
 }

@@ -22,6 +22,12 @@ type Propagate struct {
 	cfg  Config
 	last *Result
 
+	// s1 is the stage-1 product of the last run. A matrix group injects
+	// its leader's product here, and a run over that product's program
+	// reuses it instead of building its own: the program is then already
+	// in SSA form, rewritten by the leader's run.
+	s1 *stage1
+
 	// Incremental reuse (AnalyzeSeeded): seeds are injected — and the
 	// finished summaries captured — only for the run over seedProg, the
 	// program the seeds were bound against. Complete-propagation reruns
@@ -51,24 +57,29 @@ func (p *Propagate) Invalidates() []pass.Fact { return nil }
 // Run executes stages 1–4 over the Context's current program, sharing
 // the Context's callgraph and mod/ref caches. The callgraph is taken
 // before SSA construction mutates call instructions — order matters.
+// Stage 1 is skipped when an injected product already covers the
+// program; stages 2–4 only read it.
 func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 	prog := ctx.Program()
-	var reuse map[*ir.Proc]*ProcSeed
-	capture := false
-	if p.seedProg != nil && prog == p.seedProg {
-		capture = true
-		reuse = resolveSeeds(prog, ctx.CallGraph(), p.seeds)
+	capture := p.seedProg != nil && prog == p.seedProg
+	if p.s1 == nil || p.s1.prog != prog {
+		var reuse map[*ir.Proc]*ProcSeed
+		if capture {
+			reuse = resolveSeeds(prog, ctx.CallGraph(), p.seeds)
+		}
+		workers := poolSize(p.cfg.Workers)
+		p.s1 = newStage1(prog, p.cfg, ctx.CallGraph(), ctx.ModRef(), reuse)
+		p.s1.buildSSA(workers)
+		p.s1.stage1ReturnJFs(workers)
 	}
-	pr := newPropagation(prog, p.cfg, ctx.CallGraph(), ctx.ModRef(), reuse)
-	pr.cancel = ctx.Cancel
-	if capture {
-		pr.warm = p.warm
-	}
-	pr.buildSSA()
-	pr.stage1ReturnJFs()
 	if err := ctx.Canceled(); err != nil {
 		// SSA construction already rewrote the program in place.
 		return true, err
+	}
+	pr := newPropagation(p.s1, p.cfg)
+	pr.cancel = ctx.Cancel
+	if capture {
+		pr.warm = p.warm
 	}
 	pr.stage2ForwardJFs()
 	var err error

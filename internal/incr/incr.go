@@ -145,21 +145,19 @@ func ConfigKey(cfg core.Config) string {
 }
 
 // SharedConfigKey is ConfigKey with the jump-function flavor left out
-// — the key prefix of the stage-1 shared records. Leaving Jump out is
-// sound because the flavor is consulted exactly once, by jump.Filter
-// inside stage 2's forward-JF construction: return jump functions,
-// MOD/REF sets, call edges, use vectors, and the SSA phi count are all
-// derived before any filtering, so they coincide bit-for-bit across
-// flavors under fixed ReturnJFs/MOD toggles. The return-JF and MOD
-// toggles must stay in: the first decides whether return JFs exist at
-// all (and restricts them to constants when off), the second changes
-// the side-effect oracle everything downstream of MOD/REF sees.
+// — the key prefix of the stage-1 shared records. It spells out
+// core.Stage1Key, the pair the matrix runner shares stage 1 by: the
+// flavor is consulted exactly once, by jump.Filter inside stage 2's
+// forward-JF construction, so return jump functions, MOD/REF sets, call
+// edges, use vectors, and the SSA phi count coincide bit-for-bit across
+// flavors under fixed ReturnJFs/MOD toggles.
 func SharedConfigKey(cfg core.Config) string {
+	k := cfg.Stage1Key()
 	return summary.KeyOf(
 		"config-shared",
 		fmt.Sprintf("codec=%d", summary.Version),
-		fmt.Sprintf("ret=%t", cfg.ReturnJFs),
-		fmt.Sprintf("mod=%t", cfg.MOD),
+		fmt.Sprintf("ret=%t", k.ReturnJFs),
+		fmt.Sprintf("mod=%t", k.MOD),
 	).String()
 }
 

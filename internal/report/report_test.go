@@ -1,6 +1,8 @@
 package report
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,21 +44,32 @@ func TestFigure1Content(t *testing.T) {
 	}
 }
 
+// TestTablesOverSuite regenerates the tables over the suite and
+// compares every Table 2 and Table 3 cell with testdata/suite_tables.txt,
+// the measured tables of EXPERIMENTS.md.
 func TestTablesOverSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite table generation")
-	}
+	want := readSuiteTables(t)
 	progs := Suite()
 	if len(progs) != 12 {
 		t.Fatalf("suite size: %d", len(progs))
 	}
 	t1 := Table1(progs).Render()
-	t2 := Table2(progs).Render()
-	t3 := Table3(progs).Render()
-	for _, name := range suite.Names() {
-		for i, tb := range []string{t1, t2, t3} {
-			if !strings.Contains(tb, name) {
-				t.Errorf("table %d missing program %s", i+1, name)
+	t2, t3 := Table2(progs), Table3(progs)
+	for i, name := range suite.Names() {
+		if !strings.Contains(t1, name) {
+			t.Errorf("table 1 missing program %s", name)
+		}
+		if t2.Rows[i][0] != name || t3.Rows[i][0] != name {
+			t.Fatalf("row %d: tables name %s and %s, want %s", i, t2.Rows[i][0], t3.Rows[i][0], name)
+		}
+		got := append(append([]string{}, t2.Rows[i][1:]...), t3.Rows[i][1:]...)
+		headers := append(append([]string{}, t2.Headers[1:]...), t3.Headers[1:]...)
+		if len(got) != len(want[name]) {
+			t.Fatalf("%s: %d cells, testdata has %d", name, len(got), len(want[name]))
+		}
+		for j := range got {
+			if got[j] != want[name][j] {
+				t.Errorf("%s %s = %s, want %s", name, headers[j], got[j], want[name][j])
 			}
 		}
 	}
@@ -64,8 +77,33 @@ func TestTablesOverSuite(t *testing.T) {
 	if progs[0].Prog() == nil || progs[0].Meta() == nil {
 		t.Error("Loaded accessors broken")
 	}
+	if testing.Short() {
+		return // All regenerates the suite and every table a second time
+	}
 	all := All()
 	if !strings.Contains(all, "Table 1") || !strings.Contains(all, "Table 3") {
 		t.Error("All() incomplete")
 	}
+}
+
+// readSuiteTables parses testdata/suite_tables.txt: per program, the six
+// Table 2 cells followed by the four Table 3 cells.
+func readSuiteTables(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "suite_tables.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(strings.Replace(line, "|", " ", 1))
+		rows[f[0]] = f[1:]
+	}
+	if len(rows) != len(suite.Names()) {
+		t.Fatalf("testdata has %d programs, want %d", len(rows), len(suite.Names()))
+	}
+	return rows
 }

@@ -14,6 +14,7 @@ package sym
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ipcp/internal/core/lattice"
@@ -58,11 +59,12 @@ func (*GlobalEntry) isExpr() {}
 func (*Unknown) isExpr()     {}
 func (*Op) isExpr()          {}
 
-// Key implementations.
-func (e *Const) Key() string       { return fmt.Sprintf("#%d", e.Val) }
-func (e *Formal) Key() string      { return fmt.Sprintf("f%d", e.Index) }
-func (e *GlobalEntry) Key() string { return fmt.Sprintf("g%d", e.G.ID) }
-func (e *Unknown) Key() string     { return fmt.Sprintf("u%d", e.ID) }
+// Key implementations. The spellings are persisted (jump-function
+// fingerprints hash them), so they must never change.
+func (e *Const) Key() string       { return "#" + strconv.FormatInt(e.Val, 10) }
+func (e *Formal) Key() string      { return "f" + strconv.Itoa(e.Index) }
+func (e *GlobalEntry) Key() string { return "g" + strconv.Itoa(e.G.ID) }
+func (e *Unknown) Key() string     { return "u" + strconv.Itoa(e.ID) }
 func (e *Op) Key() string          { return e.key }
 
 func (e *Const) String() string { return fmt.Sprintf("%d", e.Val) }
@@ -218,20 +220,33 @@ func MakeOp(op ir.Op, args ...Expr) Expr {
 		}
 	}
 
+	keys := make([]string, len(args))
+	for i, a := range args {
+		keys[i] = a.Key()
+	}
 	sorted := args
 	if commutative(op) {
 		sorted = append([]Expr(nil), args...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key() < sorted[j].Key() })
-	}
-	keys := make([]string, len(sorted))
-	for i, a := range sorted {
-		keys[i] = a.Key()
+		sort.Sort(byKey{sorted, keys})
 	}
 	return &Op{
 		Op:   op,
 		Args: sorted,
-		key:  fmt.Sprintf("(%s %s)", op, strings.Join(keys, " ")),
+		key:  "(" + op.String() + " " + strings.Join(keys, " ") + ")",
 	}
+}
+
+// byKey sorts expressions by their keys, computed once up front.
+type byKey struct {
+	exprs []Expr
+	keys  []string
+}
+
+func (b byKey) Len() int           { return len(b.exprs) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.exprs[i], b.exprs[j] = b.exprs[j], b.exprs[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // Equal reports whether two expressions are structurally identical.

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,6 +28,37 @@ func TestConstFolding(t *testing.T) {
 	}
 	if e := MakeOp(ir.OpMin, NewConst(4), NewConst(-2), NewConst(9)).(*Const); e.Val != -2 {
 		t.Fatalf("min = %v", e)
+	}
+}
+
+// TestKeySpellings pins the canonical key of every expression kind.
+// Keys are persisted — warm-start jump-function fingerprints hash them —
+// so a changed spelling would invalidate every stored snapshot.
+func TestKeySpellings(t *testing.T) {
+	g := &ir.GlobalVar{ID: 7, Block: "C", Name: "N"}
+	f0 := &Formal{Index: 0, Name: "A"}
+	f12 := &Formal{Index: 12, Name: "B"}
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{NewConst(42), "#42"},
+		{NewConst(-5), "#-5"},
+		{NewConst(math.MinInt64), "#-9223372036854775808"},
+		{f0, "f0"},
+		{f12, "f12"},
+		{&GlobalEntry{G: g}, "g7"},
+		{&Unknown{ID: 3}, "u3"},
+		{&Unknown{ID: -1}, "u-1"},
+		{MakeOp(ir.OpNeg, f0), "(neg f0)"},
+		{MakeOp(ir.OpSub, f12, NewConst(-2)), "(sub f12 #-2)"},
+		{MakeOp(ir.OpAdd, f12, f0), "(add f0 f12)"},
+		{MakeOp(ir.OpMul, MakeOp(ir.OpAdd, &GlobalEntry{G: g}, f0), NewConst(-3)), "(mul #-3 (add f0 g7))"},
+		{MakeOp(ir.OpMax, f12, &Unknown{ID: 2}, MakeOp(ir.OpMin, f0, NewConst(9))), "(max (min #9 f0) f12 u2)"},
+	} {
+		if got := tc.e.Key(); got != tc.want {
+			t.Errorf("%s: Key() = %q, want %q", tc.e, got, tc.want)
+		}
 	}
 }
 

@@ -9,13 +9,16 @@ import (
 // This file implements the configuration-matrix runner: the study
 // analyzes every program under 16+ configurations (4 jump-function
 // flavors × MOD × return jump functions, plus complete propagation and
-// solver variants), and those runs are independent. AnalyzeMatrix
-// executes them on a bounded worker pool, sharing one parsed and
-// semantically analyzed program and one IR lowering across all
-// configurations; each worker analyzes its own deep clone of the IR, so
-// nothing mutable is shared. Results are positionally ordered and
-// byte-identical to calling Analyze once per configuration — the
-// determinism test suite asserts exactly that.
+// solver variants). AnalyzeMatrix executes them on a bounded worker
+// pool, sharing one parsed and semantically analyzed program and one IR
+// lowering across all configurations. Configurations that differ only
+// in the jump-function flavor, the solver or the per-run knobs share
+// more: one copy of the IR, one SSA conversion and one stage 1 per
+// (MOD, return jump functions) pair, which their stages 2–4 only read.
+// Complete propagation rewrites its program, so it gets a copy of its
+// own. Results are positionally ordered and byte-identical to calling
+// Analyze once per configuration — the determinism test suite asserts
+// exactly that.
 
 // AnalyzeMatrix analyzes the program under every configuration, in
 // parallel, and returns the reports in configuration order. workers

@@ -13,9 +13,10 @@
 #                      which turns the concurrency regression tests and
 #                      the determinism differential suite into a
 #                      shared-state audit of the parallel pipeline
-#   5. the determinism suite a second time (-count=2 disables test
-#      caching), so schedule-dependent flakiness has two chances to
-#      show up per CI run
+#   5. the determinism suite and the matrix differential tests a
+#      second time (-count=2 disables test caching), so
+#      schedule-dependent flakiness — in the matrix runner's shared
+#      stage-1 products too — has two chances to show up per CI run
 #   6. a CLI smoke run of the pass-manager instrumentation
 #      (-trace-passes on a complete-propagation analysis)
 #   7. an incremental smoke run: analyze ocean twice through a disk
@@ -76,8 +77,8 @@ go build ./...
 echo "==> go test -race $short ./..."
 go test -race $short ./...
 
-echo "==> go test -race -run 'TestDeterminism' -count=2 $short ."
-go test -race -run 'TestDeterminism' -count=2 $short .
+echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
+go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
 
 echo "==> pass-trace smoke (ipcp -suite ocean -complete -trace-passes)"
 # Capture the output first: in a `go run ... | grep -q` pipeline under
