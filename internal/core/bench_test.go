@@ -36,33 +36,26 @@ func prepared(b *testing.B, sp *sema.Program, cfg Config) *propagation {
 	return pipe
 }
 
-// BenchmarkSolverSimple measures the paper's simple worklist solver
-// (stage 3 only; jump functions prebuilt).
-func BenchmarkSolverSimple(b *testing.B) {
+// benchSolver measures stage 3 alone (jump functions prebuilt) under
+// one wake-up policy.
+func benchSolver(b *testing.B, dependence bool) {
 	sp := benchSema(b, "ocean", 8)
-	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true}
+	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true, DependenceSolver: dependence}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		pipe := prepared(b, sp, cfg)
 		b.StartTimer()
-		pipe.stage3Propagate()
+		pipe.stage3Solve()
 	}
 }
 
-// BenchmarkSolverDependence measures the Callahan et al. variant on the
+// BenchmarkSolverSimple measures the paper's simple worklist policy.
+func BenchmarkSolverSimple(b *testing.B) { benchSolver(b, false) }
+
+// BenchmarkSolverDependence measures the Callahan et al. policy on the
 // same prebuilt jump functions.
-func BenchmarkSolverDependence(b *testing.B) {
-	sp := benchSema(b, "ocean", 8)
-	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pipe := prepared(b, sp, cfg)
-		b.StartTimer()
-		pipe.stage3PropagateDependence()
-	}
-}
+func BenchmarkSolverDependence(b *testing.B) { benchSolver(b, true) }
 
 // BenchmarkStage1ReturnJFs isolates return-jump-function generation
 // (which includes the value-numbering pass, the dominant cost per §4.1).
@@ -84,7 +77,7 @@ func BenchmarkSubstitutionCount(b *testing.B) {
 	sp := benchSema(b, "ocean", 8)
 	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true}
 	pipe := prepared(b, sp, cfg)
-	pipe.stage3Propagate()
+	pipe.stage3Solve()
 	b.ReportAllocs()
 	total := 0
 	for i := 0; i < b.N; i++ {
@@ -137,27 +130,20 @@ func BenchmarkAnalyzeMatrix(b *testing.B) {
 	})
 }
 
-// BenchmarkStage2 isolates forward-jump-function generation, the
-// fully-independent per-procedure stage, sequential vs parallel.
+// BenchmarkStage2 isolates forward-jump-function generation.
 func BenchmarkStage2(b *testing.B) {
 	sp := benchSema(b, "ocean", 8)
-	run := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			cfg := Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true, Workers: workers}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
-				s1.buildSSA(poolSize(workers))
-				s1.stage1ReturnJFs(poolSize(workers))
-				pipe := newPropagation(s1, cfg)
-				b.StartTimer()
-				pipe.stage2ForwardJFs()
-			}
-		}
+	cfg := Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+		s1.buildSSA(poolSize(cfg.Workers))
+		s1.stage1ReturnJFs(poolSize(cfg.Workers))
+		pipe := newPropagation(s1, cfg)
+		b.StartTimer()
+		pipe.stage2ForwardJFs()
 	}
-	b.Run("seq", run(1))
-	b.Run("par", run(0))
 }
 
 // BenchmarkStage1 isolates value numbering + return-jump-function

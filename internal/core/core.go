@@ -15,7 +15,6 @@ package core
 import (
 	"errors"
 	"sort"
-	"sync/atomic"
 
 	"ipcp/internal/analysis/callgraph"
 	"ipcp/internal/analysis/modref"
@@ -51,10 +50,10 @@ type Config struct {
 	// (default 10). The paper observed convergence after one round.
 	MaxDCERounds int
 
-	// DependenceSolver selects the Callahan et al. dependence-driven
-	// propagation algorithm instead of the paper's simple worklist.
-	// Both compute identical VAL sets; the dependence-driven one
-	// re-evaluates each jump function only when a support member
+	// DependenceSolver selects the wake-up policy of the Callahan et
+	// al. dependence-driven solver instead of the paper's simple
+	// worklist. Both compute identical VAL sets; the dependence-driven
+	// one re-evaluates a jump function only when a support member
 	// changes, achieving the O(Σ cost(J)) bound of §3.1.5.
 	DependenceSolver bool
 
@@ -68,10 +67,10 @@ type Config struct {
 	NoWarmStart bool
 
 	// Workers bounds the goroutines the per-procedure stages (SSA
-	// construction, stage-1 return jump functions, stage-2 forward jump
-	// functions) fan out over. 0 means one worker per available CPU;
-	// 1 forces the sequential reference path. Results are identical for
-	// every setting — the determinism tests prove it.
+	// construction, stage-1 return jump functions) fan out over. 0 means
+	// one worker per available CPU; 1 forces the sequential reference
+	// path. Results are identical for every setting — the determinism
+	// tests prove it.
 	Workers int
 
 	// Debug makes the pass runner verify the IR after every pass and
@@ -79,7 +78,7 @@ type Config struct {
 	Debug bool
 
 	// Cancel, when non-nil, is polled between passes and inside the
-	// stage-3 solver loops; a non-nil return (it must wrap ErrCanceled)
+	// stage-3 solver loop; a non-nil return (it must wrap ErrCanceled)
 	// aborts the analysis with that error. Drivers wire request
 	// deadlines through it — see AnalyzeErr. The zero value is an
 	// uncancellable run with no polling overhead.
@@ -144,7 +143,9 @@ type Result struct {
 	// references that sit in loop bounds or branch conditions.
 	TotalControlFlow int
 
-	// SolverPasses counts procedure visits during stage 3.
+	// SolverPasses counts stage-3 work-item visits: procedure visits
+	// under the simple worklist, jump-function instance visits under
+	// the dependence-driven solver.
 	SolverPasses int
 
 	// JFEvaluations counts jump-function evaluations during stage 3.
@@ -166,28 +167,12 @@ type Result struct {
 	// their support size approaches 1.
 	JFShape JFShapeStats
 
-	// Stats reports the pipeline's execution effort (solver counters
-	// and the worker pool size the per-procedure stages ran on).
+	// Stats reports how the run executed.
 	Stats Stats
 }
 
-// Stats describes how one analysis run executed. The solver counters
-// are accumulated atomically, so they stay race-free if a future change
-// parallelizes propagation — and because stage 3 is sequential today,
-// they are bit-identical between sequential and parallel runs of the
-// same configuration (the determinism tests include them).
+// Stats describes how one analysis run executed.
 type Stats struct {
-	// Workers is the resolved worker-pool size stages 1–2 fanned out on.
-	Workers int
-
-	// SolverPasses counts work-item visits during stage 3 (procedures
-	// for the simple worklist, jump-function instances for the
-	// dependence-driven solver).
-	SolverPasses int64
-
-	// JFEvaluations counts jump-function evaluations during stage 3.
-	JFEvaluations int64
-
 	// Passes is the pass-manager trace of the run: one entry per pass
 	// execution plus one summary per fixpoint, in completion order.
 	// Every field except the wall-clock Nanos is deterministic.
@@ -490,25 +475,27 @@ type propagation struct {
 
 	sites map[*ir.Instr]*jump.Site
 
-	vals         *vals
-	solverPasses atomic.Int64
-	jfEvals      atomic.Int64
-	jfShape      JFShapeStats
+	vals    *vals
+	jfShape JFShapeStats
+
+	// Stage-3 effort (solver.go): work items visited, jump functions
+	// evaluated, items on the initial worklist, and items re-enqueued
+	// by lowered cells after it.
+	solverPasses int
+	jfEvals      int
+	seeded       int
+	enqueued     int
 
 	// Warm-start state (warm.go): the previous fixpoint injected for
-	// the capture run of an incremental analysis (nil = cold solve),
-	// the cached per-procedure jump-function fingerprints, and the
-	// stage-3 worklist counters the incremental driver surfaces.
+	// the capture run of an incremental analysis (nil = cold solve) and
+	// the cached per-procedure jump-function fingerprints.
 	warm        *WarmSeed
 	siteHash    map[string]string
-	seeded      int64
-	visited     atomic.Int64
-	enqueued    atomic.Int64
 	warmStarted bool
 	coneProcs   int
 
 	// cancel is the pass Context's cancellation hook (nil when the run
-	// is uncancellable); the stage-3 worklist loops poll it per item.
+	// is uncancellable); the stage-3 solve polls it per work item.
 	cancel func() error
 }
 
@@ -670,20 +657,11 @@ func (s *stage1) buildReturns(proc *ir.Proc, vn *valnum.Result) *jump.Returns {
 // stage2ForwardJFs builds the configured flavor of forward jump function
 // for every actual parameter and every implicit global at every call
 // site, reusing the stage-1 value numbering (valid because return jump
-// functions are final once stage 1 completes). Procedures are fully
-// independent here — every worker reads only its own procedure's value
-// numbering — so the fan-out needs no waves; per-procedure results land
-// in indexed slots and merge in call-graph order.
+// functions are final once stage 1 completes). It runs sequentially in
+// call-graph order: the stage is a small share of the pipeline, and a
+// worker pool did not pay for itself on it (EXPERIMENTS.md).
 func (p *propagation) stage2ForwardJFs() {
-	nodes := p.cg.TopDown()
-	type procSites struct {
-		sites []*jump.Site
-		shape JFShapeStats
-	}
-	out := make([]procSites, len(nodes))
-	parallelFor(p.workers, len(nodes), func(ni int) {
-		n := nodes[ni]
-		ps := &out[ni]
+	for _, n := range p.cg.TopDown() {
 		if seed := p.reuse[n.Proc]; seed != nil {
 			// Replay the stored jump functions through the exact loop
 			// structure of the derivation below, so the shape tally
@@ -696,17 +674,17 @@ func (p *propagation) stage2ForwardJFs() {
 					if call.Callee.Formals[i].Type.IsArray() {
 						continue
 					}
-					ps.shape.classify(site.Formal[i])
+					p.jfShape.classify(site.Formal[i])
 				}
 				for k := range p.prog.ScalarGlobals {
 					if call.NumActuals+k >= len(call.Args) {
 						break
 					}
-					ps.shape.classify(site.Global[k])
+					p.jfShape.classify(site.Global[k])
 				}
-				ps.sites = append(ps.sites, site)
+				p.sites[call] = site
 			}
-			return
+			continue
 		}
 		vn := p.vns[n.Proc]
 		for _, call := range n.Sites {
@@ -721,7 +699,7 @@ func (p *propagation) stage2ForwardJFs() {
 				}
 				raw := vn.OperandExpr(call.Args[i])
 				site.Formal[i] = jump.Filter(p.cfg.Jump, call.Args[i], raw)
-				ps.shape.classify(site.Formal[i])
+				p.jfShape.classify(site.Formal[i])
 			}
 			for k := range p.prog.ScalarGlobals {
 				a := call.NumActuals + k
@@ -730,16 +708,10 @@ func (p *propagation) stage2ForwardJFs() {
 				}
 				raw := vn.OperandExpr(call.Args[a])
 				site.Global[k] = jump.Filter(p.cfg.Jump, call.Args[a], raw)
-				ps.shape.classify(site.Global[k])
+				p.jfShape.classify(site.Global[k])
 			}
-			ps.sites = append(ps.sites, site)
+			p.sites[call] = site
 		}
-	})
-	for _, ps := range out {
-		for _, site := range ps.sites {
-			p.sites[site.Call] = site
-		}
-		p.jfShape.add(ps.shape)
 	}
 }
 
@@ -760,30 +732,16 @@ func (s *JFShapeStats) classify(e sym.Expr) {
 	}
 }
 
-// add accumulates another tally into s.
-func (s *JFShapeStats) add(o JFShapeStats) {
-	s.Bottom += o.Bottom
-	s.Constant += o.Constant
-	s.PassThrough += o.PassThrough
-	s.Polynomial += o.Polynomial
-	s.SupportSum += o.SupportSum
-}
-
 // stage4Record assembles the CONSTANTS sets and the substitution counts.
 func (p *propagation) stage4Record() *Result {
 	res := &Result{
 		Config:        p.cfg,
 		Prog:          p.prog,
 		Procs:         make(map[string]*ProcResult, len(p.prog.Procs)),
-		SolverPasses:  int(p.solverPasses.Load()),
-		JFEvaluations: int(p.jfEvals.Load()),
+		SolverPasses:  p.solverPasses,
+		JFEvaluations: p.jfEvals,
 		SiteVals:      make(map[*ir.Instr]*SiteValues, len(p.sites)),
 		JFShape:       p.jfShape,
-		Stats: Stats{
-			Workers:       p.workers,
-			SolverPasses:  p.solverPasses.Load(),
-			JFEvaluations: p.jfEvals.Load(),
-		},
 	}
 	// Per-site jump-function values under the final VAL sets, for the
 	// cloning extension.

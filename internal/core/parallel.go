@@ -11,8 +11,8 @@ import (
 // This file implements the concurrency substrate of the analyzer: a
 // bounded worker pool and the call-graph wave schedule that lets the
 // per-procedure stages (SSA construction, stage-1 value numbering +
-// return jump functions, stage-2 forward jump functions) fan out across
-// cores while producing results byte-identical to a sequential run.
+// return jump functions) fan out across cores while producing results
+// byte-identical to a sequential run.
 //
 // The determinism argument, stage by stage:
 //
@@ -31,13 +31,13 @@ import (
 //     are recursive, so none are ever built) — exactly the sequential
 //     bottom-up semantics.
 //
-//   - stage 2 only reads the (now final) stage-1 value numberings;
-//     every call site's jump functions land in a per-procedure slot and
-//     are merged into the site map in deterministic call-graph order.
+//   - stage 2 runs sequentially in call-graph order: it only reads the
+//     (now final) stage-1 value numberings, and a worker pool did not
+//     pay for itself on it.
 //
 //   - stage 3 (the interprocedural worklist) stays sequential: its whole
 //     job is ordered meets into shared VAL sets, the per-program work is
-//     tiny compared to stages 1–2, and keeping it single-threaded is
+//     tiny compared to stage 1, and keeping it single-threaded is
 //     what makes the solver-effort counters (SolverPasses,
 //     JFEvaluations) reproducible run to run.
 //

@@ -82,13 +82,7 @@ func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 		pr.warm = p.warm
 	}
 	pr.stage2ForwardJFs()
-	var err error
-	if p.cfg.DependenceSolver {
-		err = pr.stage3PropagateDependence()
-	} else {
-		err = pr.stage3Propagate()
-	}
-	if err != nil {
+	if err := pr.stage3Solve(); err != nil {
 		return true, err
 	}
 	p.last = pr.stage4Record()

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"ipcp/internal/core/jump"
+	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
 	"ipcp/internal/suite"
+	"ipcp/internal/sym"
 )
 
 // A procedure with no formals and no globals never has its VAL set
@@ -98,22 +100,93 @@ func TestDependenceSolverEquivalence(t *testing.T) {
 	}
 }
 
-// The dependence-driven solver should evaluate each jump function a
-// bounded number of times: at most 1 + 2·|support| evaluations per
-// instance (each support member can lower at most twice). The simple
-// solver has no such per-instance bound.
+// revisitSrc makes the simple worklist visit MID three times: its
+// formal lowers ⊤ → 1 after MID's first visit (from TOP1) and 1 → ⊥
+// after its second (from TOP2, whose own formal X lowers only after
+// TOP2's first visit). Each visit re-evaluates MID's four constant
+// jump functions, so the worklist exceeds the dependence policy's
+// evaluation bound, which re-evaluates only TOP2's pass-through.
+const revisitSrc = `
+PROGRAM MAIN
+  CALL TOP1(1)
+  CALL X(2)
+END
+SUBROUTINE TOP2(K)
+  INTEGER K
+  CALL MID(K)
+  RETURN
+END
+SUBROUTINE MID(N)
+  INTEGER N, W
+  W = N
+  CALL LEAF(3)
+  CALL LEAF(3)
+  CALL LEAF(3)
+  CALL LEAF(3)
+  RETURN
+END
+SUBROUTINE TOP1(K)
+  INTEGER K
+  CALL MID(K)
+  RETURN
+END
+SUBROUTINE X(J)
+  INTEGER J
+  CALL TOP2(J)
+  RETURN
+END
+SUBROUTINE LEAF(M)
+  INTEGER M, W
+  W = M
+  RETURN
+END
+`
+
+// evaluationBound solves sp under cfg and returns the jump-function
+// evaluations stage 3 made alongside Σ(1 + 2·|support|) over the
+// instances the engine built.
+func evaluationBound(t *testing.T, sp *sema.Program, cfg Config) (evals, bound int) {
+	t.Helper()
+	s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+	s1.buildSSA(1)
+	s1.stage1ReturnJFs(1)
+	p := newPropagation(s1, cfg)
+	p.stage2ForwardJFs()
+	if err := p.stage3Solve(); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range p.newSolver().insts {
+		leaves, _ := sym.Support(in.expr)
+		bound += 1 + 2*len(leaves)
+	}
+	return p.jfEvals, bound
+}
+
+// The dependence-driven solver evaluates each jump-function instance
+// at most 1 + 2·|support| times: once from the seed, then once per
+// lowering of a support member, and each cell lowers at most twice.
+// revisitSrc shows the bound has teeth: the simple worklist, which
+// re-evaluates all of a procedure's sites whenever one of its cells
+// lowers, exceeds it there.
 func TestDependenceSolverEvaluationBound(t *testing.T) {
-	for _, name := range []string{"ocean", "matrix300", "simple"} {
-		src := suite.Generate(name, 4).Source
-		f, _ := parser.Parse(src)
-		sp, _ := sema.Analyze(f)
-		dep := Analyze(sp, Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true, DependenceSolver: true})
-		// Instances ≈ evaluations at the seed; each can re-run at most
-		// twice per support member, and supports here have ≤ 2 leaves.
-		if dep.JFEvaluations > 5*dep.SolverPasses+5 {
-			t.Errorf("%s: dependence solver made %d evaluations over %d instance visits",
-				name, dep.JFEvaluations, dep.SolverPasses)
+	for _, name := range suite.Names() {
+		sp := mustSema(t, suite.Generate(name, 4).Source)
+		for _, kind := range jump.Kinds {
+			cfg := Config{Jump: kind, ReturnJFs: true, MOD: true, DependenceSolver: true}
+			if evals, bound := evaluationBound(t, sp, cfg); evals > bound {
+				t.Errorf("%s/%v: dependence solver made %d evaluations, bound Σ(1+2·|support|) = %d",
+					name, kind, evals, bound)
+			}
 		}
+	}
+	sp := mustSema(t, revisitSrc)
+	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true}
+	if evals, bound := evaluationBound(t, sp, cfg); evals <= bound {
+		t.Errorf("revisit: worklist made %d evaluations, want more than the bound %d", evals, bound)
+	}
+	cfg.DependenceSolver = true
+	if evals, bound := evaluationBound(t, sp, cfg); evals > bound {
+		t.Errorf("revisit: dependence solver made %d evaluations, bound %d", evals, bound)
 	}
 }
 

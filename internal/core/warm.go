@@ -230,29 +230,14 @@ func (p *propagation) warmPrep() map[*ir.Proc]bool {
 	return cone
 }
 
-// callsIntoCone reports whether proc has a callee inside the cone —
-// the boundary-caller test of the warm worklist seeding.
-func (p *propagation) callsIntoCone(cone map[*ir.Proc]bool, proc *ir.Proc) bool {
-	n := p.cg.Nodes[proc]
-	if n == nil {
-		return false
-	}
-	for _, m := range n.Callees {
-		if cone[m.Proc] {
-			return true
-		}
-	}
-	return false
-}
-
 // warmStats assembles the stage-3 execution counters of this run.
 func (p *propagation) warmStats() WarmStats {
 	st := WarmStats{
 		Started:   p.warmStarted,
 		ConeProcs: p.coneProcs,
-		Seeded:    p.seeded,
-		Visited:   p.visited.Load(),
-		Enqueued:  p.enqueued.Load(),
+		Seeded:    int64(p.seeded),
+		Visited:   int64(p.solverPasses),
+		Enqueued:  int64(p.enqueued),
 	}
 	if !p.warmStarted {
 		st.ConeProcs = len(p.prog.Procs)

@@ -126,7 +126,7 @@ type Config struct {
 	NoWarmStart bool
 
 	// Workers bounds the goroutines the per-procedure analysis stages
-	// (SSA construction, value numbering, jump-function generation) fan
+	// (SSA construction, value numbering and return jump functions) fan
 	// out over. 0 means one worker per available CPU; 1 forces the
 	// sequential reference path. The Report is identical for every
 	// setting — see DESIGN.md, "Concurrency model".
@@ -266,8 +266,10 @@ type Report struct {
 	// loop bounds and branch conditions, program-wide.
 	TotalControlFlowSubstituted int
 
-	// SolverPasses counts procedure visits of the interprocedural
-	// worklist; JFEvaluations counts jump-function evaluations.
+	// SolverPasses counts the work items the stage-3 solver visited:
+	// procedures under the simple worklist, jump-function instances
+	// under DependenceSolver. JFEvaluations counts jump-function
+	// evaluations.
 	SolverPasses  int
 	JFEvaluations int
 

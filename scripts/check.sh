@@ -17,6 +17,9 @@
 #      second time (-count=2 disables test caching), so
 #      schedule-dependent flakiness — in the matrix runner's shared
 #      stage-1 products too — has two chances to show up per CI run
+#   5b. go vet + go test in perfbench, the benchmark's own module: the
+#      root ./... pattern skips nested modules, so without this a core
+#      change that breaks the benchmark's use of the library would pass
 #   6. a CLI smoke run of the pass-manager instrumentation
 #      (-trace-passes on a complete-propagation analysis)
 #   7. an incremental smoke run: analyze ocean twice through a disk
@@ -79,6 +82,9 @@ go test -race $short ./...
 
 echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
 go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
+
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> pass-trace smoke (ipcp -suite ocean -complete -trace-passes)"
 # Capture the output first: in a `go run ... | grep -q` pipeline under
