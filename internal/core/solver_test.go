@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ipcp/internal/core/jump"
+	"ipcp/internal/core/lattice"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
@@ -188,6 +190,81 @@ func TestDependenceSolverEvaluationBound(t *testing.T) {
 	if evals, bound := evaluationBound(t, sp, cfg); evals > bound {
 		t.Errorf("revisit: dependence solver made %d evaluations, bound %d", evals, bound)
 	}
+}
+
+// reversedSema analyzes src with its program units in reverse order, so
+// every procedure is listed after its callees. The generated programs
+// list callers first, and a FIFO solve over that order lowers each cell
+// before any item reading it is popped; reversed, lowered cells must
+// wake the items that already ran.
+func reversedSema(t *testing.T, src string) *sema.Program {
+	t.Helper()
+	f, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Reverse(f.Units)
+	sp, err := sema.Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// The fixpoint depends neither on the wake-up policy nor on the order
+// the procedures are listed in: both policies, over the units in source
+// and in reverse order, give every procedure the same VAL cells. The
+// reversed solves are the ones that exercise the wake-ups, which the
+// dependence policy's larger pass count there confirms.
+func TestSolverOrderIndependence(t *testing.T) {
+	var srcs []string
+	for _, name := range suite.Names() {
+		srcs = append(srcs, suite.Generate(name, 2).Source)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		srcs = append(srcs, suite.Random(seed, 8).Source)
+	}
+	srcs = append(srcs, revisitSrc)
+	woken := false
+	for n, src := range srcs {
+		fwd, rev := mustSema(t, src), reversedSema(t, src)
+		for _, kind := range jump.Kinds {
+			cfg := Config{Jump: kind, ReturnJFs: true, MOD: true}
+			want := Analyze(fwd, cfg)
+			for _, sp := range []*sema.Program{fwd, rev} {
+				for _, dep := range []bool{false, true} {
+					cfg.DependenceSolver = dep
+					got := Analyze(sp, cfg)
+					for name, w := range want.Procs {
+						g := got.Procs[name]
+						if !sameCells(g.FormalVals, w.FormalVals) || !sameCells(g.GlobalVals, w.GlobalVals) {
+							t.Errorf("program %d/%v/dep=%v/%s: cells %v %v, want %v %v",
+								n, kind, dep, name, g.FormalVals, g.GlobalVals, w.FormalVals, w.GlobalVals)
+						}
+					}
+					if dep && sp == rev {
+						woken = woken || got.SolverPasses > Analyze(fwd, cfg).SolverPasses
+					}
+				}
+			}
+		}
+	}
+	if !woken {
+		t.Error("no reversed dependence solve re-enqueued an instance: the wake-ups went untested")
+	}
+}
+
+// sameCells reports whether two VAL vectors agree cell by cell.
+func sameCells(a, b []lattice.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDependenceSolverOnCoreScenarios(t *testing.T) {
