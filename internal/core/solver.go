@@ -7,11 +7,12 @@ import (
 )
 
 // This file implements stage 3 of §4.1: propagate the VAL sets around
-// the call graph. Every jump function at a call site reachable from
-// main is one instance feeding one VAL cell of the callee; the solver
-// meets the value the instance yields under its caller's VAL set into
-// that cell until nothing lowers. The bounded lattice depth guarantees
-// each cell lowers at most twice, so termination is immediate.
+// the call graph. Every jump function at a call site in a procedure
+// reachable from main is one instance feeding one VAL cell of the
+// callee; the solver meets the value the instance yields under its
+// caller's VAL set into that cell until nothing lowers. The bounded
+// lattice depth guarantees each cell lowers at most twice, so
+// termination is immediate.
 //
 // The paper ran "a simple worklist iterative scheme" and cites the
 // dependence-driven solver of Callahan et al. for its tighter
