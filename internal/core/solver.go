@@ -132,10 +132,18 @@ func (p *propagation) stage3Solve() error {
 		p.solverPasses++
 
 		env := procEnv{p: p, at: it.proc}
+		// A call site's instances share their callee, so its VAL
+		// vectors are looked up once per site, not per instance.
+		var callee *ir.Proc
+		var fv, gv []lattice.Value
 		for _, in := range s.insts[it.lo:it.hi] {
-			cells, kind := p.vals.formals[in.to.proc], "formal"
+			if in.to.proc != callee {
+				callee = in.to.proc
+				fv, gv = p.vals.formals[callee], p.vals.globals[callee]
+			}
+			cells, kind := fv, "formal"
 			if in.to.global {
-				cells, kind = p.vals.globals[in.to.proc], "global"
+				cells, kind = gv, "global"
 			}
 			old := cells[in.to.slot]
 			if old.IsBottom() {
