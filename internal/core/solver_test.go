@@ -60,48 +60,6 @@ END
 	}
 }
 
-// The dependence-driven solver must compute exactly the same results as
-// the simple worklist on every benchmark program under every flavor.
-func TestDependenceSolverEquivalence(t *testing.T) {
-	for _, name := range suite.Names() {
-		src := suite.Generate(name, 2).Source
-		f, err := parser.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, err := sema.Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range jump.Kinds {
-			simple := Analyze(sp, Config{Jump: kind, ReturnJFs: true, MOD: true})
-			dep := Analyze(sp, Config{Jump: kind, ReturnJFs: true, MOD: true, DependenceSolver: true})
-			if simple.TotalSubstituted != dep.TotalSubstituted ||
-				simple.TotalConstants != dep.TotalConstants {
-				t.Errorf("%s/%v: solver mismatch: simple %d/%d vs dependence %d/%d",
-					name, kind,
-					simple.TotalSubstituted, simple.TotalConstants,
-					dep.TotalSubstituted, dep.TotalConstants)
-			}
-			// Per-procedure agreement too.
-			for pname, spr := range simple.Procs {
-				dpr := dep.Procs[pname]
-				if len(spr.Constants) != len(dpr.Constants) {
-					t.Errorf("%s/%v/%s: constants differ: %v vs %v",
-						name, kind, pname, spr.Constants, dpr.Constants)
-					continue
-				}
-				for i := range spr.Constants {
-					if spr.Constants[i] != dpr.Constants[i] {
-						t.Errorf("%s/%v/%s: constant %d differs: %v vs %v",
-							name, kind, pname, i, spr.Constants[i], dpr.Constants[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // revisitSrc makes the simple worklist visit MID three times: its
 // formal lowers ⊤ → 1 after MID's first visit (from TOP1) and 1 → ⊥
 // after its second (from TOP2, whose formal K lowers, through X, only
@@ -195,8 +153,8 @@ func TestDependenceSolverEvaluationBound(t *testing.T) {
 // reversedSema analyzes src with its program units in reverse order, so
 // every procedure is listed after its callees. The generated programs
 // list callers first, and a FIFO solve over that order lowers each cell
-// before any item reading it is popped; reversed, lowered cells must
-// wake the items that already ran.
+// before any item reading it is popped, so only the reversed order
+// exercises the wake-ups.
 func reversedSema(t *testing.T, src string) *sema.Program {
 	t.Helper()
 	f, err := parser.Parse(src)
@@ -211,12 +169,13 @@ func reversedSema(t *testing.T, src string) *sema.Program {
 	return sp
 }
 
-// The fixpoint depends neither on the wake-up policy nor on the order
-// the procedures are listed in: both policies, over the units in source
-// and in reverse order, give every procedure the same VAL cells. The
-// reversed solves are the ones that exercise the wake-ups, which the
-// dependence policy's larger pass count there confirms.
-func TestSolverOrderIndependence(t *testing.T) {
+// The dependence-driven solver must compute exactly the same VAL cells
+// and substitution counts as the simple worklist, and neither may
+// depend on the order the procedures are listed in. Over the units in
+// reverse order, lowered cells must wake items that already ran: the
+// dependence policy's larger pass count there confirms the wake-ups
+// were exercised.
+func TestDependenceSolverEquivalence(t *testing.T) {
 	var srcs []string
 	for _, name := range suite.Names() {
 		srcs = append(srcs, suite.Generate(name, 2).Source)
@@ -236,6 +195,10 @@ func TestSolverOrderIndependence(t *testing.T) {
 				for _, dep := range []bool{false, true} {
 					cfg.DependenceSolver = dep
 					got := Analyze(sp, cfg)
+					if got.TotalSubstituted != want.TotalSubstituted {
+						t.Errorf("program %d/%v/dep=%v: %d substitutions, want %d",
+							n, kind, dep, got.TotalSubstituted, want.TotalSubstituted)
+					}
 					for name, w := range want.Procs {
 						g := got.Procs[name]
 						if !sameCells(g.FormalVals, w.FormalVals) || !sameCells(g.GlobalVals, w.GlobalVals) {
