@@ -19,11 +19,11 @@ import (
 	"ipcp/internal/suite"
 )
 
-// startBrokenShard runs shard `broken` as a stub that passes readiness
-// but answers every analysis with `code` — a worker wedged in exactly
-// the way admission control cannot see — while the other shards are
-// real servers. Returns the fleet's typed client.
-func startFleetWithBrokenShard(t *testing.T, n, broken, code int, wcfg server.Config) *fleet.Fleet {
+// startFleetWithBrokenShard runs shard `broken` as a stub that passes
+// readiness but serves every other request with stub — a worker wedged
+// in exactly the way admission control cannot see — while the other
+// shards are real servers.
+func startFleetWithBrokenShard(t *testing.T, n, broken int, stub http.HandlerFunc, wcfg server.Config) *fleet.Fleet {
 	t.Helper()
 	tw := newTestWorkers(t, wcfg)
 	start := func(shard int) (*fleet.WorkerHandle, error) {
@@ -34,11 +34,7 @@ func startFleetWithBrokenShard(t *testing.T, n, broken, code int, wcfg server.Co
 		mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
-		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(code)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "stub shard always fails"})
-		})
+		mux.HandleFunc("/", stub)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -58,7 +54,6 @@ func startFleetWithBrokenShard(t *testing.T, n, broken, code int, wcfg server.Co
 		Start:      start,
 		BackoffMin: 50 * time.Millisecond,
 		BackoffMax: time.Second,
-		RetryBusy:  -1, // a 429 from the stub would just repeat; keep items single-shot
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +71,15 @@ func startFleetWithBrokenShard(t *testing.T, n, broken, code int, wcfg server.Co
 	return fl
 }
 
+// failWith is a stub shard's handler that fails every request with code.
+func failWith(code int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "stub shard always fails"})
+	}
+}
+
 // TestFleetBatchPartialFailure is the satellite's scenario: one shard
 // answers 500 (and, in a second pass, 504) while its siblings succeed.
 // The batch must return one result per item — failures carry the
@@ -85,7 +89,7 @@ func TestFleetBatchPartialFailure(t *testing.T) {
 	for _, code := range []int{http.StatusInternalServerError, http.StatusGatewayTimeout} {
 		t.Run(fmt.Sprintf("code%d", code), func(t *testing.T) {
 			const broken = 1
-			fl := startFleetWithBrokenShard(t, 2, broken, code, server.Config{Workers: 2})
+			fl := startFleetWithBrokenShard(t, 2, broken, failWith(code), server.Config{Workers: 2})
 			ts := httptest.NewServer(fl.Handler())
 			t.Cleanup(ts.Close)
 			c := client.New(ts.URL)

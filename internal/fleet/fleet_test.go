@@ -133,6 +133,24 @@ func startFleetWorkers(t *testing.T, n int, tw *testWorkers) (*fleet.Fleet, *tes
 	return fl, tw, client.New(ts.URL), ts.URL
 }
 
+// startSingleServer runs one single-process server, the reference the
+// fleet must match, and returns its base URL.
+func startSingleServer(t *testing.T) string {
+	t.Helper()
+	s, err := server.New(server.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	return ts.URL
+}
+
 // normalize clears the report fields that legitimately differ between
 // a served run and a local one (mirrors the server e2e suite).
 func normalize(reps ...*ipcp.Report) {
@@ -212,18 +230,7 @@ func programsSpanningShards(t *testing.T, n int) map[int][]string {
 // shards.
 func TestFleetMatchesSingleServerAndLocal(t *testing.T) {
 	_, _, fc, _ := startFleet(t, 2, server.Config{Workers: 2})
-	single, err := server.New(server.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts := httptest.NewServer(single.Handler())
-	t.Cleanup(func() {
-		sts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		single.Shutdown(ctx)
-	})
-	sc := client.New(sts.URL)
+	sc := client.New(startSingleServer(t))
 
 	byShard := programsSpanningShards(t, 2)
 	var names []string
