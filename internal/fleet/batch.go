@@ -3,13 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sync"
 
 	"ipcp/internal/server"
-	"ipcp/internal/server/client"
 )
 
 // This file is the fleet's batch fan-out: one POST /v1/batch request
@@ -20,109 +16,79 @@ import (
 // on it (status 502), items routed after the crash fail over to the
 // runner-up, and sibling items on healthy shards are never voided.
 
+// batchLine is one line of the edge's /v1/batch stream: a
+// server.BatchItemResult whose report stays the bytes the worker sent,
+// so the edge never builds the report it relays.
+type batchLine struct {
+	Index     int             `json:"index"`
+	Status    int             `json:"status"`
+	Shard     int             `json:"shard"`
+	Report    json.RawMessage `json:"report,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Coalesced bool            `json:"coalesced,omitempty"`
+}
+
 func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	if !f.decode(w, r, &req) {
-		return
-	}
-	if len(req.Items) == 0 {
-		f.fail(w, http.StatusBadRequest, errors.New("batch: no items"))
-		return
-	}
-	if len(req.Items) > server.MaxBatchItems {
-		f.fail(w, http.StatusBadRequest,
-			fmt.Errorf("batch: %d items exceeds the %d-item bound", len(req.Items), server.MaxBatchItems))
+	req, ok := server.DecodeBatch(w, r)
+	if !ok {
 		return
 	}
 	f.metrics.batchSize.Observe(float64(len(req.Items)))
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(res server.BatchItemResult) {
-		if res.OK() {
+	// Bound the fleet-wide fan-out; each worker additionally sheds per
+	// item through its own admission control (and dispatch absorbs one
+	// 429 per item).
+	err := server.StreamBatch(w, len(req.Items), batchItemsPerWorker*f.cfg.Workers, func(i int) any {
+		line := f.batchItem(r.Context(), i, req)
+		if line.Status == http.StatusOK {
 			f.metrics.batchItems.Add(1)
 		} else {
 			f.metrics.batchErrors.Add(1)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err := enc.Encode(res); err != nil {
-			f.logf("fleet: batch: encode item %d: %v", res.Index, err)
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		return line
+	})
+	if err != nil {
+		f.logf("fleet: %v", err)
 	}
-
-	// Bound the fleet-wide fan-out; each worker additionally sheds per
-	// item through its own admission control (and the dispatch client
-	// absorbs one 429 per item).
-	sem := make(chan struct{}, f.cfg.BatchConcurrency)
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			emit(f.batchItem(r.Context(), i, req))
-		}(i)
-	}
-	wg.Wait()
 }
 
 // batchItem dispatches one item to the shard owning its lineage.
-func (f *Fleet) batchItem(ctx context.Context, i int, req server.BatchRequest) server.BatchItemResult {
+func (f *Fleet) batchItem(ctx context.Context, i int, req server.BatchRequest) batchLine {
 	item := req.Items[i]
-	res := server.BatchItemResult{Index: i, Shard: -1}
+	line := batchLine{Index: i, Shard: -1}
 	cfgReq := req.Config
 	if item.Config != nil {
 		cfgReq = *item.Config
 	}
 	cfg, err := cfgReq.Config()
 	if err != nil {
-		res.Status, res.Error = http.StatusBadRequest, err.Error()
-		return res
+		line.Status, line.Error = http.StatusBadRequest, err.Error()
+		return line
 	}
 	timeout := req.TimeoutMS
 	if item.TimeoutMS > 0 {
 		timeout = item.TimeoutMS
 	}
-	areq := server.AnalyzeRequest{
+	// An AnalyzeRequest holds only strings, numbers and bools, which
+	// always marshal.
+	body, _ := json.Marshal(server.AnalyzeRequest{
 		Source:    item.Source,
 		Program:   item.Program,
 		Config:    cfgReq,
 		TimeoutMS: timeout,
+	})
+	shard, res, err := f.dispatch(ctx, analyzeKey(item.Program, cfg), "batch", http.MethodPost, "/v1/analyze", body)
+	line.Shard = shard
+	if err == nil {
+		// An /v1/analyze answer holds exactly the line's report and
+		// coalesced fields.
+		err = json.NewDecoder(res.Body).Decode(&line)
+		res.Body.Close()
 	}
-	shard, out, err := dispatch(f, ctx, analyzeKey(item.Program, cfg), "batch",
-		func(ctx context.Context, c *client.Client) (*server.AnalyzeResponse, error) {
-			return c.Analyze(ctx, areq)
-		})
-	res.Shard = shard
 	if err != nil {
-		res.Status, res.Error = batchStatus(err), err.Error()
-		return res
+		line.Status, line.Error = statusOf(nil, err), err.Error()
+		return line
 	}
-	res.Status, res.Report, res.Coalesced = http.StatusOK, out.Report, out.Coalesced
-	return res
-}
-
-// batchStatus maps a dispatch error to the item's status, mirroring
-// failDispatch.
-func batchStatus(err error) int {
-	var se *client.StatusError
-	switch {
-	case errors.As(err, &se):
-		return se.Code
-	case errors.Is(err, errNoWorkers):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusBadGateway
-	}
+	line.Status = http.StatusOK
+	return line
 }

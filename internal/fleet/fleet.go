@@ -15,7 +15,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -54,17 +53,17 @@ type Config struct {
 	// before it is killed (default 30s).
 	DrainTimeout time.Duration
 
-	// RetryBusy is the cap on the one 429 retry the router's worker
-	// dispatch performs (default 2s; negative disables the retry).
-	RetryBusy time.Duration
-
-	// BatchConcurrency bounds how many batch items are in flight across
-	// the fleet at once (default 4×Workers).
-	BatchConcurrency int
-
 	// Log, when non-nil, receives supervision events.
 	Log *log.Logger
 }
+
+// retryBusy caps the wait before the one retry a dispatch makes when a
+// worker sheds it with 429.
+const retryBusy = 2 * time.Second
+
+// batchItemsPerWorker bounds a batch's items in flight across the
+// fleet, per worker.
+const batchItemsPerWorker = 4
 
 // Fleet is the routing front end plus its supervised worker set.
 // Create with New, call Start to spawn the workers, mount Handler (or
@@ -73,10 +72,6 @@ type Fleet struct {
 	cfg     Config
 	sup     *supervisor
 	metrics *fleetMetrics
-
-	// proxy performs raw pass-through requests (matrix) and shares its
-	// connection pool across shards.
-	proxy *http.Client
 
 	mu      sync.Mutex
 	clients map[string]*client.Client
@@ -105,16 +100,9 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.RetryBusy == 0 {
-		cfg.RetryBusy = 2 * time.Second
-	}
-	if cfg.BatchConcurrency <= 0 {
-		cfg.BatchConcurrency = 4 * cfg.Workers
-	}
 	f := &Fleet{
 		cfg:     cfg,
 		metrics: newFleetMetrics(cfg.Workers),
-		proxy:   &http.Client{},
 		clients: make(map[string]*client.Client),
 	}
 	f.sup = newSupervisor(cfg.Start, cfg.Workers, cfg.ReadyTimeout,
@@ -139,10 +127,10 @@ func (f *Fleet) Start(ctx context.Context) error {
 // health/metrics.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", f.instrument("analyze", f.handleAnalyze))
-	mux.HandleFunc("POST /v1/transform", f.instrument("transform", f.handleTransform))
-	mux.HandleFunc("POST /v1/batch", f.instrument("batch", f.handleBatch))
-	mux.HandleFunc("GET /v1/matrix", f.instrument("matrix", f.handleMatrix))
+	mux.HandleFunc("POST /v1/analyze", server.Instrument("analyze", f.forward("analyze"), f.metrics.observe))
+	mux.HandleFunc("POST /v1/transform", server.Instrument("transform", f.forward("transform"), f.metrics.observe))
+	mux.HandleFunc("POST /v1/batch", server.Instrument("batch", f.handleBatch, f.metrics.observe))
+	mux.HandleFunc("GET /v1/matrix", server.Instrument("matrix", f.handleMatrix, f.metrics.observe))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -196,18 +184,15 @@ func (f *Fleet) Shards() []ShardStatus {
 	return f.sup.snapshot()
 }
 
-// client returns the (cached) typed client for a worker address, with
-// the router's 429-retry policy applied.
+// client returns the (cached) client for a worker address, with the
+// router's 429-retry policy applied.
 func (f *Fleet) client(addr string) *client.Client {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.clients[addr]; ok {
 		return c
 	}
-	c := client.New(addr)
-	if f.cfg.RetryBusy > 0 {
-		c.RetryBusy(f.cfg.RetryBusy)
-	}
+	c := client.New(addr).RetryBusy(retryBusy)
 	f.clients[addr] = c
 	return c
 }
@@ -215,61 +200,5 @@ func (f *Fleet) client(addr string) *client.Client {
 func (f *Fleet) logf(format string, args ...any) {
 	if f.cfg.Log != nil {
 		f.cfg.Log.Printf(format, args...)
-	}
-}
-
-// decode reads a JSON request body (bounded), answering 400 itself on
-// failure.
-func (f *Fleet) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<20)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		f.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func (f *Fleet) fail(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(server.ErrorResponse{Error: err.Error()})
-}
-
-func (f *Fleet) reply(w http.ResponseWriter, shard int, v any) {
-	w.Header().Set("X-Fleet-Shard", fmt.Sprint(shard))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		f.logf("fleet: encode response: %v", err)
-	}
-}
-
-// instrument wraps an endpoint with the per-endpoint latency histogram
-// (per-shard request counters are recorded at dispatch, where the
-// shard is known).
-func (f *Fleet) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		f.metrics.observe(endpoint, sw.code, time.Since(start))
-	}
-}
-
-// statusWriter remembers the status code an endpoint wrote.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so the batch NDJSON stream stays
-// incremental through the instrumentation wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
 	}
 }

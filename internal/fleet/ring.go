@@ -45,7 +45,7 @@ func owner(key string, alive []int) int {
 // snapshot on, so stickiness at the router is exactly snapshot
 // residency at the shard.
 func analyzeKey(program string, cfg ipcp.Config) string {
-	return ipcp.ConfigCacheKey(cfg) + "\x00" + program
+	return ipcp.FlavorCacheKey(cfg) + "\x00" + program
 }
 
 // matrixKey routes GET /v1/matrix by program name: a matrix sweep has

@@ -14,10 +14,12 @@ import (
 )
 
 // This file is the dispatch path: pick the rendezvous owner of the
-// request's routing key among the healthy shards, forward through the
-// typed client (which retries once on 429 honoring Retry-After), and
-// on a transport failure — the crash window before the supervisor
-// notices the exit — fail over once to the runner-up shard.
+// request's routing key among the healthy shards, forward the request
+// bytes through the worker's client (which retries once on 429 honoring
+// Retry-After), and on a transport failure — the crash window before
+// the supervisor notices the exit — fail over once to the runner-up
+// shard. The edge reads no more of a request than its routing key, and
+// relays the worker's answer as the worker wrote it.
 
 // errNoWorkers reports an empty healthy set (503 at the edge).
 var errNoWorkers = errors.New("fleet: no ready workers")
@@ -62,20 +64,21 @@ func isTransport(err error) bool {
 	return true
 }
 
-// dispatch routes one call by key: owner first, runner-up on transport
-// failure. It returns the shard that actually answered.
-func dispatch[T any](f *Fleet, ctx context.Context, key, endpoint string, call func(context.Context, *client.Client) (T, error)) (int, T, error) {
-	var zero T
+// dispatch sends one request to the owner of key, or to the runner-up
+// when the owner fails at the transport level. It returns the shard
+// that answered and its 2xx response, whose body the caller reads and
+// closes.
+func (f *Fleet) dispatch(ctx context.Context, key, endpoint, method, path string, body []byte) (int, *http.Response, error) {
 	shard, addr, ok := f.route(key, -1)
 	if !ok {
 		f.metrics.noWorkers.Add(1)
-		return -1, zero, errNoWorkers
+		return -1, nil, errNoWorkers
 	}
 	f.metrics.routed(shard)
-	out, err := call(ctx, f.client(addr))
-	f.metrics.request(shard, endpoint, statusOf(err))
+	res, err := f.client(addr).Do(ctx, method, path, body)
+	f.metrics.request(shard, endpoint, statusOf(res, err))
 	if err == nil || !isTransport(err) {
-		return shard, out, err
+		return shard, res, err
 	}
 
 	// The owner dropped mid-request. Its in-flight work is lost (the
@@ -85,139 +88,96 @@ func dispatch[T any](f *Fleet, ctx context.Context, key, endpoint string, call f
 	f.metrics.reroutes.Add(1)
 	shard2, addr2, ok := f.route(key, shard)
 	if !ok {
-		return shard, zero, err
+		return shard, nil, err
 	}
 	f.metrics.routed(shard2)
-	out, err = call(ctx, f.client(addr2))
-	f.metrics.request(shard2, endpoint, statusOf(err))
-	return shard2, out, err
+	res, err = f.client(addr2).Do(ctx, method, path, body)
+	f.metrics.request(shard2, endpoint, statusOf(res, err))
+	return shard2, res, err
 }
 
-// statusOf maps a dispatch outcome to the status recorded per shard.
-func statusOf(err error) int {
-	if err == nil {
-		return http.StatusOK
-	}
+// statusOf maps a dispatch outcome to its status: the worker's own
+// answer, 503 for an empty fleet, 504 when the caller's context ended,
+// and 502 for a transport failure.
+func statusOf(res *http.Response, err error) int {
 	var se *client.StatusError
-	if errors.As(err, &se) {
+	switch {
+	case err == nil:
+		return res.StatusCode
+	case errors.As(err, &se):
 		return se.Code
+	case errors.Is(err, errNoWorkers):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusBadGateway
 	}
-	return http.StatusBadGateway
 }
 
-// failDispatch writes the edge response for a failed dispatch: worker
-// HTTP answers pass through verbatim (with Retry-After preserved on
-// 429), an empty fleet answers 503, a transport failure 502.
+// failDispatch writes the edge response for a failed dispatch: a
+// worker's HTTP answer passes through with its message (and
+// Retry-After on 429), anything else gets statusOf's code.
 func (f *Fleet) failDispatch(w http.ResponseWriter, err error) {
+	code := statusOf(nil, err)
 	var se *client.StatusError
 	switch {
 	case errors.As(err, &se):
 		if se.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(se.RetryAfter/time.Second)))
 		}
-		f.fail(w, se.Code, errors.New(se.Message))
-	case errors.Is(err, errNoWorkers):
-		f.fail(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		f.fail(w, http.StatusGatewayTimeout, err)
-	default:
-		f.fail(w, http.StatusBadGateway, fmt.Errorf("fleet: worker unavailable: %w", err))
+		err = errors.New(se.Message)
+	case code == http.StatusBadGateway:
+		err = fmt.Errorf("fleet: worker unavailable: %w", err)
+	}
+	server.Fail(w, code, err)
+}
+
+// lineage is all the edge reads of an analyze or transform body: the
+// fields that pick its shard.
+type lineage struct {
+	Program string               `json:"program"`
+	Config  server.ConfigRequest `json:"config"`
+}
+
+// forward serves POST /v1/<endpoint> for analyze and transform: route
+// by the body's lineage and relay the body unchanged.
+func (f *Fleet) forward(endpoint string) http.HandlerFunc {
+	path := "/v1/" + endpoint
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req lineage
+		body, ok := server.Decode(w, r, &req)
+		if !ok {
+			return
+		}
+		cfg, err := req.Config.Config()
+		if err != nil {
+			server.Fail(w, http.StatusBadRequest, err)
+			return
+		}
+		f.relay(w, r, analyzeKey(req.Program, cfg), endpoint, path, body)
 	}
 }
 
-func (f *Fleet) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req server.AnalyzeRequest
-	if !f.decode(w, r, &req) {
-		return
-	}
-	cfg, err := req.Config.Config()
-	if err != nil {
-		f.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	shard, resp, err := dispatch(f, r.Context(), analyzeKey(req.Program, cfg), "analyze",
-		func(ctx context.Context, c *client.Client) (*server.AnalyzeResponse, error) {
-			return c.Analyze(ctx, req)
-		})
-	if err != nil {
-		f.failDispatch(w, err)
-		return
-	}
-	f.reply(w, shard, resp)
-}
-
-func (f *Fleet) handleTransform(w http.ResponseWriter, r *http.Request) {
-	var req server.TransformRequest
-	if !f.decode(w, r, &req) {
-		return
-	}
-	cfg, err := req.Config.Config()
-	if err != nil {
-		f.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	shard, resp, err := dispatch(f, r.Context(), analyzeKey(req.Program, cfg), "transform",
-		func(ctx context.Context, c *client.Client) (*server.TransformResponse, error) {
-			return c.Transform(ctx, req)
-		})
-	if err != nil {
-		f.failDispatch(w, err)
-		return
-	}
-	f.reply(w, shard, resp)
-}
-
-// rawResponse is a pass-through proxy answer (the matrix endpoint is
-// forwarded verbatim, query string and all, so every worker-side knob
-// keeps working without the router re-modeling it).
-type rawResponse struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
+// handleMatrix relays GET /v1/matrix, query string and all, so every
+// worker-side knob keeps working without the edge re-modeling it.
 func (f *Fleet) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	program := r.URL.Query().Get("program")
-	query := r.URL.RawQuery
-	shard, resp, err := dispatch(f, r.Context(), matrixKey(program), "matrix",
-		func(ctx context.Context, c *client.Client) (*rawResponse, error) {
-			return f.proxyGet(ctx, c.Base()+"/v1/matrix?"+query)
-		})
+	f.relay(w, r, matrixKey(r.URL.Query().Get("program")), "matrix", "/v1/matrix?"+r.URL.RawQuery, nil)
+}
+
+// relay dispatches one request and copies the answering worker's
+// status, Content-Type and body to w, tagged with its shard.
+func (f *Fleet) relay(w http.ResponseWriter, r *http.Request, key, endpoint, path string, body []byte) {
+	shard, res, err := f.dispatch(r.Context(), key, endpoint, r.Method, path, body)
 	if err != nil {
 		f.failDispatch(w, err)
 		return
-	}
-	w.Header().Set("X-Fleet-Shard", fmt.Sprint(shard))
-	if resp.contentType != "" {
-		w.Header().Set("Content-Type", resp.contentType)
-	}
-	w.WriteHeader(resp.status)
-	w.Write(resp.body)
-}
-
-// proxyGet forwards one GET, returning non-2xx answers as
-// *client.StatusError so dispatch and failDispatch treat proxied and
-// typed calls uniformly.
-func (f *Fleet) proxyGet(ctx context.Context, url string) (*rawResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := f.proxy.Do(req)
-	if err != nil {
-		return nil, err
 	}
 	defer res.Body.Close()
-	if res.StatusCode/100 != 2 {
-		return nil, client.StatusErrorOf(res)
+	w.Header().Set("X-Fleet-Shard", strconv.Itoa(shard))
+	w.Header().Set("Content-Type", res.Header.Get("Content-Type"))
+	w.WriteHeader(res.StatusCode)
+	if _, err := io.Copy(w, res.Body); err != nil {
+		f.logf("fleet: relay %s from shard %d: %v", endpoint, shard, err)
 	}
-	body, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, err
-	}
-	return &rawResponse{
-		status:      res.StatusCode,
-		contentType: res.Header.Get("Content-Type"),
-		body:        body,
-	}, nil
 }

@@ -20,60 +20,89 @@ import (
 // MaxBatchItems bounds one /v1/batch request.
 const MaxBatchItems = 1024
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+// DecodeBatch reads a /v1/batch body and checks its item count,
+// answering 400 itself when either fails. A fleet edge validates its
+// batches with it too.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
 	var req BatchRequest
-	if !s.decode(w, r, &req) {
-		return
+	if _, ok := Decode(w, r, &req); !ok {
+		return req, false
 	}
 	if len(req.Items) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("batch: no items"))
-		return
+		Fail(w, http.StatusBadRequest, errors.New("batch: no items"))
+		return req, false
 	}
 	if len(req.Items) > MaxBatchItems {
-		s.fail(w, http.StatusBadRequest,
+		Fail(w, http.StatusBadRequest,
 			fmt.Errorf("batch: %d items exceeds the %d-item bound", len(req.Items), MaxBatchItems))
+		return req, false
+	}
+	return req, true
+}
+
+// StreamBatch answers a batch of n items with 200 and an NDJSON body:
+// it runs line(i) for every item, at most limit at a time, and writes
+// each result as one flushed line in completion order. A fleet edge
+// streams its batches through it too. It returns the first error
+// writing a line.
+func StreamBatch(w http.ResponseWriter, n, limit int, line func(i int) any) error {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	var (
+		mu   sync.Mutex
+		werr error
+		wg   sync.WaitGroup
+	)
+	sem := make(chan struct{}, limit)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			v := line(i)
+			mu.Lock()
+			defer mu.Unlock()
+			if err := enc.Encode(v); err != nil {
+				if werr == nil {
+					werr = fmt.Errorf("batch: write item %d: %w", i, err)
+				}
+				return
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	return werr
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	req, ok := DecodeBatch(w, r)
+	if !ok {
 		return
 	}
 	s.metrics.batchSize.Observe(float64(len(req.Items)))
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	var mu sync.Mutex
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(res BatchItemResult) {
-		if res.OK() {
-			s.metrics.batchItems.Add(1)
-		} else {
-			s.metrics.batchErrors.Add(1)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err := enc.Encode(res); err != nil {
-			s.logf("batch: encode item %d: %v", res.Index, err)
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 
 	// Fan out at most Workers items at a time: one batch can saturate
 	// the pool but leaves the admission queue's headroom to concurrent
 	// requests — a genuinely overloaded server still sheds per item
 	// (status 429 on the item, not the batch).
-	sem := make(chan struct{}, s.cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			emit(s.batchItem(r.Context(), i, req))
-		}(i)
+	err := StreamBatch(w, len(req.Items), s.cfg.Workers, func(i int) any {
+		res := s.batchItem(r.Context(), i, req)
+		if res.OK() {
+			s.metrics.batchItems.Add(1)
+		} else {
+			s.metrics.batchErrors.Add(1)
+		}
+		return res
+	})
+	if err != nil {
+		s.logf("%v", err)
 	}
-	wg.Wait()
 }
 
 // batchItem serves one batch item exactly as a standalone /v1/analyze

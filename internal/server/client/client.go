@@ -74,10 +74,6 @@ func (c *Client) RetryBusy(cap time.Duration) *Client {
 // header.
 const defaultBusyDelay = 100 * time.Millisecond
 
-// Base returns the server's base URL ("http://host:port") — proxies
-// that forward raw requests alongside typed calls build on it.
-func (c *Client) Base() string { return c.base }
-
 // Analyze posts req to /v1/analyze.
 func (c *Client) Analyze(ctx context.Context, req server.AnalyzeRequest) (*server.AnalyzeResponse, error) {
 	var resp server.AnalyzeResponse
@@ -106,7 +102,7 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest) ([]server.B
 	if err != nil {
 		return nil, fmt.Errorf("ipcpd client: %w", err)
 	}
-	res, err := c.do(ctx, http.MethodPost, "/v1/batch", true, data)
+	res, err := c.Do(ctx, http.MethodPost, "/v1/batch", data)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +179,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body, resp 
 			return fmt.Errorf("ipcpd client: %w", err)
 		}
 	}
-	res, err := c.do(ctx, method, path, body != nil, data)
+	res, err := c.Do(ctx, method, path, data)
 	if err != nil {
 		return err
 	}
@@ -202,20 +198,22 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body, resp 
 	return nil
 }
 
-// do sends the request and returns a 2xx response, retrying a 429 once
-// when RetryBusy is configured. Every non-2xx answer (including an
-// unretried or twice-shed 429) comes back as *StatusError.
-func (c *Client) do(ctx context.Context, method, path string, hasBody bool, data []byte) (*http.Response, error) {
+// Do sends one request, with body (when non-nil) as JSON, and returns
+// the 2xx response for the caller to read and close. A 429 is retried
+// once when RetryBusy is configured. Every non-2xx answer (including
+// an unretried or twice-shed 429) comes back as *StatusError. The
+// typed calls build on it; a fleet edge relays worker answers with it.
+func (c *Client) Do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
-		if hasBody {
-			rd = bytes.NewReader(data)
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return nil, fmt.Errorf("ipcpd client: %w", err)
 		}
-		if hasBody {
+		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
 		res, err := c.http.Do(req)
@@ -248,11 +246,6 @@ func (c *Client) do(ctx context.Context, method, path string, hasBody bool, data
 		return nil, serr
 	}
 }
-
-// StatusErrorOf builds the *StatusError for a non-2xx response a
-// caller performed itself (a raw proxy pass-through), reading the JSON
-// error body when there is one — the same mapping the typed calls use.
-func StatusErrorOf(res *http.Response) error { return statusError(res) }
 
 // statusError builds the *StatusError for a non-2xx response, reading
 // the JSON error body when there is one.

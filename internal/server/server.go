@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -300,12 +301,12 @@ func (s *Server) logf(format string, args ...any) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := Decode(w, r, &req); !ok {
 		return
 	}
 	cfg, err := req.Config.Config()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
@@ -328,7 +329,7 @@ func (s *Server) analyzeFlight(ctx context.Context, source, program string, cfg 
 	if err != nil {
 		return nil, false, &badRequestError{err}
 	}
-	lineage := ipcp.ConfigCacheKey(cfg) + "\x00" + program
+	lineage := ipcp.FlavorCacheKey(cfg) + "\x00" + program
 	key := "analyze\x00" + lineage + "\x00" + sourceHash(source)
 	val, err, shared := s.flights.do(ctx, key, func() (any, error) {
 		return s.run(ctx, func() (any, error) {
@@ -346,23 +347,23 @@ func (s *Server) analyzeFlight(ctx context.Context, source, program string, cfg 
 
 func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
 	var req TransformRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := Decode(w, r, &req); !ok {
 		return
 	}
 	cfg, err := req.Config.Config()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	prog, err := ipcp.Load(req.Source)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.deadline(r.Context(), req.TimeoutMS)
 	defer cancel()
 
-	lineage := ipcp.ConfigCacheKey(cfg) + "\x00" + req.Program
+	lineage := ipcp.FlavorCacheKey(cfg) + "\x00" + req.Program
 	key := "transform\x00" + lineage + "\x00" + sourceHash(req.Source)
 	val, err, shared := s.flights.do(ctx, key, func() (any, error) {
 		return s.run(ctx, func() (any, error) {
@@ -395,14 +396,14 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("scale"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad scale %q", v))
+			Fail(w, http.StatusBadRequest, fmt.Errorf("bad scale %q", v))
 			return
 		}
 		scale = n
 	}
 	gen := suite.Generate(name, scale)
 	if gen == nil {
-		s.fail(w, http.StatusNotFound,
+		Fail(w, http.StatusNotFound,
 			fmt.Errorf("unknown program %q (have %v)", name, suite.Names()))
 		return
 	}
@@ -410,7 +411,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", v))
+			Fail(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", v))
 			return
 		}
 		timeoutMS = n
@@ -603,16 +604,26 @@ func sourceHash(source string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// instrument wraps an endpoint with the in-flight gauge and the
-// per-endpoint request counter and latency histogram.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// Instrument wraps an endpoint so that record receives its name, the
+// status it wrote and its latency. The fleet edge instruments its
+// endpoints with it too.
+func Instrument(endpoint string, h http.HandlerFunc, record func(endpoint string, code int, elapsed time.Duration)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		s.metrics.record(endpoint, sw.code, time.Since(start))
+		record(endpoint, sw.code, time.Since(start))
+	}
+}
+
+// instrument adds the in-flight gauge to Instrument's per-endpoint
+// request counter and latency histogram.
+func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	h = Instrument(endpoint, h, s.metrics.record)
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.metrics.inFlight.Add(1)
+		defer s.metrics.inFlight.Add(-1)
+		h(w, r)
 	}
 }
 
@@ -635,15 +646,23 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// decode reads a JSON request body (bounded at 32 MiB), answering 400
-// itself on failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, 32<<20)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+// MaxBodyBytes bounds a JSON request body. A fleet edge reads bodies
+// under the same bound, so it accepts exactly what a server does.
+const MaxBodyBytes = 32 << 20
+
+// Decode reads a JSON request body of at most MaxBodyBytes into v,
+// answering 400 itself on failure. It returns the body as read, which
+// a fleet edge forwards unchanged.
+func Decode(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(v)
 	}
-	return true
+	if err != nil {
+		Fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return nil, false
+	}
+	return body, true
 }
 
 func (s *Server) reply(w http.ResponseWriter, v any) {
@@ -654,7 +673,8 @@ func (s *Server) reply(w http.ResponseWriter, v any) {
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
+// Fail answers code with err's text as the JSON error body.
+func Fail(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
@@ -697,5 +717,5 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	s.fail(w, code, err)
+	Fail(w, code, err)
 }
