@@ -1,7 +1,6 @@
 package ipcp_test
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -137,8 +136,5 @@ func TestSharedCacheKeySplit(t *testing.T) {
 		if ipcp.FlavorCacheKey(mut.cfg) == ipcp.FlavorCacheKey(base) {
 			t.Fatalf("%s shares a flavor key with the base configuration", mut.name)
 		}
-	}
-	if fmt.Sprint(ipcp.ConfigCacheKey(base)) != fmt.Sprint(ipcp.FlavorCacheKey(base)) {
-		t.Fatal("ConfigCacheKey must alias FlavorCacheKey")
 	}
 }

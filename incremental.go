@@ -220,9 +220,6 @@ func SharedCacheKey(cfg Config) string {
 	return incr.SharedConfigKey(cfg.internal())
 }
 
-// ConfigCacheKey is the historical name of FlavorCacheKey.
-func ConfigCacheKey(cfg Config) string { return FlavorCacheKey(cfg) }
-
 // IncrementalStats describes how an incremental run split the program.
 type IncrementalStats struct {
 	// TotalProcedures is the procedure count; Reanalyzed of them had

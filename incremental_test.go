@@ -346,7 +346,7 @@ func TestDeterminismIncrementalConfigIsolation(t *testing.T) {
 	cache := ipcp.NewMemoryCache()
 	a := ipcp.Config{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true}
 	b := ipcp.Config{Jump: ipcp.Literal}
-	if ipcp.ConfigCacheKey(a) == ipcp.ConfigCacheKey(b) {
+	if ipcp.FlavorCacheKey(a) == ipcp.FlavorCacheKey(b) {
 		t.Fatal("distinct configurations share a cache key")
 	}
 	_, snapA := prog.AnalyzeIncremental(a, nil, cache)

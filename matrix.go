@@ -39,12 +39,6 @@ func (p *Program) AnalyzeMatrix(cfgs []Config, workers int) []*Report {
 	return reps
 }
 
-// AnalyzeMatrix is the package-level form of Program.AnalyzeMatrix with
-// a CPU-sized configuration pool.
-func AnalyzeMatrix(p *Program, cfgs []Config) []*Report {
-	return p.AnalyzeMatrix(cfgs, 0)
-}
-
 // AnalyzeMatrixContext is AnalyzeMatrix under a context: every
 // configuration's pipeline polls ctx, and if it is canceled or times
 // out the whole matrix is abandoned with an error wrapping ErrCanceled.
