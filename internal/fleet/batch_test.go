@@ -80,6 +80,18 @@ func failWith(code int) http.HandlerFunc {
 	}
 }
 
+// hangUp is a stub shard's handler that drops every connection without
+// an answer: a worker that died after the supervisor's last readiness
+// probe and before its exit was noticed.
+func hangUp(w http.ResponseWriter, r *http.Request) {
+	conn, _, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	conn.Close()
+}
+
 // TestFleetBatchPartialFailure is the satellite's scenario: one shard
 // answers 500 (and, in a second pass, 504) while its siblings succeed.
 // The batch must return one result per item — failures carry the
@@ -155,5 +167,47 @@ func TestFleetBatchValidation(t *testing.T) {
 	over := server.BatchRequest{Items: make([]server.BatchItem, server.MaxBatchItems+1)}
 	if _, err := c.Batch(ctx, over); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("oversized batch: err = %v, want HTTP 400", err)
+	}
+}
+
+// TestFleetBatchFailover is the transport-level half of partial
+// failure: one shard passes readiness but drops every connection, so
+// each batch item it owns must fail over to the runner-up. Every item
+// of a batch spanning both shards comes back 200 from the healthy
+// shard and equal to local Analyze, with one reroute per item the dead
+// shard owned.
+func TestFleetBatchFailover(t *testing.T) {
+	const dead, healthy = 1, 0
+	fl := startFleetWithBrokenShard(t, 2, dead, hangUp, server.Config{Workers: 2})
+	ts := httptest.NewServer(fl.Handler())
+	t.Cleanup(ts.Close)
+
+	byShard := programsSpanningShards(t, 2)
+	names := []string{byShard[healthy][0], byShard[dead][0], byShard[healthy][1], byShard[dead][1]}
+	gen := suite.Random(5, 6)
+	local := ipcp.MustLoad(gen.Source).Analyze(e2eConfig)
+	normalize(local)
+
+	breq := server.BatchRequest{Config: server.ConfigOf(e2eConfig)}
+	for _, name := range names {
+		breq.Items = append(breq.Items, server.BatchItem{Source: gen.Source, Program: name})
+	}
+	results, err := client.New(ts.URL).Batch(context.Background(), breq)
+	if err != nil {
+		t.Fatalf("a dead shard must not fail the whole batch: %v", err)
+	}
+	for i, res := range results {
+		if !res.OK() || res.Shard != healthy {
+			t.Errorf("item %d (%s): status %d from shard %d, want 200 from shard %d: %s",
+				i, names[i], res.Status, res.Shard, healthy, res.Error)
+			continue
+		}
+		normalize(res.Report)
+		if !reflect.DeepEqual(res.Report, local) {
+			t.Errorf("item %d (%s): failed-over report diverges from local Analyze", i, names[i])
+		}
+	}
+	if got, want := metricLines(t, ts.URL, "ipcpd_fleet_reroutes_total"), []string{"ipcpd_fleet_reroutes_total 2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("reroutes %q, want %q: one per item the dead shard owned", got, want)
 	}
 }

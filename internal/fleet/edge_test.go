@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -167,4 +168,34 @@ func TestFleetEdgeContract(t *testing.T) {
 			t.Errorf("the busy shard saw %d requests, want 2: the call and the edge's one retry", n)
 		}
 	})
+}
+
+// TestFleetBodyBound pins the edge to the server's body bound: a body
+// one byte over server.MaxBodyBytes is refused with 400 at the edge,
+// without a worker call.
+func TestFleetBodyBound(t *testing.T) {
+	_, _, _, base := startFleet(t, 2, server.Config{Workers: 1})
+	// One worker call first, so the request counters have samples.
+	if got := exchange(t, http.MethodPost, base+"/v1/analyze", server.AnalyzeRequest{Source: "not fortran"}); got.status != http.StatusBadRequest {
+		t.Fatalf("unparsable source: status %d, want 400", got.status)
+	}
+	before := metricLines(t, base, "ipcpd_fleet_requests_total")
+	if len(before) == 0 {
+		t.Fatal("no ipcpd_fleet_requests_total samples after a worker call")
+	}
+
+	prefix, suffix := `{"source":"`, `"}`
+	body := []byte(prefix + strings.Repeat(" ", server.MaxBodyBytes+1-len(prefix)-len(suffix)) + suffix)
+	res, err := http.Post(base+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a %d-byte body: status %d, want 400: %s", len(body), res.StatusCode, msg)
+	}
+	if after := metricLines(t, base, "ipcpd_fleet_requests_total"); !reflect.DeepEqual(after, before) {
+		t.Errorf("an oversized body reached a worker: requests %q, then %q", before, after)
+	}
 }

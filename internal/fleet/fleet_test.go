@@ -151,6 +151,28 @@ func startSingleServer(t *testing.T) string {
 	return ts.URL
 }
 
+// metricLines returns the samples of the metric family name in the
+// /metrics exposition at base.
+func metricLines(t *testing.T, base, name string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, name+" ") || strings.HasPrefix(line, name+"{") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
 // normalize clears the report fields that legitimately differ between
 // a served run and a local one (mirrors the server e2e suite).
 func normalize(reps ...*ipcp.Report) {
