@@ -38,8 +38,9 @@
 #  10. a fleet smoke run: start ipcpd -workers 2, batch four files
 #      whose lineages deterministically span both shards, verify the
 #      routing distribution in /metrics, SIGKILL one worker and require
-#      both immediate failover and a supervised restart, then SIGTERM
-#      the fleet and require a clean drain that reaps every worker
+#      immediate failover of a single file and then of the four-file
+#      batch, and a supervised restart, then SIGTERM the fleet and
+#      require a clean drain that reaps every worker
 #  11. a short fuzz smoke of FuzzIncrementalEditChain, the
 #      warm-vs-scratch differential over fuzzer-chosen edit chains
 #
@@ -240,6 +241,14 @@ w1pid=$(sed -n 's/.*fleet: shard 1 ready on .* (pid \([0-9]*\)).*/\1/p' "$cached
 kill -9 "$w1pid"
 (cd "$cachedir" && ./ipcp -server "$fleet_addr" fleet-a.f > /dev/null) \
     || { echo "request for the dead shard's lineage did not fail over" >&2; cat "$cachedir/fleet.log" >&2; exit 1; }
+# The cross-shard batch must survive the dead shard too: every item the
+# dead shard owned fails over, or routes around it once it is down.
+batch=$(cd "$cachedir" && ./ipcp -server "$fleet_addr" fleet-a.f fleet-b.f fleet-c.f fleet-d.f) \
+    || { echo "batch across the dead shard failed" >&2; cat "$cachedir/fleet.log" >&2; exit 1; }
+for f in fleet-a.f fleet-b.f fleet-c.f fleet-d.f; do
+    echo "$batch" | grep -q "^$f:" \
+        || { echo "batch across the dead shard is missing $f:" >&2; echo "$batch" >&2; exit 1; }
+done
 restarted=0
 for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
     if [ "$(grep -c 'fleet: shard 1 ready' "$cachedir/fleet.log")" -ge 2 ]; then
