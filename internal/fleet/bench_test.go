@@ -20,8 +20,7 @@ import (
 // routing stack — edge decode, rendezvous dispatch fan-out across two
 // in-process worker shards, NDJSON streaming — with a fixed batch of
 // distinct program lineages per operation. Beyond ns/op it reports
-// per-item req/s and the p50/p99 batch latencies; scripts/bench.sh
-// folds all three into BENCH_ipcp.json.
+// per-item req/s and the p50/p99 batch latencies.
 func BenchmarkFleetBatchThroughput(b *testing.B) {
 	const batchItems = 8
 	tw := &testWorkers{cfg: server.Config{Workers: runtime.GOMAXPROCS(0)}, handles: map[int]*fleet.WorkerHandle{}}

@@ -20,8 +20,7 @@ import (
 // admission, the worker pool, and warm incremental re-analysis — with
 // one client goroutine per GOMAXPROCS, each on its own program lineage
 // (so nothing coalesces and every request does real cache traffic).
-// Beyond ns/op it reports req/s and the p50/p99 request latencies;
-// scripts/bench.sh folds all three into BENCH_ipcp.json.
+// Beyond ns/op it reports req/s and the p50/p99 request latencies.
 func BenchmarkServerThroughput(b *testing.B) {
 	gen := suite.Random(1, 8)
 	s, err := server.New(server.Config{Workers: runtime.GOMAXPROCS(0)})

@@ -57,7 +57,7 @@ func BenchmarkSnapshotDeltaChain(b *testing.B) {
 // every summary blob a doduc analysis produced, opened and replayed
 // into a fresh store — the work a crashed process adds to its
 // successor's startup. wal_replay_ns duplicates ns/op under a stable
-// name for BENCH_ipcp.json.
+// name.
 func BenchmarkWALReplay(b *testing.B) {
 	donorDir := b.TempDir()
 	donor, err := ipcp.NewDiskCache(donorDir)
