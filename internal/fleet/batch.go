@@ -12,8 +12,8 @@ import (
 // of N sources splits per item, each item routed to the shard that
 // owns its lineage and dispatched as an ordinary /v1/analyze, with the
 // results streamed back as NDJSON in completion order. Partial failure
-// is per item: a shard dying mid-batch errors only the items in flight
-// on it (status 502), items routed after the crash fail over to the
+// is per item: a shard dying mid-batch errors (status 502) only an
+// item whose answer it cut off, its other items fail over to the
 // runner-up, and sibling items on healthy shards are never voided.
 
 // batchLine is one line of the edge's /v1/batch stream: a
@@ -54,30 +54,17 @@ func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batchItem dispatches one item to the shard owning its lineage.
 func (f *Fleet) batchItem(ctx context.Context, i int, req server.BatchRequest) batchLine {
-	item := req.Items[i]
+	areq := req.AnalyzeRequest(i)
 	line := batchLine{Index: i, Shard: -1}
-	cfgReq := req.Config
-	if item.Config != nil {
-		cfgReq = *item.Config
-	}
-	cfg, err := cfgReq.Config()
+	cfg, err := areq.Config.Config()
 	if err != nil {
 		line.Status, line.Error = http.StatusBadRequest, err.Error()
 		return line
 	}
-	timeout := req.TimeoutMS
-	if item.TimeoutMS > 0 {
-		timeout = item.TimeoutMS
-	}
 	// An AnalyzeRequest holds only strings, numbers and bools, which
 	// always marshal.
-	body, _ := json.Marshal(server.AnalyzeRequest{
-		Source:    item.Source,
-		Program:   item.Program,
-		Config:    cfgReq,
-		TimeoutMS: timeout,
-	})
-	shard, res, err := f.dispatch(ctx, analyzeKey(item.Program, cfg), "batch", http.MethodPost, "/v1/analyze", body)
+	body, _ := json.Marshal(areq)
+	shard, res, err := f.dispatch(ctx, analyzeKey(areq.Program, cfg), "batch", http.MethodPost, "/v1/analyze", body)
 	line.Shard = shard
 	if err == nil {
 		// An /v1/analyze answer holds exactly the line's report and

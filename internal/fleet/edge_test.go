@@ -55,9 +55,9 @@ func exchange(t *testing.T, method, url string, body any) answer {
 }
 
 // sameAnswer sends one request to the fleet and to the single server
-// and requires the same status, Content-Type and decoded body (into
-// values of out's type), returning the fleet's answer. Reports inside
-// are normalized first, so served and routed runs compare equal.
+// and requires the same status, Content-Type and body decoded as a T,
+// returning the fleet's answer and body. Matrix reports are normalized
+// first, so served and routed runs compare equal.
 func sameAnswer[T any](t *testing.T, fleetURL, singleURL, method, path string, body any, status int) (answer, T) {
 	t.Helper()
 	got := exchange(t, method, fleetURL+path, body)

@@ -190,6 +190,21 @@ type BatchRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// AnalyzeRequest is item i as the standalone /v1/analyze request it is
+// served as: the batch's config and deadline apply unless the item sets
+// its own.
+func (r BatchRequest) AnalyzeRequest(i int) AnalyzeRequest {
+	item := r.Items[i]
+	req := AnalyzeRequest{Source: item.Source, Program: item.Program, Config: r.Config, TimeoutMS: r.TimeoutMS}
+	if item.Config != nil {
+		req.Config = *item.Config
+	}
+	if item.TimeoutMS > 0 {
+		req.TimeoutMS = item.TimeoutMS
+	}
+	return req
+}
+
 // BatchItem is one source in a batch.
 type BatchItem struct {
 	Source string `json:"source"`

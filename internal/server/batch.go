@@ -109,24 +109,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // would: its own configuration and deadline, coalesced with identical
 // in-flight work, pooled, incremental against its lineage's snapshot.
 func (s *Server) batchItem(parent context.Context, i int, req BatchRequest) BatchItemResult {
-	item := req.Items[i]
+	areq := req.AnalyzeRequest(i)
 	res := BatchItemResult{Index: i, Shard: -1}
-	cfgReq := req.Config
-	if item.Config != nil {
-		cfgReq = *item.Config
-	}
-	cfg, err := cfgReq.Config()
+	cfg, err := areq.Config.Config()
 	if err != nil {
 		res.Status, res.Error = http.StatusBadRequest, err.Error()
 		return res
 	}
-	timeout := req.TimeoutMS
-	if item.TimeoutMS > 0 {
-		timeout = item.TimeoutMS
-	}
-	ctx, cancel := s.deadline(parent, timeout)
+	ctx, cancel := s.deadline(parent, areq.TimeoutMS)
 	defer cancel()
-	rep, shared, err := s.analyzeFlight(ctx, item.Source, item.Program, cfg)
+	rep, shared, err := s.analyzeFlight(ctx, areq.Source, areq.Program, cfg)
 	if err != nil {
 		res.Status, res.Error = s.errStatus(err), err.Error()
 		return res
