@@ -79,7 +79,7 @@ func (m *fleetMetrics) request(shard int, endpoint string, status int) {
 	s.mu.Unlock()
 }
 
-// observe records one edge request's latency (instrument wrapper).
+// observe records one edge request's latency (server.Instrument's recorder).
 func (m *fleetMetrics) observe(endpoint string, status int, elapsed time.Duration) {
 	if h := m.latency[endpoint]; h != nil {
 		h.Observe(elapsed.Seconds())
