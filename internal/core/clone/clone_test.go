@@ -1,12 +1,14 @@
 package clone
 
 import (
+	"reflect"
 	"testing"
 
 	"ipcp/internal/core"
 	"ipcp/internal/core/jump"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/pass"
 	"ipcp/internal/suite"
 )
 
@@ -202,5 +204,84 @@ func TestCloningOnSuite(t *testing.T) {
 	}
 	if improved < 4 {
 		t.Errorf("cloning should improve several suite programs, improved %d", improved)
+	}
+}
+
+// cascadeLoopSrc is TestCloningIterates's cascade with a DO loop in each
+// cloned procedure, so every propagation inserts phis and grows the
+// instruction count: a row sized before SSA construction differs from
+// one sized after it.
+const cascadeLoopSrc = `
+PROGRAM MAIN
+  CALL MID(10)
+  CALL MID(20)
+END
+SUBROUTINE MID(N)
+  INTEGER N, I, S
+  S = 0
+  DO I = 1, N
+    S = S + I
+  ENDDO
+  CALL LEAF(N)
+  RETURN
+END
+SUBROUTINE LEAF(M)
+  INTEGER M, J, W
+  W = 0
+  DO J = 1, M
+    W = W + J
+  ENDDO
+  RETURN
+END
+`
+
+// TestCloningTrace pins the pass trace of clone-and-analyze, every Stat
+// field but the wall-clock Nanos. The base analysis is reused for round
+// 1, each later round re-propagates the program the previous round
+// replaced before cloning it (so each clone row is sized after SSA
+// construction), a round's changed flag is the clone pass's own (a
+// propagation always reports a change), and a run cut off by its round
+// budget ends with one propagation of the final program outside any
+// round.
+func TestCloningTrace(t *testing.T) {
+	cfg := core.Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true}
+	cases := []struct {
+		name           string
+		maxRounds      int
+		rounds, clones int
+		want           []pass.Stat
+	}{
+		{"converges", 0, 2, 2, []pass.Stat{
+			{Pass: "clone", Round: 1, Changed: true, ProcsBefore: 3, BlocksBefore: 9, InstrsBefore: 28, Procs: 4, Blocks: 13, Instrs: 35},
+			{Pass: "propagate", Round: 2, Changed: true, ProcsBefore: 4, BlocksBefore: 13, InstrsBefore: 35, Procs: 4, Blocks: 13, Instrs: 41},
+			{Pass: "clone", Round: 2, Changed: true, ProcsBefore: 4, BlocksBefore: 13, InstrsBefore: 41, Procs: 5, Blocks: 17, Instrs: 45},
+			{Pass: "propagate", Round: 3, Changed: true, ProcsBefore: 5, BlocksBefore: 17, InstrsBefore: 45, Procs: 5, Blocks: 17, Instrs: 53},
+			{Pass: "clone", Round: 3, ProcsBefore: 5, BlocksBefore: 17, InstrsBefore: 53, Procs: 5, Blocks: 17, Instrs: 53},
+			{Pass: "clone", Changed: true, Fixpoint: true, Rounds: 2, ProcsBefore: 3, BlocksBefore: 9, InstrsBefore: 28, Procs: 5, Blocks: 17, Instrs: 53},
+		}},
+		{"budget of one round", 1, 1, 1, []pass.Stat{
+			{Pass: "clone", Round: 1, Changed: true, ProcsBefore: 3, BlocksBefore: 9, InstrsBefore: 28, Procs: 4, Blocks: 13, Instrs: 35},
+			{Pass: "clone", Changed: true, Fixpoint: true, Rounds: 1, ProcsBefore: 3, BlocksBefore: 9, InstrsBefore: 28, Procs: 4, Blocks: 13, Instrs: 35},
+			{Pass: "propagate", Changed: true, ProcsBefore: 4, BlocksBefore: 13, InstrsBefore: 35, Procs: 4, Blocks: 13, Instrs: 41},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, base := analyze(t, cascadeLoopSrc)
+			out := AndAnalyze(base, cfg, Options{MaxRounds: tc.maxRounds})
+			if out.Rounds != tc.rounds || out.TotalClones != tc.clones {
+				t.Fatalf("rounds, clones = %d, %d; want %d, %d", out.Rounds, out.TotalClones, tc.rounds, tc.clones)
+			}
+			got := append([]pass.Stat(nil), out.Final.Stats.Passes...)
+			for i := range got {
+				got[i].Nanos = 0
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("trace:\n got %+v\nwant %+v", got, tc.want)
+			}
+			if out.Final.Prog.ProcByName["LEAF"] == nil || len(out.Final.Prog.Procs) != 3+tc.clones {
+				t.Fatalf("final analysis is not of the final program: %d procedures", len(out.Final.Prog.Procs))
+			}
+		})
 	}
 }
