@@ -98,9 +98,7 @@ func main() {
 			MOD:                 !*noMod,
 			Complete:            *complete,
 		}
-		for _, line := range ipcp.DescribePipeline(cfg) {
-			fmt.Println(line)
-		}
+		fmt.Println(ipcp.DescribePipeline(cfg))
 		return
 	}
 

@@ -4,7 +4,6 @@ import (
 	"ipcp/internal/analysis/inline"
 	"ipcp/internal/core"
 	"ipcp/internal/ir/irbuild"
-	"ipcp/internal/pass"
 )
 
 // IntegrationBaseline runs the paper's §5 comparison, for which "data
@@ -31,12 +30,7 @@ func (p *Program) IntegrationBaseline() (ipcp, integration, intra, inlinedSites 
 	}).TotalSubstituted
 	intra = core.AnalyzeIntraprocedural(p.sp).TotalSubstituted
 
-	ctx := pass.NewContext(irbuild.Build(p.sp))
-	ip := inline.NewPass(nil)
-	if err := pass.Run(ctx, pass.NewRegistry(), pass.NewPipeline("integration", ip)); err != nil {
-		panic("ipcp: " + err.Error())
-	}
-	integration = core.AnalyzeIntraproceduralIR(ctx.Program()).TotalSubstituted
-	inlinedSites = ip.Stats().Inlined
-	return ipcp, integration, intra, inlinedSites
+	inlined, stats := inline.Program(irbuild.Build(p.sp), nil)
+	integration = core.AnalyzeIntraproceduralIR(inlined).TotalSubstituted
+	return ipcp, integration, intra, stats.Inlined
 }

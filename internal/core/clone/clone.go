@@ -267,27 +267,32 @@ type Result struct {
 	TotalClones int
 }
 
-// clonePass is one cloning round as a pass: it consumes the current
-// propagation result and replaces the program with the cloned,
-// retargeted version. Requiring FactResult makes the runner reanalyze
-// automatically at the start of every round after the first — the base
-// result is seeded as the initial fact, so the already-analyzed input
-// program is never reanalyzed, exactly as the hand-rolled loop worked.
+// clonePass is one cloning round as a pass: it reads the analysis of
+// the current program and replaces the program with the cloned,
+// retargeted version. Round 1 reads base, the analysis the caller
+// already has; every later round reads prop, which the pass.Refresh
+// ahead of the clone pass re-ran on the program the previous round
+// built.
 type clonePass struct {
 	opts  Options
+	base  *core.Result
+	prop  *core.Propagate
 	total int
 }
 
-func (c *clonePass) Name() string             { return "clone" }
-func (c *clonePass) Requires() []pass.Fact    { return []pass.Fact{core.FactResult} }
-func (c *clonePass) Invalidates() []pass.Fact { return nil } // SetProgram already drops everything
+func (c *clonePass) Name() string { return "clone" }
+
+// current returns the analysis of the latest program prop or the
+// caller analyzed.
+func (c *clonePass) current() *core.Result {
+	if res := c.prop.Result(); res != nil {
+		return res
+	}
+	return c.base
+}
 
 func (c *clonePass) Run(ctx *pass.Context) (bool, error) {
-	v, ok := ctx.Fact(core.FactResult)
-	if !ok {
-		return false, fmt.Errorf("fact %q missing", core.FactResult)
-	}
-	np, stats := Apply(v.(*core.Result), c.opts)
+	np, stats := Apply(c.current(), c.opts)
 	if stats.ClonesCreated == 0 {
 		return false, nil
 	}
@@ -301,33 +306,27 @@ func (c *clonePass) Run(ctx *pass.Context) (bool, error) {
 // round as Metzger & Stroud's compiler did. The iteration is a
 // budgeted pass.Fixpoint — the round cap is a quality budget, not a
 // convergence bound, so exhausting it is not an error; the final
-// program is still reanalyzed (the cloning round invalidated the
-// result fact, and the trailing Require re-provisions it).
+// program is still reanalyzed, outside any round, when the last round
+// replaced it.
 func AndAnalyze(base *core.Result, cfg core.Config, opts Options) *Result {
 	opts.fill()
-	out := &Result{Base: base, Final: base}
+	prop := core.NewPropagate(cfg)
+	cp := &clonePass{opts: opts, base: base, prop: prop}
+	refresh := pass.NewRefresh(prop, base.Prog)
+	fix := pass.NewBudgetedFixpoint("clone", pass.NewPipeline("clone-round", refresh, cp), opts.MaxRounds)
 
 	ctx := pass.NewContext(base.Prog)
 	ctx.Debug = cfg.Debug
-	ctx.SetFact(core.FactResult, base)
-	reg := pass.NewRegistry()
-	reg.Register(core.NewPropagate(cfg), core.FactResult)
-	cp := &clonePass{opts: opts}
-	fix := pass.NewBudgetedFixpoint("clone", cp, opts.MaxRounds)
-	if err := pass.Run(ctx, reg, pass.NewPipeline("clone-and-analyze", fix)); err != nil {
+	if _, err := ctx.Exec(fix); err != nil {
 		panic("clone: " + err.Error())
 	}
-	if err := ctx.Require(core.FactResult); err != nil {
+	if _, err := ctx.Exec(refresh); err != nil {
 		panic("clone: " + err.Error())
 	}
 
-	v, _ := ctx.Fact(core.FactResult)
-	final := v.(*core.Result)
-	out.Rounds = fix.Rounds()
-	out.TotalClones = cp.total
-	out.Final = final
+	final := cp.current()
 	if final != base {
 		final.Stats.Passes = ctx.PassStats()
 	}
-	return out
+	return &Result{Base: base, Final: final, Rounds: fix.Rounds(), TotalClones: cp.total}
 }

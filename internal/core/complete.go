@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ipcp/internal/analysis/dce"
 	"ipcp/internal/analysis/sccp"
 	"ipcp/internal/core/lattice"
@@ -11,22 +9,16 @@ import (
 )
 
 // dcePass is one round of the paper's complete propagation as a pass:
-// it consumes the current propagation result (re-provisioned by the
-// runner whenever a previous round replaced the program) and removes
-// the code the discovered constants prove dead. Iterated under
-// pass.Fixpoint it reproduces Table 3's "complete" column.
-type dcePass struct{}
+// it reads prop's result (brought up to date by the pass.Refresh ahead
+// of it) and removes the code the discovered constants prove dead.
+// Iterated under pass.Fixpoint it reproduces Table 3's "complete"
+// column.
+type dcePass struct{ prop *Propagate }
 
-func (d *dcePass) Name() string             { return "dce" }
-func (d *dcePass) Requires() []pass.Fact    { return []pass.Fact{FactResult} }
-func (d *dcePass) Invalidates() []pass.Fact { return nil } // SetProgram already drops everything
+func (d *dcePass) Name() string { return "dce" }
 
 func (d *dcePass) Run(ctx *pass.Context) (bool, error) {
-	v, ok := ctx.Fact(FactResult)
-	if !ok {
-		return false, fmt.Errorf("fact %q missing", FactResult)
-	}
-	np, changed := eliminateDeadCode(v.(*Result))
+	np, changed := eliminateDeadCode(d.prop.Result())
 	if !changed {
 		return false, nil
 	}

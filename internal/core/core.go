@@ -249,12 +249,10 @@ func (cfg Config) Stage1Key() Stage1Key {
 }
 
 // analyzeConfigured runs one full configured analysis over a fresh
-// pre-SSA program by executing the declared pass plan: a plain
-// propagation pipeline, or — for complete propagation — a verified
-// fixpoint of DCE whose ipcp-result requirement re-runs propagation
-// each round (the paper resets every lattice value to ⊤ and propagates
-// again from scratch on the cleaned program). cfg must already have
-// its defaults filled.
+// pre-SSA program by executing the declared pass plan: the propagation
+// pass, or — for complete propagation — a verified fixpoint of DCE
+// rounds that re-propagates after each round that rebuilt the program.
+// cfg must already have its defaults filled.
 func analyzeConfigured(irp *ir.Program, cfg Config) (*Result, error) {
 	return runPlan(newPlan(cfg), pass.NewContext(irp), cfg)
 }
@@ -268,7 +266,7 @@ func analyzeConfigured(irp *ir.Program, cfg Config) (*Result, error) {
 func runPlan(pl *plan, ctx *pass.Context, cfg Config) (*Result, error) {
 	ctx.Debug = cfg.Debug
 	ctx.Cancel = cfg.Cancel
-	if err := pass.Run(ctx, pl.reg, pl.root); err != nil {
+	if _, err := ctx.Exec(pl.root); err != nil {
 		if errors.Is(err, ErrCanceled) {
 			return nil, err
 		}
@@ -386,22 +384,6 @@ func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, ou
 		st.ProcsBefore, st.BlocksBefore, st.InstrsBefore = shared.ProcsBefore, shared.BlocksBefore, shared.InstrsBefore
 		out[i] = res
 	})
-}
-
-// AnalyzeIR runs one propagation (never the complete-propagation
-// iteration) over an already-lowered program. The program must be
-// fresh (pre-SSA); Analyze is the usual entry point.
-func AnalyzeIR(irp *ir.Program, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	ctx := pass.NewContext(irp)
-	ctx.Debug = cfg.Debug
-	prop := NewPropagate(cfg)
-	if err := pass.Run(ctx, pass.NewRegistry(), pass.NewPipeline("propagation", prop)); err != nil {
-		panic("core: " + err.Error())
-	}
-	res := prop.Result()
-	res.Stats.Passes = ctx.PassStats()
-	return res
 }
 
 // stage1 is the configuration-invariant half of a propagation: the

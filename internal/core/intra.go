@@ -1,11 +1,12 @@
 package core
 
 import (
+	"ipcp/internal/analysis/callgraph"
+	"ipcp/internal/analysis/modref"
 	"ipcp/internal/analysis/sccp"
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/sema"
-	"ipcp/internal/pass"
 )
 
 // IntraResult is the outcome of the purely intraprocedural baseline
@@ -34,15 +35,14 @@ func AnalyzeIntraprocedural(sp *sema.Program) *IntraResult {
 // already-lowered (pre-SSA) program; the procedure-integration baseline
 // uses it on inlined programs.
 func AnalyzeIntraproceduralIR(irp *ir.Program) *IntraResult {
-	ctx := pass.NewContext(irp)
-	sp := sccp.NewPass()
-	if err := pass.Run(ctx, pass.NewRegistry(), pass.NewPipeline("intraprocedural", sp)); err != nil {
-		panic("core: " + err.Error())
+	// The mod/ref oracle must come from the pre-SSA program.
+	oracle := modref.Compute(irp, callgraph.Build(irp)).Oracle()
+	for _, proc := range irp.Procs {
+		proc.BuildSSA(oracle)
 	}
-	oracle := ctx.ModRef().Oracle()
 	res := &IntraResult{Substituted: make(map[string]int, len(irp.Procs))}
 	for _, proc := range irp.Procs {
-		n := countIntraSubstitutions(proc, sp.Results()[proc], oracle)
+		n := countIntraSubstitutions(proc, sccp.Run(proc, nil, nil), oracle)
 		res.Substituted[proc.Name] = n
 		res.TotalSubstituted += n
 	}

@@ -1,23 +1,17 @@
 package core
 
 import (
-	"fmt"
-
 	"ipcp/internal/ir"
 	"ipcp/internal/pass"
 )
 
-// FactResult is the pass-manager fact under which the interprocedural
-// propagation result (*Result) is published. Passes that consume the
-// analysis (DCE, cloning) declare it in Requires; the runner then
-// re-propagates automatically whenever a transformation invalidated it.
-const FactResult pass.Fact = "ipcp-result"
-
 // Propagate is the four-stage interprocedural constant propagation
 // (§4.1) as a pass: return jump functions bottom-up, forward jump
 // functions via value numbering, VAL-set propagation, CONSTANTS
-// recording. It publishes its *Result as FactResult. It reports
-// changed=true because SSA construction rewrites the program in place.
+// recording. Result returns what its last run found; the transforms
+// that consume it (DCE, cloning) hold the pass and read it there. It
+// reports changed=true because SSA construction rewrites the program in
+// place.
 type Propagate struct {
 	cfg  Config
 	last *Result
@@ -50,9 +44,7 @@ func NewPropagate(cfg Config) *Propagate {
 	return &Propagate{cfg: cfg.withDefaults()}
 }
 
-func (p *Propagate) Name() string             { return "propagate" }
-func (p *Propagate) Requires() []pass.Fact    { return nil }
-func (p *Propagate) Invalidates() []pass.Fact { return nil }
+func (p *Propagate) Name() string { return "propagate" }
 
 // Run executes stages 1–4 over the Context's current program, sharing
 // the Context's callgraph and mod/ref caches. The callgraph is taken
@@ -89,54 +81,46 @@ func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 	if capture {
 		p.captured = pr.extractSummaries()
 	}
-	ctx.SetFact(FactResult, p.last)
 	return true, nil
 }
 
 // Result returns the most recent propagation outcome.
 func (p *Propagate) Result() *Result { return p.last }
 
-// plan is the declared pass composition for one configuration: the
-// propagation pass registered as the ipcp-result provider, and either
-// a plain pipeline or the complete-propagation DCE fixpoint as root.
+// plan is the pass composition for one configuration: the propagation
+// pass alone, or — in complete mode — a fixpoint of DCE rounds, each
+// preceded by a propagation of the program the previous round rebuilt
+// (the paper resets every lattice value to ⊤ and propagates again from
+// scratch on the cleaned program).
 type plan struct {
 	prop *Propagate
 	fix  *pass.Fixpoint
-	reg  *pass.Registry
 	root pass.Pass
 }
 
-// newPlan declares the pipeline for cfg. In complete mode the root is
-// a fixpoint over DCE alone: DCE requires FactResult, so the runner
-// inserts a fresh propagation at the start of every round (and skips
-// the redundant one after the round that found nothing to remove).
+// newPlan declares the pipeline for cfg.
 func newPlan(cfg Config) *plan {
-	return newPlanWith(cfg.withDefaults(), NewPropagate(cfg))
+	return newPlanWith(cfg, NewPropagate(cfg))
 }
 
 // newPlanWith builds the plan around a caller-prepared propagation
 // pass (the seeded one, for incremental runs); the composition is
 // identical to newPlan's, so seeded and scratch runs produce the same
-// pass trace.
+// pass trace. The round that finds nothing to remove ends the fixpoint
+// without a further propagation.
 func newPlanWith(cfg Config, prop *Propagate) *plan {
 	cfg = cfg.withDefaults()
-	pl := &plan{prop: prop, reg: pass.NewRegistry()}
-	pl.reg.Register(pl.prop, FactResult)
+	pl := &plan{prop: prop, root: prop}
 	if cfg.Complete {
-		pl.fix = pass.NewFixpoint("complete", &dcePass{}, cfg.MaxDCERounds)
-		pl.root = pass.NewPipeline("complete-propagation", pl.fix)
-	} else {
-		pl.root = pass.NewPipeline("propagation", pl.prop)
+		round := pass.NewPipeline("dce-round", pass.NewRefresh(prop, nil), &dcePass{prop: prop})
+		pl.fix = pass.NewFixpoint("complete", round, cfg.MaxDCERounds)
+		pl.root = pl.fix
 	}
 	return pl
 }
 
 // PipelineDescription renders the pass composition a configuration
-// would execute, one line per element (cmd/ipcp -passes).
-func PipelineDescription(cfg Config) []string {
-	pl := newPlan(cfg)
-	return []string{
-		pass.Describe(pl.root),
-		fmt.Sprintf("provider: %s <- %s", FactResult, pl.prop.Name()),
-	}
+// would execute (cmd/ipcp -passes).
+func PipelineDescription(cfg Config) string {
+	return pass.Describe(newPlan(cfg).root)
 }

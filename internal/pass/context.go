@@ -11,8 +11,8 @@ import (
 )
 
 // Context is the shared state a pipeline runs over: the current
-// program, lazily built callgraph and mod/ref summaries, the fact
-// cache, and the accumulated pass trace. One Context serves one
+// program, lazily built callgraph and mod/ref summaries, and the
+// accumulated pass trace. One Context serves one
 // pipeline run; the lazy caches are additionally safe for concurrent
 // readers (TransformedSource shares a Context across goroutines).
 type Context struct {
@@ -28,25 +28,18 @@ type Context struct {
 	// uncancellable, which costs nothing on the hot path.
 	Cancel func() error
 
-	mu    sync.Mutex
-	prog  *ir.Program
-	cg    *callgraph.Graph
-	mods  *modref.Summary
-	facts map[Fact]any
+	mu   sync.Mutex
+	prog *ir.Program
+	cg   *callgraph.Graph
+	mods *modref.Summary
 
-	trace     []Stat
-	reg       *Registry
-	round     int
-	resolving map[Fact]bool
+	trace []Stat
+	round int
 }
 
 // NewContext wraps a program for pipeline execution.
 func NewContext(prog *ir.Program) *Context {
-	return &Context{
-		prog:      prog,
-		facts:     make(map[Fact]any),
-		resolving: make(map[Fact]bool),
-	}
+	return &Context{prog: prog}
 }
 
 // NewContextWith wraps a program whose callgraph and mod/ref summaries
@@ -69,16 +62,15 @@ func (ctx *Context) Program() *ir.Program {
 }
 
 // SetProgram replaces the program, dropping the callgraph/modref
-// caches and every fact: a different program identity makes all of
-// them stale. Passes that rebuild the program (DCE, cloning, inlining)
-// call this instead of enumerating what they broke.
+// caches: a different program identity makes both stale. Passes that
+// rebuild the program (DCE, cloning) call this, and a Refresh ahead of
+// them re-runs its analysis on the next round.
 func (ctx *Context) SetProgram(p *ir.Program) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
 	ctx.prog = p
 	ctx.cg = nil
 	ctx.mods = nil
-	ctx.facts = make(map[Fact]any)
 }
 
 // CallGraph returns the callgraph for the current program, building it
@@ -108,69 +100,17 @@ func (ctx *Context) ModRef() *modref.Summary {
 	return ctx.mods
 }
 
-// Fact returns a cached fact and whether it is present.
-func (ctx *Context) Fact(f Fact) (any, bool) {
-	v, ok := ctx.facts[f]
-	return v, ok
-}
-
-// SetFact publishes a fact into the cache.
-func (ctx *Context) SetFact(f Fact, v any) {
-	ctx.facts[f] = v
-}
-
-// Invalidate drops the named facts (All drops everything).
-func (ctx *Context) Invalidate(facts ...Fact) {
-	for _, f := range facts {
-		if f == All {
-			ctx.facts = make(map[Fact]any)
-			return
-		}
-		delete(ctx.facts, f)
-	}
-}
-
-// Require ensures a fact is present, running its registered provider
-// if it is missing. A missing provider is ErrNoProvider; a provider
-// that transitively requires its own fact is a cycle error.
-func (ctx *Context) Require(f Fact) error {
-	if _, ok := ctx.facts[f]; ok {
-		return nil
-	}
-	prov := ctx.reg.Provider(f)
-	if prov == nil {
-		return fmt.Errorf("fact %q: %w", f, ErrNoProvider)
-	}
-	if ctx.resolving[f] {
-		return fmt.Errorf("fact %q: provider %q requires its own fact (cycle)", f, prov.Name())
-	}
-	ctx.resolving[f] = true
-	defer delete(ctx.resolving, f)
-	if _, err := ctx.Exec(prov); err != nil {
-		return err
-	}
-	if _, ok := ctx.facts[f]; !ok {
-		return fmt.Errorf("fact %q: provider %q ran but did not produce it", f, prov.Name())
-	}
-	return nil
-}
-
-// Exec runs one pass with the full runner protocol: requirement
-// resolution, instrumentation, invalidation, and (in debug mode) IR
-// verification. Composite passes (Pipeline, Fixpoint) orchestrate
-// their members through Exec and are not themselves instrumented
-// per-member semantics aside; Fixpoint appends its own summary Stat.
+// Exec runs one pass with the full runner protocol: cancellation,
+// instrumentation and (in debug mode) IR verification. Composite passes
+// (Pipeline, Refresh, Fixpoint) orchestrate their members through Exec
+// and are not themselves instrumented; Fixpoint appends its own summary
+// Stat.
 func (ctx *Context) Exec(p Pass) (bool, error) {
 	if err := ctx.Canceled(); err != nil {
 		return false, err
 	}
 	if _, ok := p.(compositePass); ok {
 		return p.Run(ctx)
-	}
-	for _, f := range p.Requires() {
-		if err := ctx.Require(f); err != nil {
-			return false, fmt.Errorf("pass %q: %w", p.Name(), err)
-		}
 	}
 	st := ctx.beginStat(p.Name(), ctx.round)
 	changed, err := p.Run(ctx)
@@ -179,9 +119,6 @@ func (ctx *Context) Exec(p Pass) (bool, error) {
 	}
 	st.Changed = changed
 	ctx.endStat(st)
-	if changed {
-		ctx.Invalidate(p.Invalidates()...)
-	}
 	if ctx.Debug {
 		if verr := ir.VerifyProgram(ctx.Program()); verr != nil {
 			return changed, fmt.Errorf("pass %q corrupted the IR: %w", p.Name(), verr)
@@ -222,21 +159,4 @@ func (ctx *Context) endStat(st *Stat) {
 	st.start = time.Time{} // only Nanos carries timing; keep Stat DeepEqual-comparable
 	st.Procs, st.Blocks, st.Instrs = countIR(ctx.Program())
 	ctx.trace = append(ctx.trace, *st)
-}
-
-// EnsureSSA builds SSA form for every procedure that is not yet in it,
-// using the Context's mod/ref oracle for call-site definition points.
-// It is the standard prelude for per-procedure passes like SCCP, and
-// reports whether it changed the program (so callers can propagate an
-// honest changed flag).
-func EnsureSSA(ctx *Context) bool {
-	oracle := ctx.ModRef().Oracle()
-	changed := false
-	for _, proc := range ctx.Program().Procs {
-		if proc.EntryValues == nil {
-			proc.BuildSSA(oracle)
-			changed = true
-		}
-	}
-	return changed
 }

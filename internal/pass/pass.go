@@ -1,23 +1,15 @@
-// Package pass implements the unified pass manager every analysis
-// composition in this repository runs on: a Pass interface over a
-// shared Context, a Registry that maps analysis facts to the passes
-// that provide them, a Pipeline runner, and a Fixpoint combinator with
-// bounded rounds.
+// Package pass implements the pass manager the analysis compositions
+// run on: a Pass interface over a shared Context, a Pipeline runner, a
+// Fixpoint combinator with bounded rounds, and Refresh, which re-runs
+// an analysis after a transform replaced the program.
 //
-// Before this package existed, every iterate-to-fixpoint composition
-// was a bespoke driver: core.Analyze hard-coded its stages, complete
-// propagation hand-rolled its propagate→DCE loop, procedure cloning
-// hand-rolled its clone→reanalyze loop. Padhye & Khedker's value-context
-// framework argues that a uniform analysis-driver abstraction is what
-// makes interprocedural frameworks extensible; this package is that
-// abstraction. A composition is now a declared Pipeline of passes, and
-// the runner supplies uniformly what each driver used to reimplement:
+// The analysis proper is one pass (core's propagate: the four stages
+// of §4.1). Two compositions iterate it against a transform: complete
+// propagation (dead-code elimination until a round removes nothing)
+// and goal-directed cloning (clone until no clone pays). Each is a
+// Fixpoint over Pipeline(Refresh(propagate), transform), and the runner
+// supplies uniformly what a bespoke driver loop would reimplement:
 //
-//   - requirement resolution: a pass declares the facts it Requires,
-//     and the runner executes the registered provider for any fact the
-//     Context does not currently hold;
-//   - invalidation: a pass that reports a change drops the facts it
-//     Invalidates (and replacing the program drops everything);
 //   - instrumentation: every pass execution is timed and its IR delta
 //     (procedures, blocks, instructions before/after) recorded into a
 //     Trace, exposed through core.Stats and ipcp.Report;
@@ -38,19 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"ipcp/internal/ir"
 )
-
-// Fact names an analysis artifact a pass can provide, require, or
-// invalidate — "ipcp-result", "sccp", "valnum". Facts are the currency
-// of the requirement-resolution machinery: requiring a fact the Context
-// does not hold runs the registered provider pass first.
-type Fact string
-
-// All is the wildcard fact: a pass that Invalidates All drops every
-// cached fact when it reports a change. Transforms that mutate the
-// program in place use it; transforms that replace the program get the
-// same effect from Context.SetProgram.
-const All Fact = "*"
 
 // Pass is one unit of analysis or transformation over a Context's
 // program.
@@ -58,77 +40,15 @@ type Pass interface {
 	// Name identifies the pass in traces and error messages.
 	Name() string
 
-	// Requires lists the facts that must be present in the Context
-	// before Run; the runner executes registered providers for any
-	// that are missing.
-	Requires() []Fact
-
-	// Invalidates lists the facts destroyed when Run reports a change
-	// (All for everything). Facts a pass leaves intact survive into
-	// the next pass — that is what makes caches like the
-	// callgraph/modref pair reusable across a pipeline.
-	Invalidates() []Fact
-
 	// Run executes the pass. changed reports whether the program was
-	// transformed (analyses that only publish facts return false; a
-	// pass that builds SSA in place has changed the program and says
-	// so). A non-nil error aborts the whole pipeline.
+	// transformed (a pass that builds SSA in place has changed the
+	// program and says so). A non-nil error aborts the whole pipeline.
 	Run(ctx *Context) (changed bool, err error)
 }
 
 // ErrNoFixpoint reports a Fixpoint whose body still claimed changes
 // when the round cap was reached.
 var ErrNoFixpoint = errors.New("fixpoint not reached")
-
-// ErrNoProvider reports a required fact with no registered provider.
-var ErrNoProvider = errors.New("no provider registered")
-
-// Registry maps facts to the passes that provide them. A registry is
-// per-pipeline (passes carry per-run state), not global.
-type Registry struct {
-	providers map[Fact]Pass
-	order     []Pass
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{providers: make(map[Fact]Pass)}
-}
-
-// Register adds a pass, optionally as the provider of the given facts.
-func (r *Registry) Register(p Pass, provides ...Fact) {
-	r.order = append(r.order, p)
-	for _, f := range provides {
-		r.providers[f] = p
-	}
-}
-
-// Provider returns the registered provider for a fact (nil if none).
-func (r *Registry) Provider(f Fact) Pass {
-	if r == nil {
-		return nil
-	}
-	return r.providers[f]
-}
-
-// Passes returns the registered passes in registration order.
-func (r *Registry) Passes() []Pass {
-	if r == nil {
-		return nil
-	}
-	return r.order
-}
-
-// Run executes root over ctx with reg supplying fact providers. It is
-// the entry point every driver uses:
-//
-//	ctx := pass.NewContext(irp)
-//	err := pass.Run(ctx, reg, pass.NewPipeline("complete", fixpoint))
-func Run(ctx *Context, reg *Registry, root Pass) error {
-	ctx.reg = reg
-	_, err := ctx.Exec(root)
-	return err
-}
 
 // Pipeline runs a fixed sequence of passes. It implements Pass, so
 // pipelines nest and serve as Fixpoint bodies. Its changed result is
@@ -143,11 +63,8 @@ func NewPipeline(name string, passes ...Pass) *Pipeline {
 	return &Pipeline{name: name, passes: passes}
 }
 
-func (pl *Pipeline) Name() string        { return pl.name }
-func (pl *Pipeline) Requires() []Fact    { return nil }
-func (pl *Pipeline) Invalidates() []Fact { return nil }
-func (pl *Pipeline) composite()          {}
-func (pl *Pipeline) Passes() []Pass      { return pl.passes }
+func (pl *Pipeline) Name() string { return pl.name }
+func (pl *Pipeline) composite()   {}
 
 // Run executes the member passes in order, stopping at the first
 // error.
@@ -161,6 +78,39 @@ func (pl *Pipeline) Run(ctx *Context) (bool, error) {
 		changed = changed || ch
 	}
 	return changed, nil
+}
+
+// Refresh keeps an analysis current for the transform that follows it
+// in a pipeline: it re-runs the analysis, through the runner, only when
+// the program it last analyzed has been replaced (Context.SetProgram).
+// It adds no trace row of its own and always reports no change, so a
+// Fixpoint over Pipeline(Refresh, transform) rounds on the transform's
+// changed flag alone — an analysis that builds SSA in place always
+// reports a change and would never let the fixpoint converge.
+type Refresh struct {
+	analysis Pass
+	seen     *ir.Program
+}
+
+// NewRefresh wraps analysis. seen is the program the analysis's current
+// result already describes, nil when it has not run yet.
+func NewRefresh(analysis Pass, seen *ir.Program) *Refresh {
+	return &Refresh{analysis: analysis, seen: seen}
+}
+
+func (r *Refresh) Name() string { return r.analysis.Name() }
+func (r *Refresh) composite()   {}
+
+// Run executes the analysis if the program is not the one it last saw.
+func (r *Refresh) Run(ctx *Context) (bool, error) {
+	if ctx.Program() == r.seen {
+		return false, nil
+	}
+	if _, err := ctx.Exec(r.analysis); err != nil {
+		return false, err
+	}
+	r.seen = ctx.Program()
+	return false, nil
 }
 
 // Fixpoint repeats a body pass until it reports no change, bounded by
@@ -199,12 +149,9 @@ func NewBudgetedFixpoint(name string, body Pass, maxRounds int) *Fixpoint {
 	return fp
 }
 
-func (f *Fixpoint) Name() string        { return f.name }
-func (f *Fixpoint) Requires() []Fact    { return nil }
-func (f *Fixpoint) Invalidates() []Fact { return nil }
-func (f *Fixpoint) composite()          {}
-func (f *Fixpoint) Body() Pass          { return f.body }
-func (f *Fixpoint) MaxRounds() int      { return f.maxRounds }
+func (f *Fixpoint) Name() string   { return f.name }
+func (f *Fixpoint) composite()     {}
+func (f *Fixpoint) MaxRounds() int { return f.maxRounds }
 
 // Rounds reports how many rounds of the last Run changed the program —
 // the number the paper's "DCE rounds" column counts.
@@ -255,8 +202,8 @@ type compositePass interface {
 }
 
 // Describe renders a pass composition as one line: pipelines show
-// their members, fixpoints their cap and body, leaf passes their fact
-// requirements.
+// their members, fixpoints their cap and body, refreshes their
+// analysis, leaf passes their name.
 func Describe(p Pass) string {
 	switch p := p.(type) {
 	case *Pipeline:
@@ -267,15 +214,9 @@ func Describe(p Pass) string {
 		return fmt.Sprintf("%s(%s)", p.name, strings.Join(names, " -> "))
 	case *Fixpoint:
 		return fmt.Sprintf("fixpoint %s[<=%d rounds]{%s}", p.name, p.maxRounds, Describe(p.body))
+	case *Refresh:
+		return Describe(p.analysis) + " if stale"
 	default:
-		s := p.Name()
-		if req := p.Requires(); len(req) > 0 {
-			parts := make([]string, len(req))
-			for i, f := range req {
-				parts[i] = string(f)
-			}
-			s += fmt.Sprintf(" [requires %s]", strings.Join(parts, ", "))
-		}
-		return s
+		return p.Name()
 	}
 }

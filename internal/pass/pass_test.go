@@ -2,6 +2,7 @@ package pass
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,15 +14,11 @@ import (
 
 // fakePass is a configurable leaf pass for exercising the runner.
 type fakePass struct {
-	name        string
-	requires    []Fact
-	invalidates []Fact
-	run         func(ctx *Context) (bool, error)
+	name string
+	run  func(ctx *Context) (bool, error)
 }
 
-func (p *fakePass) Name() string        { return p.name }
-func (p *fakePass) Requires() []Fact    { return p.requires }
-func (p *fakePass) Invalidates() []Fact { return p.invalidates }
+func (p *fakePass) Name() string { return p.name }
 func (p *fakePass) Run(ctx *Context) (bool, error) {
 	if p.run == nil {
 		return false, nil
@@ -63,7 +60,7 @@ func TestFixpointConverges(t *testing.T) {
 	}}
 	fix := NewFixpoint("fx", body, 0)
 	ctx := NewContext(nil)
-	if err := Run(ctx, nil, fix); err != nil {
+	if _, err := ctx.Exec(fix); err != nil {
 		t.Fatalf("converging fixpoint errored: %v", err)
 	}
 	if fix.Rounds() != 2 {
@@ -98,7 +95,7 @@ func TestFixpointConverges(t *testing.T) {
 func TestFixpointCapError(t *testing.T) {
 	body := &fakePass{name: "always", run: func(*Context) (bool, error) { return true, nil }}
 	fix := NewFixpoint("cap", body, 3)
-	err := Run(NewContext(nil), nil, fix)
+	_, err := NewContext(nil).Exec(fix)
 	if !errors.Is(err, ErrNoFixpoint) {
 		t.Fatalf("err = %v, want ErrNoFixpoint", err)
 	}
@@ -113,7 +110,7 @@ func TestFixpointCapError(t *testing.T) {
 func TestBudgetedFixpointStopsSilently(t *testing.T) {
 	body := &fakePass{name: "always", run: func(*Context) (bool, error) { return true, nil }}
 	fix := NewBudgetedFixpoint("budget", body, 3)
-	if err := Run(NewContext(nil), nil, fix); err != nil {
+	if _, err := NewContext(nil).Exec(fix); err != nil {
 		t.Fatalf("budgeted fixpoint errored at its cap: %v", err)
 	}
 	if fix.Rounds() != 3 {
@@ -121,116 +118,50 @@ func TestBudgetedFixpointStopsSilently(t *testing.T) {
 	}
 }
 
-func TestRequireRunsProviderOnce(t *testing.T) {
-	providerRuns := 0
-	provider := &fakePass{name: "provider", run: func(ctx *Context) (bool, error) {
-		providerRuns++
-		ctx.SetFact("f", providerRuns)
-		return false, nil
-	}}
-	sawFact := 0
-	consumer := func(name string) *fakePass {
-		return &fakePass{name: name, requires: []Fact{"f"}, run: func(ctx *Context) (bool, error) {
-			if v, ok := ctx.Fact("f"); ok {
-				sawFact = v.(int)
-			}
+// TestRefreshRunsOnlyWhenStale runs a Fixpoint over Pipeline(Refresh,
+// transform) the way complete propagation and cloning do: the analysis
+// runs in the first round and again only after a round replaced the
+// program, the Refresh adds no row of its own, and the rounds end on
+// the transform's changed flag although the analysis always reports a
+// change.
+func TestRefreshRunsOnlyWhenStale(t *testing.T) {
+	analysis := &fakePass{name: "analyze", run: func(*Context) (bool, error) { return true, nil }}
+	rebuilds := 0
+	transform := &fakePass{name: "rebuild", run: func(ctx *Context) (bool, error) {
+		if rebuilds == 2 {
 			return false, nil
-		}}
-	}
-	reg := NewRegistry()
-	reg.Register(provider, "f")
-	ctx := NewContext(nil)
-	root := NewPipeline("p", consumer("first"), consumer("second"))
-	if err := Run(ctx, reg, root); err != nil {
+		}
+		rebuilds++
+		ctx.SetProgram(buildIR(t, twoProcSrc))
+		return true, nil
+	}}
+	refresh := NewRefresh(analysis, nil)
+	fix := NewFixpoint("fx", NewPipeline("round", refresh, transform), 0)
+	ctx := NewContext(buildIR(t, twoProcSrc))
+	if _, err := ctx.Exec(fix); err != nil {
 		t.Fatal(err)
 	}
-	if providerRuns != 1 {
-		t.Fatalf("provider ran %d times, want 1 (fact cached between consumers)", providerRuns)
+	if fix.Rounds() != 2 {
+		t.Fatalf("Rounds() = %d, want 2", fix.Rounds())
 	}
-	if sawFact != 1 {
-		t.Fatalf("consumer saw fact %d, want 1", sawFact)
+	// The program is the one the analysis saw last: no further run.
+	if _, err := ctx.Exec(refresh); err != nil {
+		t.Fatal(err)
 	}
-	names := make([]string, 0, 3)
+
+	var got []string
 	for _, st := range ctx.PassStats() {
-		names = append(names, st.Pass)
+		got = append(got, fmt.Sprintf("%s/%d", st.Pass, st.Round))
 	}
-	if got := strings.Join(names, ","); got != "provider,first,second" {
-		t.Fatalf("trace order %q, want provider,first,second", got)
-	}
-}
-
-func TestRequireMissingProvider(t *testing.T) {
-	consumer := &fakePass{name: "needs-ghost", requires: []Fact{"ghost"}}
-	err := Run(NewContext(nil), NewRegistry(), NewPipeline("p", consumer))
-	if !errors.Is(err, ErrNoProvider) {
-		t.Fatalf("err = %v, want ErrNoProvider", err)
-	}
-	if !strings.Contains(err.Error(), `"needs-ghost"`) {
-		t.Fatalf("error does not name the requiring pass: %v", err)
-	}
-}
-
-func TestRequireProviderCycle(t *testing.T) {
-	provider := &fakePass{name: "selfish", requires: []Fact{"f"}}
-	reg := NewRegistry()
-	reg.Register(provider, "f")
-	consumer := &fakePass{name: "consumer", requires: []Fact{"f"}}
-	err := Run(NewContext(nil), reg, NewPipeline("p", consumer))
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("err = %v, want a cycle error", err)
-	}
-}
-
-func TestRequireProviderMustProduce(t *testing.T) {
-	provider := &fakePass{name: "lazy"} // registered for "f" but never publishes it
-	reg := NewRegistry()
-	reg.Register(provider, "f")
-	consumer := &fakePass{name: "consumer", requires: []Fact{"f"}}
-	err := Run(NewContext(nil), reg, NewPipeline("p", consumer))
-	if err == nil || !strings.Contains(err.Error(), "did not produce") {
-		t.Fatalf("err = %v, want a did-not-produce error", err)
-	}
-}
-
-func TestInvalidationOnChange(t *testing.T) {
-	ctx := NewContext(nil)
-	ctx.SetFact("a", 1)
-	ctx.SetFact("b", 2)
-
-	// A pass that reports no change keeps its invalidation set intact.
-	noop := &fakePass{name: "noop", invalidates: []Fact{"a"}}
-	if err := Run(ctx, nil, NewPipeline("p", noop)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ctx.Fact("a"); !ok {
-		t.Fatal("unchanged pass invalidated its fact")
+	want := "analyze/1 rebuild/1 analyze/2 rebuild/2 analyze/3 rebuild/3 fx/0"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("trace %v, want %s", got, want)
 	}
 
-	// A changing pass drops exactly what it declares.
-	mut := &fakePass{name: "mut", invalidates: []Fact{"a"},
-		run: func(*Context) (bool, error) { return true, nil }}
-	if err := Run(ctx, nil, NewPipeline("p", mut)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ctx.Fact("a"); ok {
-		t.Fatal("fact a survived an invalidating change")
-	}
-	if _, ok := ctx.Fact("b"); !ok {
-		t.Fatal("fact b was dropped without being declared")
-	}
-
-	// The wildcard drops everything.
-	ctx.SetFact("a", 1)
-	wipe := &fakePass{name: "wipe", invalidates: []Fact{All},
-		run: func(*Context) (bool, error) { return true, nil }}
-	if err := Run(ctx, nil, NewPipeline("p", wipe)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ctx.Fact("a"); ok {
-		t.Fatal("fact a survived Invalidates(All)")
-	}
-	if _, ok := ctx.Fact("b"); ok {
-		t.Fatal("fact b survived Invalidates(All)")
+	// Seeded with the current program, a Refresh does not run at all.
+	ctx = NewContext(buildIR(t, twoProcSrc))
+	if _, err := ctx.Exec(NewRefresh(analysis, ctx.Program())); err != nil || len(ctx.PassStats()) != 0 {
+		t.Fatalf("refresh of a current analysis: err %v, trace %+v", err, ctx.PassStats())
 	}
 }
 
@@ -238,12 +169,8 @@ func TestSetProgramDropsCaches(t *testing.T) {
 	prog := buildIR(t, twoProcSrc)
 	ctx := NewContext(prog)
 	g1 := ctx.CallGraph()
-	ctx.SetFact("f", 1)
 
 	ctx.SetProgram(prog) // same pointer: identity change is what matters
-	if _, ok := ctx.Fact("f"); ok {
-		t.Fatal("fact survived SetProgram")
-	}
 	if g2 := ctx.CallGraph(); g2 == g1 {
 		t.Fatal("callgraph cache survived SetProgram")
 	}
@@ -259,13 +186,13 @@ func TestDebugCatchesCorruptingPass(t *testing.T) {
 	}}
 
 	// Without debug mode the corruption goes unnoticed by the runner.
-	if err := Run(NewContext(buildIR(t, twoProcSrc)), nil, NewPipeline("p", corrupt)); err != nil {
+	if _, err := NewContext(buildIR(t, twoProcSrc)).Exec(NewPipeline("p", corrupt)); err != nil {
 		t.Fatalf("non-debug run errored: %v", err)
 	}
 
 	ctx := NewContext(buildIR(t, twoProcSrc))
 	ctx.Debug = true
-	err := Run(ctx, nil, NewPipeline("p", corrupt))
+	_, err := ctx.Exec(NewPipeline("p", corrupt))
 	if err == nil {
 		t.Fatal("debug run did not catch the corrupting pass")
 	}
@@ -277,33 +204,15 @@ func TestDebugCatchesCorruptingPass(t *testing.T) {
 	ctx = NewContext(buildIR(t, twoProcSrc))
 	ctx.Debug = true
 	honest := &fakePass{name: "honest", run: func(*Context) (bool, error) { return true, nil }}
-	if err := Run(ctx, nil, NewPipeline("p", honest)); err != nil {
+	if _, err := ctx.Exec(NewPipeline("p", honest)); err != nil {
 		t.Fatalf("debug verification rejected a well-formed program: %v", err)
 	}
 }
 
-func TestEnsureSSA(t *testing.T) {
-	ctx := NewContext(buildIR(t, twoProcSrc))
-	if !EnsureSSA(ctx) {
-		t.Fatal("first EnsureSSA reported no change on a pre-SSA program")
-	}
-	for _, proc := range ctx.Program().Procs {
-		if proc.EntryValues == nil {
-			t.Fatalf("%s not in SSA form after EnsureSSA", proc.Name)
-		}
-	}
-	if EnsureSSA(ctx) {
-		t.Fatal("second EnsureSSA claimed a change on an already-SSA program")
-	}
-	if err := ir.VerifyProgram(ctx.Program()); err != nil {
-		t.Fatalf("SSA program fails verification: %v", err)
-	}
-}
-
 func TestDescribe(t *testing.T) {
-	fix := NewFixpoint("loop", &fakePass{name: "dce", requires: []Fact{"res"}}, 4)
-	root := NewPipeline("all", &fakePass{name: "prop"}, fix)
-	want := "all(prop -> fixpoint loop[<=4 rounds]{dce [requires res]})"
+	round := NewPipeline("round", NewRefresh(&fakePass{name: "prop"}, nil), &fakePass{name: "dce"})
+	root := NewPipeline("all", &fakePass{name: "prop"}, NewFixpoint("loop", round, 4))
+	want := "all(prop -> fixpoint loop[<=4 rounds]{round(prop if stale -> dce)})"
 	if got := Describe(root); got != want {
 		t.Fatalf("Describe = %q, want %q", got, want)
 	}

@@ -156,9 +156,9 @@ func (c Config) internal() core.Config {
 // wall-clock Nanos is deterministic.
 type PassStat = pass.Stat
 
-// DescribePipeline renders the pass composition a configuration would
-// execute, one line per element, without running anything.
-func DescribePipeline(cfg Config) []string {
+// DescribePipeline renders, as one line, the pass composition a
+// configuration would execute, without running anything.
+func DescribePipeline(cfg Config) string {
 	return core.PipelineDescription(cfg.internal())
 }
 

@@ -42,10 +42,9 @@ END
 
 // TestCompletePropagationTrace pins the pass-manager execution schedule
 // of complete propagation on a program that genuinely needs two DCE
-// rounds: the fixpoint driver re-provisions the propagation result each
-// round (the dce pass Requires it after SetProgram dropped it), so the
-// trace must read propagate,dce three times and close with the fixpoint
-// summary.
+// rounds: each round re-propagates the program the previous round
+// rebuilt before DCE runs on it, so the trace must read propagate,dce
+// three times and close with the fixpoint summary.
 func TestCompletePropagationTrace(t *testing.T) {
 	prog := ipcp.MustLoad(twoRoundSrc)
 	rep := prog.Analyze(ipcp.Config{
@@ -118,17 +117,13 @@ func TestSimpleAnalysisTrace(t *testing.T) {
 }
 
 func TestDescribePipeline(t *testing.T) {
-	simple := ipcp.DescribePipeline(ipcp.Config{Jump: ipcp.PassThrough})
-	if len(simple) != 2 || simple[0] != "propagation(propagate)" {
+	if simple := ipcp.DescribePipeline(ipcp.Config{Jump: ipcp.PassThrough}); simple != "propagate" {
 		t.Fatalf("simple pipeline = %q", simple)
 	}
 	complete := ipcp.DescribePipeline(ipcp.Config{Jump: ipcp.PassThrough, Complete: true})
-	want := "complete-propagation(fixpoint complete[<=10 rounds]{dce [requires ipcp-result]})"
-	if len(complete) != 2 || complete[0] != want {
+	want := "fixpoint complete[<=10 rounds]{dce-round(propagate if stale -> dce)}"
+	if complete != want {
 		t.Fatalf("complete pipeline = %q, want %q", complete, want)
-	}
-	if !strings.Contains(complete[1], "ipcp-result <- propagate") {
-		t.Fatalf("provider line = %q", complete[1])
 	}
 }
 
