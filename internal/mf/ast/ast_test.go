@@ -34,6 +34,14 @@ func TestFormatExprPrecedence(t *testing.T) {
 		// Array reference and call.
 		{&VarRef{Name: "A", Indexes: []Expr{ref("I"), intLit(2)}}, "A(I, 2)"},
 		{&CallExpr{Name: "MOD", Args: []Expr{ref("I"), intLit(4)}}, "MOD(I, 4)"},
+		// .NOT. takes a relational operand or another .NOT. bare.
+		{&UnaryExpr{Op: Not, X: &UnaryExpr{Op: Not, X: ref("L")}}, ".NOT. .NOT. L"},
+		{&UnaryExpr{Op: Not, X: &BinaryExpr{Op: Eq, X: ref("A"), Y: ref("B")}}, ".NOT. A .EQ. B"},
+		{&UnaryExpr{Op: Not, X: &BinaryExpr{Op: And, X: ref("L"), Y: ref("M")}}, ".NOT. (L .AND. M)"},
+		// An exponent carries its sign bare; other operands do not.
+		{&BinaryExpr{Op: Pow, X: ref("A"), Y: &UnaryExpr{Op: Neg, X: ref("B")}}, "A**-B"},
+		{&BinaryExpr{Op: Pow, X: ref("A"), Y: &UnaryExpr{Op: Neg, X: &BinaryExpr{Op: Mul, X: ref("B"), Y: ref("C")}}}, "A**-(B*C)"},
+		{&BinaryExpr{Op: Mul, X: ref("A"), Y: &UnaryExpr{Op: Neg, X: ref("B")}}, "A*(-B)"},
 		// Power is right-associative.
 		{&BinaryExpr{Op: Pow, X: intLit(2), Y: &BinaryExpr{Op: Pow, X: intLit(3), Y: intLit(2)}}, "2**3**2"},
 		{&BinaryExpr{Op: Pow, X: &BinaryExpr{Op: Pow, X: intLit(2), Y: intLit(3)}, Y: intLit(2)}, "(2**3)**2"},

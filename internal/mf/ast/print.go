@@ -287,7 +287,11 @@ func (p *printer) expr(e Expr, parentPrec int) {
 	case *UnaryExpr:
 		p.sb.WriteString(e.Op.String())
 		if e.Op == Not {
+			// .NOT. takes a relational operand, or another .NOT.:
+			// .NOT. .NOT. A .EQ. B reparses as written.
 			p.sb.WriteByte(' ')
+			p.expr(e.X, prec)
+			return
 		}
 		p.expr(e.X, prec+1)
 	case *BinaryExpr:
@@ -304,6 +308,12 @@ func (p *printer) expr(e Expr, parentPrec int) {
 			p.sb.WriteString(e.Op.String())
 		} else {
 			fmt.Fprintf(p.sb, " %s ", e.Op)
+		}
+		// An exponent may carry its own sign: a**-b needs no parens.
+		if u, ok := e.Y.(*UnaryExpr); ok && e.Op == Pow && u.Op == Neg {
+			p.sb.WriteByte('-')
+			p.expr(u.X, prec)
+			return
 		}
 		p.expr(e.Y, rightPrec)
 	default:

@@ -54,14 +54,39 @@ func Parse(src string) (*ast.File, error) {
 }
 
 type parser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	toks   []token.Token
+	pos    int
+	errs   ErrorList
+	depth  int  // current nesting level; see nest
+	halted bool // past MaxNesting: the rest of the source is skipped
 }
 
 // bailout is panicked on unrecoverable per-statement errors; recovery
 // resynchronizes at the next statement.
 type bailout struct{}
+
+// MaxNesting bounds how deeply a source may nest. One scale counts
+// parenthesized expressions, subscript and argument lists, `**` and
+// `.NOT.` chains, the operators of a binary chain (a+b+c nests like
+// (a+b)+c) and IF/DO blocks, ELSE IF links included. Every level is a
+// recursive call here and in each later walk over the tree, so without
+// a bound a source of a few megabytes overflows the goroutine stack,
+// a fatal error no recover catches. The printer never nests deeper
+// than the source it prints, so a program within the bound also
+// reparses after transformation.
+const MaxNesting = 1000
+
+// nest enters one level of nesting at the current token; the caller
+// leaves it by decrementing p.depth. Past MaxNesting it reports one
+// error and ends the parse: it skips to EOF and silences the errors
+// every enclosing construct then hits, because resynchronizing at the
+// next statement would report each remaining line of a deep nest again.
+func (p *parser) nest() {
+	p.depth++
+	if p.depth > MaxNesting {
+		p.fail("nesting deeper than %d levels", MaxNesting)
+	}
+}
 
 func (p *parser) cur() token.Token { return p.toks[p.pos] }
 func (p *parser) kind() token.Kind { return p.toks[p.pos].Kind }
@@ -91,12 +116,20 @@ func (p *parser) accept(k token.Kind) bool {
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
+	if p.halted {
+		return
+	}
 	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-// fail records an error and aborts the current statement.
+// fail records an error and aborts the current statement; past
+// MaxNesting it aborts the whole parse (see nest).
 func (p *parser) fail(format string, args ...any) {
 	p.errorf(p.cur().Pos, format, args...)
+	if p.depth > MaxNesting {
+		p.halted = true
+		p.pos = len(p.toks) - 1 // EOF
+	}
 	panic(bailout{})
 }
 
@@ -147,6 +180,7 @@ func (p *parser) parseUnit() (unit *ast.Unit) {
 			if _, ok := r.(bailout); !ok {
 				panic(r)
 			}
+			p.depth = 0
 			// Skip forward to the end of the broken unit.
 			for !p.at(token.EOF) {
 				if p.at(token.END) && (p.peek().Kind == token.NEWLINE || p.peek().Kind == token.EOF) {
@@ -242,6 +276,7 @@ func (p *parser) parseDecls() []ast.Decl {
 					if _, ok := r.(bailout); !ok {
 						panic(r)
 					}
+					p.depth = 0
 					p.syncStatement()
 					d = nil
 				}
@@ -424,11 +459,13 @@ func (p *parser) parseStmtsUntil(t terminator) []ast.Stmt {
 }
 
 func (p *parser) parseStmtRecover() (s ast.Stmt) {
+	depth := p.depth
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(bailout); !ok {
 				panic(r)
 			}
+			p.depth = depth
 			p.syncStatement()
 			s = nil
 		}
@@ -535,6 +572,8 @@ func (p *parser) parseCall(pos token.Pos) *ast.CallStmt {
 
 // parseIf parses both block IF (… THEN) and logical IF forms.
 func (p *parser) parseIf(pos token.Pos) ast.Stmt {
+	p.nest()
+	defer func() { p.depth-- }()
 	p.expect(token.IF)
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
@@ -577,6 +616,8 @@ func (p *parser) parseIf(pos token.Pos) ast.Stmt {
 // or ELSE IF has been recognized (with ELSEIF consumed, or ELSE consumed
 // and IF pending).
 func (p *parser) parseElseIfChain(pos token.Pos) *ast.IfStmt {
+	p.nest()
+	defer func() { p.depth-- }()
 	p.accept(token.IF) // present in the `ELSE IF` spelling
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
@@ -646,6 +687,8 @@ func (p *parser) parseLogicalIfAction() ast.Stmt {
 }
 
 func (p *parser) parseDo(pos token.Pos) ast.Stmt {
+	p.nest()
+	defer func() { p.depth-- }()
 	p.expect(token.DO)
 
 	if p.at(token.WHILE) {
@@ -780,28 +823,40 @@ func (p *parser) parseIOControl() {
 
 func (p *parser) parseExpr() ast.Expr { return p.parseOr() }
 
+// The binary-chain loops below nest one level per operator, as deep as
+// the left-leaning tree they build.
+
 func (p *parser) parseOr() ast.Expr {
 	x := p.parseAnd()
+	depth := p.depth
 	for p.at(token.OR) {
+		p.nest()
 		p.next()
 		x = &ast.BinaryExpr{Op: ast.Or, X: x, Y: p.parseAnd()}
 	}
+	p.depth = depth
 	return x
 }
 
 func (p *parser) parseAnd() ast.Expr {
 	x := p.parseNot()
+	depth := p.depth
 	for p.at(token.AND) {
+		p.nest()
 		p.next()
 		x = &ast.BinaryExpr{Op: ast.And, X: x, Y: p.parseNot()}
 	}
+	p.depth = depth
 	return x
 }
 
 func (p *parser) parseNot() ast.Expr {
 	if p.at(token.NOT) {
+		p.nest()
 		pos := p.next().Pos
-		return &ast.UnaryExpr{Op: ast.Not, X: p.parseNot(), OpPos: pos}
+		x := p.parseNot()
+		p.depth--
+		return &ast.UnaryExpr{Op: ast.Not, X: x, OpPos: pos}
 	}
 	return p.parseRelational()
 }
@@ -831,15 +886,19 @@ func (p *parser) parseAdditive() ast.Expr {
 		p.accept(token.PLUS)
 		x = p.parseMultiplicative()
 	}
+	depth := p.depth
 	for {
 		switch p.kind() {
 		case token.PLUS:
+			p.nest()
 			p.next()
 			x = &ast.BinaryExpr{Op: ast.Add, X: x, Y: p.parseMultiplicative()}
 		case token.MINUS:
+			p.nest()
 			p.next()
 			x = &ast.BinaryExpr{Op: ast.Sub, X: x, Y: p.parseMultiplicative()}
 		default:
+			p.depth = depth
 			return x
 		}
 	}
@@ -847,15 +906,19 @@ func (p *parser) parseAdditive() ast.Expr {
 
 func (p *parser) parseMultiplicative() ast.Expr {
 	x := p.parsePower()
+	depth := p.depth
 	for {
 		switch p.kind() {
 		case token.STAR:
+			p.nest()
 			p.next()
 			x = &ast.BinaryExpr{Op: ast.Mul, X: x, Y: p.parsePower()}
 		case token.SLASH:
+			p.nest()
 			p.next()
 			x = &ast.BinaryExpr{Op: ast.Div, X: x, Y: p.parsePower()}
 		default:
+			p.depth = depth
 			return x
 		}
 	}
@@ -864,6 +927,7 @@ func (p *parser) parseMultiplicative() ast.Expr {
 func (p *parser) parsePower() ast.Expr {
 	x := p.parsePrimary()
 	if p.at(token.POW) {
+		p.nest()
 		p.next()
 		// Right-associative: a**b**c = a**(b**c). A negative exponent
 		// is allowed: a**-2.
@@ -874,6 +938,7 @@ func (p *parser) parsePower() ast.Expr {
 		} else {
 			y = p.parsePower()
 		}
+		p.depth--
 		return &ast.BinaryExpr{Op: ast.Pow, X: x, Y: y}
 	}
 	return x
@@ -906,16 +971,20 @@ func (p *parser) parsePrimary() ast.Expr {
 		p.next()
 		return &ast.LogicalLit{Value: false, LitPos: pos}
 	case token.LPAREN:
+		p.nest()
 		p.next()
 		e := p.parseExpr()
 		p.expect(token.RPAREN)
+		p.depth--
 		return e
 	case token.IDENT:
 		t := p.next()
 		ref := &ast.VarRef{Name: t.Text, NamePos: pos}
-		if p.accept(token.LPAREN) {
+		if p.at(token.LPAREN) {
 			// Array reference or function call; semantic analysis
 			// disambiguates.
+			p.nest()
+			p.next()
 			if !p.accept(token.RPAREN) {
 				for {
 					ref.Indexes = append(ref.Indexes, p.parseExpr())
@@ -925,6 +994,7 @@ func (p *parser) parsePrimary() ast.Expr {
 				}
 				p.expect(token.RPAREN)
 			}
+			p.depth--
 		}
 		return ref
 	}

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -371,5 +373,88 @@ END
 		if printed != p2 {
 			t.Fatalf("print not stable:\n--- first ---\n%s\n--- second ---\n%s", printed, p2)
 		}
+	}
+}
+
+// nestForms builds, for each construct the nesting bound counts, a
+// statement list nested n levels deep.
+var nestForms = map[string]func(n int) string{
+	"parentheses": func(n int) string { return "X = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) },
+	"subscripts":  func(n int) string { return "X = " + strings.Repeat("A(", n) + "1" + strings.Repeat(")", n) },
+	"power":       func(n int) string { return "X = 1" + strings.Repeat("**1", n) },
+	"signed power": func(n int) string {
+		return "X = 1" + strings.Repeat("**-1", n)
+	},
+	"not":      func(n int) string { return "L = " + strings.Repeat(".NOT. ", n) + "L" },
+	"or chain": func(n int) string { return "L = L" + strings.Repeat(" .OR. L", n) },
+	"sum":      func(n int) string { return "X = 1" + strings.Repeat("+1", n) },
+	"product":  func(n int) string { return "X = 1" + strings.Repeat("*1", n) },
+	"if": func(n int) string {
+		return strings.Repeat("IF (X .EQ. 1) THEN\n", n) + "X = 2\n" + strings.Repeat("ENDIF\n", n)
+	},
+	"else if": func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("IF (X .EQ. 0) THEN\n")
+		for k := 1; k < n; k++ {
+			fmt.Fprintf(&sb, "ELSE IF (X .EQ. %d) THEN\nX = %d\n", k, k)
+		}
+		sb.WriteString("ENDIF\n")
+		return sb.String()
+	},
+	"do": func(n int) string {
+		return strings.Repeat("DO I = 1, 2\n", n) + "X = I\n" + strings.Repeat("ENDDO\n", n)
+	},
+	"labeled do": func(n int) string {
+		var sb strings.Builder
+		for k := n; k >= 1; k-- {
+			fmt.Fprintf(&sb, "DO %d I = 1, 2\n", k)
+		}
+		for k := 1; k <= n; k++ {
+			fmt.Fprintf(&sb, "%d CONTINUE\n", k)
+		}
+		return sb.String()
+	},
+	"do while": func(n int) string {
+		return strings.Repeat("DO WHILE (X .LT. 2)\n", n) + "X = 2\n" + strings.Repeat("ENDDO\n", n)
+	},
+}
+
+func nestProgram(body string) string {
+	return "PROGRAM P\n  INTEGER X, I, A(2)\n  LOGICAL L\n" + body + "\nEND\n"
+}
+
+// TestNestingBound: every construct parses at exactly MaxNesting levels
+// and prints back into a source that parses again, and one level more
+// is a single positioned syntax error that ends the parse.
+func TestNestingBound(t *testing.T) {
+	for name, form := range nestForms {
+		t.Run(name, func(t *testing.T) {
+			f := mustParse(t, nestProgram(form(MaxNesting)))
+			if _, err := Parse(ast.Format(f)); err != nil {
+				t.Fatalf("printed source at the bound does not reparse: %v", err)
+			}
+			_, err := Parse(nestProgram(form(MaxNesting + 1)))
+			var list ErrorList
+			if !errors.As(err, &list) || len(list) != 1 {
+				t.Fatalf("one level past the bound: err = %v, want one syntax error", err)
+			}
+			if want := fmt.Sprintf("nesting deeper than %d levels", MaxNesting); list[0].Msg != want || list[0].Pos.Line < 4 {
+				t.Fatalf("error %v, want %q positioned in the body", list[0], want)
+			}
+		})
+	}
+}
+
+// TestNestingBoundStopsHugeSources: a million nested parentheses (a
+// 2 MB source) is a syntax error, not a stack overflow.
+func TestNestingBoundStopsHugeSources(t *testing.T) {
+	const n = 1000000
+	_, err := Parse(nestProgram(nestForms["parentheses"](n)))
+	var list ErrorList
+	if !errors.As(err, &list) || len(list) != 1 || !strings.Contains(list[0].Msg, "nesting deeper") {
+		t.Fatalf("err = %v, want one nesting error", err)
+	}
+	if list[0].Pos.Line != 4 || list[0].Pos.Col != 5+MaxNesting {
+		t.Fatalf("error at %s, want 4:%d, the first parenthesis past the bound", list[0].Pos, 5+MaxNesting)
 	}
 }

@@ -480,6 +480,22 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerRejectsDeepNesting: a source nested past the parser's bound
+// is a 400 naming the nesting, and the server goes on answering.
+func TestServerRejectsDeepNesting(t *testing.T) {
+	_, c := startServer(t, server.Config{Workers: 1})
+	n := parser.MaxNesting + 1
+	deep := "PROGRAM P\n  INTEGER X\n  X = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "\nEND\n"
+	_, err := c.Analyze(context.Background(), server.AnalyzeRequest{Source: deep})
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.Code != 400 || !strings.Contains(se.Message, "nesting deeper than") {
+		t.Fatalf("over-deep source: got %v, want HTTP 400 naming the nesting", err)
+	}
+	if _, err := c.Analyze(context.Background(), server.AnalyzeRequest{Source: suite.Random(1, 4).Source}); err != nil {
+		t.Fatalf("request after the rejected one: %v", err)
+	}
+}
+
 // TestClientReadyAndHealth exercises the liveness plumbing end to end.
 func TestClientReadyAndHealth(t *testing.T) {
 	s, c := startServer(t, server.Config{Workers: 1})
