@@ -21,7 +21,8 @@
 #      root ./... pattern skips nested modules, so without this a core
 #      change that breaks the benchmark's use of the library would pass
 #   6. a CLI smoke run of the pass-manager instrumentation
-#      (-trace-passes on a complete-propagation analysis)
+#      (-trace-passes on a complete-propagation analysis), then one of
+#      goal-directed cloning: trfd must get a clone and a clone row
 #   7. an incremental smoke run: analyze ocean twice through a disk
 #      cache; the second run must reuse every summary (100% hit rate),
 #      then a shared-cache flavor sweep (ipcp -all): the second flavor
@@ -94,6 +95,13 @@ echo "==> pass-trace smoke (ipcp -suite ocean -complete -trace-passes)"
 trace=$(go run ./cmd/ipcp -suite ocean -complete -trace-passes)
 echo "$trace" | grep -q '^propagate' \
     || { echo "pass trace missing propagate row" >&2; exit 1; }
+
+echo "==> clone smoke (ipcp -suite trfd -clone -trace-passes)"
+cloned=$(go run ./cmd/ipcp -suite trfd -clone -trace-passes)
+echo "$cloned" | grep -q '^clone ' \
+    || { echo "clone trace missing clone row:" >&2; echo "$cloned" >&2; exit 1; }
+echo "$cloned" | grep -q '([1-9][0-9]* clones in' \
+    || { echo "cloning made no clone on trfd:" >&2; echo "$cloned" >&2; exit 1; }
 
 echo "==> incremental smoke (ipcp -suite ocean -cache-dir, run twice)"
 cachedir=$(mktemp -d)
