@@ -12,9 +12,9 @@ import (
 
 // Context is the shared state a pipeline runs over: the current
 // program, lazily built callgraph and mod/ref summaries, and the
-// accumulated pass trace. One Context serves one
-// pipeline run; the lazy caches are additionally safe for concurrent
-// readers (TransformedSource shares a Context across goroutines).
+// accumulated pass trace. One Context serves one pipeline run; the lazy
+// caches are additionally safe for concurrent readers
+// (TransformedSource shares a Context across goroutines).
 type Context struct {
 	// Debug makes the runner verify the IR after every non-composite
 	// pass and fail fast naming the pass that corrupted it.
