@@ -8,7 +8,7 @@
 // propagation (dead-code elimination until a round removes nothing)
 // and goal-directed cloning (clone until no clone pays). Each is a
 // Fixpoint over Pipeline(Refresh(propagate), transform), and the runner
-// supplies uniformly what a bespoke driver loop would reimplement:
+// supplies uniformly what a hand-written loop would reimplement:
 //
 //   - instrumentation: every pass execution is timed and its IR delta
 //     (procedures, blocks, instructions before/after) recorded into a
