@@ -2,9 +2,14 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ipcp"
 	"ipcp/internal/server"
@@ -79,5 +84,62 @@ func TestServerBatchValidation(t *testing.T) {
 	over := server.BatchRequest{Items: make([]server.BatchItem, server.MaxBatchItems+1)}
 	if _, err := c.Batch(ctx, over); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("oversized batch: err = %v, want HTTP 400", err)
+	}
+}
+
+// TestStreamBatchBound pins StreamBatch's scheduling contract: every
+// item answers exactly once, lines arrive in completion order (the
+// slow first item does not hold back the rest), and no more than limit
+// items run at once, with the bound actually reached.
+func TestStreamBatchBound(t *testing.T) {
+	const n, limit = 8, 2
+	var (
+		mu             sync.Mutex
+		inFlight, peak int
+	)
+	rec := httptest.NewRecorder()
+	err := server.StreamBatch(rec, n, limit, func(i int) any {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		d := 5 * time.Millisecond
+		if i == 0 {
+			d = 200 * time.Millisecond
+		}
+		time.Sleep(d)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		return server.BatchItemResult{Index: i, Status: http.StatusOK}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	var order []int
+	seen := make(map[int]bool)
+	dec := json.NewDecoder(rec.Body)
+	for dec.More() {
+		var res server.BatchItemResult
+		if err := dec.Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if seen[res.Index] {
+			t.Fatalf("item %d answered twice", res.Index)
+		}
+		seen[res.Index] = true
+		order = append(order, res.Index)
+	}
+	if len(order) != n {
+		t.Fatalf("got %d lines for %d items: %v", len(order), n, order)
+	}
+	if order[0] == 0 {
+		t.Errorf("the slowest item came first: %v", order)
+	}
+	if peak != limit {
+		t.Errorf("peak of %d items in flight, want exactly %d", peak, limit)
 	}
 }
