@@ -29,8 +29,8 @@ func benchSema(b *testing.B, name string, scale int) *sema.Program {
 func prepared(b *testing.B, sp *sema.Program, cfg Config) *propagation {
 	b.Helper()
 	s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
-	s1.buildSSA(poolSize(cfg.Workers))
-	s1.stage1ReturnJFs(poolSize(cfg.Workers))
+	s1.buildSSA(cfg.Workers)
+	s1.stage1ReturnJFs(cfg.Workers)
 	pipe := newPropagation(s1, cfg)
 	pipe.stage2ForwardJFs()
 	return pipe
@@ -66,9 +66,9 @@ func BenchmarkStage1ReturnJFs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
-		s1.buildSSA(poolSize(cfg.Workers))
+		s1.buildSSA(cfg.Workers)
 		b.StartTimer()
-		s1.stage1ReturnJFs(poolSize(cfg.Workers))
+		s1.stage1ReturnJFs(cfg.Workers)
 	}
 }
 
@@ -159,9 +159,9 @@ func BenchmarkStage1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
-				s1.buildSSA(poolSize(workers))
+				s1.buildSSA(workers)
 				b.StartTimer()
-				s1.stage1ReturnJFs(poolSize(workers))
+				s1.stage1ReturnJFs(workers)
 			}
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/par"
 	"ipcp/internal/pass"
 	"ipcp/internal/sym"
 )
@@ -313,17 +314,16 @@ func AnalyzeMatrixErr(sp *sema.Program, cfgs []Config, workers int) ([]*Result, 
 	base := irbuild.Build(sp)
 	out := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	pool := poolSize(workers)
 	// BuildSSA mutates the IR in place, so every group but the last
 	// gets its own copy of the lowering, made before any group starts,
 	// and the last takes the original.
 	progs := make([]*ir.Program, len(groups))
 	progs[len(groups)-1] = base
-	parallelFor(pool, len(groups)-1, func(g int) {
+	par.For(workers, len(groups)-1, func(g int) {
 		progs[g] = ir.CloneProgram(base, nil, nil)
 	})
-	parallelFor(pool, len(groups), func(g int) {
-		analyzeGroup(progs[g], cfgs, groups[g], pool, out, errs)
+	par.For(workers, len(groups), func(g int) {
+		analyzeGroup(progs[g], cfgs, groups[g], workers, out, errs)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -368,7 +368,7 @@ func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, ou
 	// A non-Complete plan traces exactly one row: propagate.
 	shared := out[members[0]].Stats.Passes[0]
 	rest := members[1:]
-	parallelFor(workers, len(rest), func(k int) {
+	par.For(workers, len(rest), func(k int) {
 		i := rest[k]
 		prop := NewPropagate(cfgs[i])
 		prop.s1 = lead.s1
@@ -452,8 +452,7 @@ func newStage1(irp *ir.Program, cfg Config, cg *callgraph.Graph, mods *modref.Su
 // over a stage-1 product it only reads.
 type propagation struct {
 	*stage1
-	cfg     Config
-	workers int // resolved pool size for the per-procedure stages
+	cfg Config
 
 	sites map[*ir.Instr]*jump.Site
 
@@ -485,10 +484,9 @@ type propagation struct {
 // with cfg's key.
 func newPropagation(s1 *stage1, cfg Config) *propagation {
 	return &propagation{
-		stage1:  s1,
-		cfg:     cfg,
-		workers: poolSize(cfg.Workers),
-		sites:   make(map[*ir.Instr]*jump.Site),
+		stage1: s1,
+		cfg:    cfg,
+		sites:  make(map[*ir.Instr]*jump.Site),
 	}
 }
 
@@ -503,7 +501,7 @@ func newPropagation(s1 *stage1, cfg Config) *propagation {
 // procedure's entry values, so there everyone is converted.
 func (s *stage1) buildSSA(workers int) {
 	procs := s.prog.Procs
-	parallelFor(workers, len(procs), func(i int) {
+	par.For(workers, len(procs), func(i int) {
 		if !s.ssaAll {
 			if seed := s.reuse[procs[i]]; seed != nil && seed.Uses != nil {
 				procs[i].ElidedPhis = seed.Uses.Phis
@@ -554,7 +552,7 @@ func (s *stage1) stage1ReturnJFs(workers int) {
 	for _, wave := range waves {
 		vns := make([]*valnum.Result, len(wave))
 		rets := make([]*jump.Returns, len(wave))
-		parallelFor(workers, len(wave), func(i int) {
+		par.For(workers, len(wave), func(i int) {
 			n := wave[i]
 			if s.reuse[n.Proc] != nil {
 				return // summary injected; nothing to derive

@@ -1,18 +1,11 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+import "ipcp/internal/analysis/callgraph"
 
-	"ipcp/internal/analysis/callgraph"
-)
-
-// This file implements the concurrency substrate of the analyzer: a
-// bounded worker pool and the call-graph wave schedule that lets the
+// This file holds the call-graph wave schedule that lets the
 // per-procedure stages (SSA construction, stage-1 value numbering +
-// return jump functions) fan out across cores while producing results
-// byte-identical to a sequential run.
+// return jump functions) fan out across cores through par.For while
+// producing results byte-identical to a sequential run.
 //
 // The determinism argument, stage by stage:
 //
@@ -49,53 +42,6 @@ import (
 // functions; only then do the other members start, and their stages
 // 2–4 read that product without writing it, so members share nothing
 // mutable.
-
-// poolSize resolves a Workers setting: n > 0 is taken literally, and
-// anything else means one worker per available CPU.
-func poolSize(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFor runs fn(i) for every i in [0, n) on up to workers
-// goroutines. With workers <= 1 it degenerates to a plain loop — the
-// sequential reference path the differential tests compare against.
-// Work items are handed out through an atomic counter, so scheduling is
-// nondeterministic but the set of calls (and, per the notes above, the
-// results) is not.
-func parallelFor(workers, n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//lint:ignore cancelpoll the shared counter strictly advances to n, so the loop runs at most n iterations; fn itself polls deadlines
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // sccWaves partitions the call graph's bottom-up order into waves that
 // respect the condensation DAG: wave k contains exactly the procedures

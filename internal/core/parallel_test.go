@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"ipcp/internal/analysis/callgraph"
@@ -116,39 +115,6 @@ END
 	}
 	if waveOf["P"] <= waveOf["A"] {
 		t.Errorf("main (wave %d) not after the procedures it calls (wave %d)", waveOf["P"], waveOf["A"])
-	}
-}
-
-// TestParallelFor covers the pool across worker counts: every index is
-// visited exactly once, including the inline workers<=1 path and pools
-// wider than the work list.
-func TestParallelFor(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		for _, n := range []int{0, 1, 7, 100} {
-			visits := make([]atomic.Int32, n)
-			parallelFor(workers, n, func(i int) { visits[i].Add(1) })
-			for i := range visits {
-				if got := visits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
-				}
-			}
-		}
-	}
-}
-
-// TestPoolSize pins the Workers resolution rule the Config documents.
-func TestPoolSize(t *testing.T) {
-	if got := poolSize(3); got != 3 {
-		t.Errorf("poolSize(3) = %d", got)
-	}
-	if got := poolSize(1); got != 1 {
-		t.Errorf("poolSize(1) = %d", got)
-	}
-	if got := poolSize(0); got < 1 {
-		t.Errorf("poolSize(0) = %d, want >= 1", got)
-	}
-	if got := poolSize(-4); got < 1 {
-		t.Errorf("poolSize(-4) = %d, want >= 1", got)
 	}
 }
 

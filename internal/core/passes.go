@@ -59,10 +59,9 @@ func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 		if capture {
 			reuse = resolveSeeds(prog, ctx.CallGraph(), p.seeds)
 		}
-		workers := poolSize(p.cfg.Workers)
 		p.s1 = newStage1(prog, p.cfg, ctx.CallGraph(), ctx.ModRef(), reuse)
-		p.s1.buildSSA(workers)
-		p.s1.stage1ReturnJFs(workers)
+		p.s1.buildSSA(p.cfg.Workers)
+		p.s1.stage1ReturnJFs(p.cfg.Workers)
 	}
 	if err := ctx.Canceled(); err != nil {
 		// SSA construction already rewrote the program in place.

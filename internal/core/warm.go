@@ -7,6 +7,7 @@ import (
 	"ipcp/internal/analysis/callgraph"
 	"ipcp/internal/core/lattice"
 	"ipcp/internal/ir"
+	"ipcp/internal/par"
 )
 
 // This file implements demand-driven re-solving of stage 3: instead of
@@ -138,7 +139,7 @@ func (p *propagation) siteFingerprints() map[string]string {
 	}
 	nodes := p.cg.TopDown()
 	hashes := make([]string, len(nodes))
-	parallelFor(p.workers, len(nodes), func(i int) {
+	par.For(p.cfg.Workers, len(nodes), func(i int) {
 		hashes[i] = p.sitesFingerprint(nodes[i])
 	})
 	p.siteHash = make(map[string]string, len(nodes))

@@ -68,6 +68,7 @@ import (
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/par"
 	"ipcp/internal/summary"
 	"ipcp/internal/sym"
 )
@@ -191,7 +192,7 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	// the shared program views, and the per-procedure results land in
 	// distinct slots, so the outcome is independent of scheduling.
 	fetched := make([]fetchResult, len(irp.Procs))
-	parallelFor(len(irp.Procs), func(i int) {
+	par.For(0, len(irp.Procs), func(i int) {
 		proc := irp.Procs[i]
 		if invalid[proc.Name] {
 			return

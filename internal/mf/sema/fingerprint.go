@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ipcp/internal/mf/ast"
+	"ipcp/internal/par"
 )
 
 // This file gives every program unit a stable fingerprint, the
@@ -35,30 +34,9 @@ func UnitHash(u *UnitInfo) string {
 // scheduling.
 func (p *Program) Fingerprints() map[string]string {
 	hashes := make([]string, len(p.Units))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(p.Units) {
-		workers = len(p.Units)
-	}
-	var next sync.WaitGroup
-	step := (len(p.Units) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * step
-		hi := lo + step
-		if hi > len(p.Units) {
-			hi = len(p.Units)
-		}
-		if lo >= hi {
-			break
-		}
-		next.Add(1)
-		go func(lo, hi int) {
-			defer next.Done()
-			for i := lo; i < hi; i++ {
-				hashes[i] = UnitHash(p.Units[i])
-			}
-		}(lo, hi)
-	}
-	next.Wait()
+	par.For(0, len(p.Units), func(i int) {
+		hashes[i] = UnitHash(p.Units[i])
+	})
 	fps := make(map[string]string, len(p.Units))
 	for i, u := range p.Units {
 		fps[u.Name] = hashes[i]

@@ -6,9 +6,9 @@ package report
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"ipcp"
+	"ipcp/internal/par"
 	"ipcp/internal/suite"
 )
 
@@ -91,20 +91,15 @@ func Suite() []*Loaded {
 	})
 }
 
-// rows fills one table row per program concurrently — the analyses are
-// independent and CPU-bound, so table generation parallelizes cleanly.
-// Output order stays deterministic (rows land at their program's index).
+// rows fills one table row per program concurrently, one worker per
+// program — the analyses are independent and CPU-bound, so table
+// generation parallelizes cleanly. Output order stays deterministic
+// (rows land at their program's index).
 func rows(progs []*Loaded, build func(*Loaded) []string) [][]string {
 	out := make([][]string, len(progs))
-	var wg sync.WaitGroup
-	for i, l := range progs {
-		wg.Add(1)
-		go func(i int, l *Loaded) {
-			defer wg.Done()
-			out[i] = build(l)
-		}(i, l)
-	}
-	wg.Wait()
+	par.For(len(progs), len(progs), func(i int) {
+		out[i] = build(progs[i])
+	})
 	return out
 }
 

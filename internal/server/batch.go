@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"ipcp/internal/par"
 )
 
 // This file implements POST /v1/batch on a single server: N sources
@@ -53,30 +55,21 @@ func StreamBatch(w http.ResponseWriter, n, limit int, line func(i int) any) erro
 	var (
 		mu   sync.Mutex
 		werr error
-		wg   sync.WaitGroup
 	)
-	sem := make(chan struct{}, limit)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v := line(i)
-			mu.Lock()
-			defer mu.Unlock()
-			if err := enc.Encode(v); err != nil {
-				if werr == nil {
-					werr = fmt.Errorf("batch: write item %d: %w", i, err)
-				}
-				return
+	par.For(limit, n, func(i int) {
+		v := line(i)
+		mu.Lock()
+		defer mu.Unlock()
+		if err := enc.Encode(v); err != nil {
+			if werr == nil {
+				werr = fmt.Errorf("batch: write item %d: %w", i, err)
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}()
-	}
-	wg.Wait()
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+	})
 	return werr
 }
 

@@ -1,10 +1,6 @@
 package suite
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "ipcp/internal/par"
 
 // Run generates every benchmark program at the given scale and maps fn
 // over them on a bounded worker pool, returning the results in the
@@ -21,33 +17,8 @@ import (
 func Run[T any](scale, workers int, fn func(*Program) T) []T {
 	names := Names()
 	out := make([]T, len(names))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers <= 1 {
-		for i, name := range names {
-			out[i] = fn(Generate(name, scale))
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				out[i] = fn(Generate(names[i], scale))
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(workers, len(names), func(i int) {
+		out[i] = fn(Generate(names[i], scale))
+	})
 	return out
 }
