@@ -17,6 +17,7 @@ import (
 
 	"ipcp/internal/mf/ast"
 	"ipcp/internal/mf/token"
+	"ipcp/internal/sym"
 )
 
 // Error is a semantic error with its source position.
@@ -594,9 +595,8 @@ func (c *checker) evalConstReal(info *UnitInfo, e ast.Expr) (float64, bool) {
 
 // FoldIntBinary evaluates an integer binary operation at compile time.
 // It reports failure for division by zero and for negative exponents,
-// matching the analyzer's folding rules exactly (the same function is
-// used by SCCP, value numbering, and the jump-function evaluator, so
-// every stage agrees on arithmetic).
+// matching sym.FoldInt, the folding SCCP, value numbering and the
+// jump-function evaluator share; both fold powers with sym.Pow.
 func FoldIntBinary(op ast.BinaryOp, x, y int64) (int64, bool) {
 	switch op {
 	case ast.Add:
@@ -611,14 +611,7 @@ func FoldIntBinary(op ast.BinaryOp, x, y int64) (int64, bool) {
 		}
 		return x / y, true
 	case ast.Pow:
-		if y < 0 {
-			return 0, false
-		}
-		r := int64(1)
-		for i := int64(0); i < y; i++ {
-			r *= x
-		}
-		return r, true
+		return sym.Pow(x, y)
 	}
 	return 0, false
 }

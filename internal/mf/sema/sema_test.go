@@ -368,6 +368,20 @@ func TestFoldIntBinary(t *testing.T) {
 	}
 }
 
+// TestFoldIntBinaryPow checks the front end's power fold against
+// multiplying 1 by the base exponent times, wrapped overflow included.
+func TestFoldIntBinaryPow(t *testing.T) {
+	for _, x := range []int64{-3, -2, -1, 0, 1, 2, 3, 7, 1<<31 + 1} {
+		want := int64(1)
+		for y := int64(0); y <= 70; y++ {
+			if got, ok := FoldIntBinary(ast.Pow, x, y); !ok || got != want {
+				t.Fatalf("FoldIntBinary(**, %d, %d) = %d,%v want %d,true", x, y, got, ok, want)
+			}
+			want *= x
+		}
+	}
+}
+
 func TestWholeArrayAssignmentRejected(t *testing.T) {
 	analyzeExpectError(t, `
 PROGRAM P

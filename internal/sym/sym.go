@@ -135,14 +135,7 @@ func FoldInt(op ir.Op, args []int64) (int64, bool) {
 		}
 		return args[0] % args[1], true
 	case ir.OpPow:
-		if args[1] < 0 {
-			return 0, false
-		}
-		r := int64(1)
-		for i := int64(0); i < args[1]; i++ {
-			r *= args[0]
-		}
-		return r, true
+		return Pow(args[0], args[1])
 	case ir.OpMin:
 		m := args[0]
 		for _, a := range args[1:] {
@@ -161,6 +154,25 @@ func FoldInt(op ir.Op, args []int64) (int64, bool) {
 		return m, true
 	}
 	return 0, false
+}
+
+// Pow folds x**y with the analyzer's wrapping int64 arithmetic, failing
+// on a negative exponent. It squares and multiplies, so an exponent
+// near 2^63 costs 63 steps; int64 multiplication is associative modulo
+// 2^64, so every result is bit-identical to multiplying 1 by x y times.
+// The front end folds PARAMETER constants with it too.
+func Pow(x, y int64) (int64, bool) {
+	if y < 0 {
+		return 0, false
+	}
+	r := int64(1)
+	for ; y > 0; y >>= 1 {
+		if y&1 != 0 {
+			r *= x
+		}
+		x *= x
+	}
+	return r, true
 }
 
 // MakeOp builds op(args...), constant-folding when every argument is a

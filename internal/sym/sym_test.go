@@ -31,6 +31,21 @@ func TestConstFolding(t *testing.T) {
 	}
 }
 
+// TestPowMatchesRepeatedMultiplication checks the square-and-multiply
+// fold against multiplying 1 by the base exponent times, the fold it
+// replaced, wrapped overflow included.
+func TestPowMatchesRepeatedMultiplication(t *testing.T) {
+	for _, x := range []int64{-3, -2, -1, 0, 1, 2, 3, 7, 1<<31 + 1} {
+		want := int64(1)
+		for y := int64(0); y <= 70; y++ {
+			if got, ok := FoldInt(ir.OpPow, []int64{x, y}); !ok || got != want {
+				t.Fatalf("FoldInt(pow, %d, %d) = %d,%v want %d,true", x, y, got, ok, want)
+			}
+			want *= x
+		}
+	}
+}
+
 // TestKeySpellings pins the canonical key of every expression kind.
 // Keys are persisted — warm-start jump-function fingerprints hash them —
 // so a changed spelling would invalidate every stored snapshot.

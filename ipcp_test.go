@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ipcp"
 )
@@ -53,6 +54,37 @@ func TestLoadAndAnalyze(t *testing.T) {
 	}
 	if _, ok := rep.ConstantValue("NOSUCH", "A"); ok {
 		t.Error("ConstantValue on unknown procedure should fail")
+	}
+}
+
+// TestHugeExponentFolds pins the cost of folding a**b: 1**(2^63-1) in
+// a PARAMETER (folded by the front end) and in an assignment (folded
+// by value numbering and SCCP) loads and analyzes within 100 ms. A fold
+// that multiplied b times would run for centuries on either.
+func TestHugeExponentFolds(t *testing.T) {
+	const src = `
+PROGRAM MAIN
+  INTEGER X
+  PARAMETER (N = 1**9223372036854775807)
+  X = 1**9223372036854775807
+  CALL WORK(N, X)
+END
+SUBROUTINE WORK(A, B)
+  INTEGER A, B
+  WRITE(*,*) A, B
+END
+`
+	start := time.Now()
+	prog, err := ipcp.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := prog.Analyze(ipcp.Config{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true})
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("load and analyze took %v, want under 100ms", d)
+	}
+	if c := rep.Procedure("WORK").Constants; len(c) != 2 || c[0].Value != 1 || c[1].Value != 1 {
+		t.Errorf("WORK constants = %+v, want A = 1 and B = 1", c)
 	}
 }
 
