@@ -40,11 +40,17 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1, atBOL: true}
 }
 
-// Errors returns the lexical errors encountered so far.
+// Errors returns the lexical errors encountered so far: at most
+// token.MaxErrors, then one token.TooManyErrors entry.
 func (lx *Lexer) Errors() []*Error { return lx.errs }
 
 func (lx *Lexer) errorf(pos token.Pos, format string, args ...any) {
-	lx.errs = append(lx.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	switch {
+	case len(lx.errs) < token.MaxErrors:
+		lx.errs = append(lx.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	case len(lx.errs) == token.MaxErrors:
+		lx.errs = append(lx.errs, &Error{Pos: pos, Msg: token.TooManyErrors})
+	}
 }
 
 func (lx *Lexer) pos() token.Pos { return token.Pos{Line: lx.line, Col: lx.col} }

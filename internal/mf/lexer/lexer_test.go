@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 
 	"ipcp/internal/mf/token"
@@ -163,6 +164,18 @@ func TestErrors(t *testing.T) {
 	lx.All()
 	if len(lx.Errors()) < 2 {
 		t.Fatalf("expected at least 2 errors, got %v", lx.Errors())
+	}
+}
+
+// TestErrorBound: the lexer records token.MaxErrors errors and one
+// token.TooManyErrors entry, however many bad characters follow.
+func TestErrorBound(t *testing.T) {
+	lx := New(strings.Repeat("#\n", 20000))
+	lx.All()
+	errs := lx.Errors()
+	if len(errs) != token.MaxErrors+1 || errs[token.MaxErrors].Msg != token.TooManyErrors {
+		t.Fatalf("got %d errors ending in %v, want %d ending in %q",
+			len(errs), errs[len(errs)-1], token.MaxErrors+1, token.TooManyErrors)
 	}
 }
 

@@ -39,12 +39,13 @@ func (l ErrorList) Error() string {
 }
 
 // Parse parses a MiniFortran source file. On failure it returns the
-// partial AST together with an ErrorList.
+// partial AST together with an ErrorList of at most token.MaxErrors
+// errors, lexical ones first, then one token.TooManyErrors entry.
 func Parse(src string) (*ast.File, error) {
 	lx := lexer.New(src)
 	p := &parser{toks: lx.All()}
 	for _, le := range lx.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
+		p.errorf(le.Pos, "%s", le.Msg)
 	}
 	file := p.parseFile()
 	if len(p.errs) > 0 {
@@ -58,7 +59,7 @@ type parser struct {
 	pos    int
 	errs   ErrorList
 	depth  int  // current nesting level; see nest
-	halted bool // past MaxNesting: the rest of the source is skipped
+	halted bool // past MaxNesting or MaxErrors: the rest of the source is skipped
 }
 
 // bailout is panicked on unrecoverable per-statement errors; recovery
@@ -115,11 +116,17 @@ func (p *parser) accept(k token.Kind) bool {
 	return false
 }
 
+// errorf records an error. The one past token.MaxErrors is recorded as
+// token.TooManyErrors and halts the parse.
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
-	if p.halted {
-		return
+	switch {
+	case p.halted:
+	case len(p.errs) < token.MaxErrors:
+		p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	default:
+		p.errs = append(p.errs, &Error{Pos: pos, Msg: token.TooManyErrors})
+		p.halt()
 	}
-	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 // fail records an error and aborts the current statement; past
@@ -127,10 +134,16 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 func (p *parser) fail(format string, args ...any) {
 	p.errorf(p.cur().Pos, format, args...)
 	if p.depth > MaxNesting {
-		p.halted = true
-		p.pos = len(p.toks) - 1 // EOF
+		p.halt()
 	}
 	panic(bailout{})
+}
+
+// halt ends the parse: it skips to EOF, and errorf drops every later
+// error, such as those the enclosing constructs then hit.
+func (p *parser) halt() {
+	p.halted = true
+	p.pos = len(p.toks) - 1 // EOF
 }
 
 func (p *parser) expect(k token.Kind) token.Token {

@@ -224,8 +224,15 @@ type checker struct {
 	unit *UnitInfo
 }
 
+// errorf records an error: at most token.MaxErrors of them, then one
+// token.TooManyErrors entry.
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
-	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	switch {
+	case len(c.errs) < token.MaxErrors:
+		c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	case len(c.errs) == token.MaxErrors:
+		c.errs = append(c.errs, &Error{Pos: pos, Msg: token.TooManyErrors})
+	}
 }
 
 // implicitType applies the FORTRAN implicit typing rule: names starting

@@ -149,6 +149,15 @@ func LookupDot(upper string) (Kind, bool) {
 	return k, ok
 }
 
+// MaxErrors is how many errors each front-end phase (lexer, parser,
+// sema) records. The next one is recorded as TooManyErrors and the
+// rest are dropped, as go/parser does, so an error message stays a few
+// kilobytes whatever the size of the source; the parser stops there.
+const MaxErrors = 10
+
+// TooManyErrors is the message of the entry that closes a full list.
+const TooManyErrors = "too many errors"
+
 // Pos is a source position: 1-based line and column.
 type Pos struct {
 	Line int

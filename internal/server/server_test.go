@@ -1,9 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -493,6 +496,25 @@ func TestServerRejectsDeepNesting(t *testing.T) {
 	}
 	if _, err := c.Analyze(context.Background(), server.AnalyzeRequest{Source: suite.Random(1, 4).Source}); err != nil {
 		t.Fatalf("request after the rejected one: %v", err)
+	}
+}
+
+// TestServerBoundsErrorBody: a source with 20000 bad lines gets a 400
+// whose body stays under 4 KB; the front end records at most ten
+// errors and a "too many errors" entry.
+func TestServerBoundsErrorBody(t *testing.T) {
+	s, _ := startServer(t, server.Config{Workers: 1})
+	body, err := json.Marshal(server.AnalyzeRequest{
+		Source: "PROGRAM P\n" + strings.Repeat("  X = = 1\n", 20000) + "END\n",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || rec.Body.Len() >= 4096 || !strings.Contains(rec.Body.String(), "too many errors") {
+		t.Fatalf("got %d with a %d-byte body, want 400 under 4 KB ending in too many errors:\n%.300s",
+			rec.Code, rec.Body.Len(), rec.Body.String())
 	}
 }
 

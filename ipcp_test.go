@@ -1,6 +1,7 @@
 package ipcp_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,9 @@ import (
 	"time"
 
 	"ipcp"
+	"ipcp/internal/mf/parser"
+	"ipcp/internal/mf/sema"
+	"ipcp/internal/mf/token"
 )
 
 const apiTestSrc = `
@@ -54,6 +58,43 @@ func TestLoadAndAnalyze(t *testing.T) {
 	}
 	if _, ok := rep.ConstantValue("NOSUCH", "A"); ok {
 		t.Error("ConstantValue on unknown procedure should fail")
+	}
+}
+
+// TestFrontEndErrorBound pins the bound on each front-end phase's
+// error list: 20000 bad lines give token.MaxErrors errors and one "too
+// many errors" entry, so the message stays under 4 KB whatever the
+// size of the source.
+func TestFrontEndErrorBound(t *testing.T) {
+	for _, tc := range []struct{ line, first string }{
+		{"X = 1 #", "illegal character"},
+		{"X = = 1", "expected expression"},
+		{"CALL NOPE", "undefined subroutine"},
+	} {
+		src := "PROGRAM P\n" + strings.Repeat("  "+tc.line+"\n", 20000) + "END\n"
+		_, err := ipcp.Load(src)
+		var msgs []string
+		var pl parser.ErrorList
+		var sl sema.ErrorList
+		switch {
+		case errors.As(err, &pl):
+			for _, e := range pl {
+				msgs = append(msgs, e.Msg)
+			}
+		case errors.As(err, &sl):
+			for _, e := range sl {
+				msgs = append(msgs, e.Msg)
+			}
+		default:
+			t.Fatalf("%q: err = %v, want an error list", tc.line, err)
+		}
+		if len(msgs) != token.MaxErrors+1 || !strings.Contains(msgs[0], tc.first) || msgs[token.MaxErrors] != token.TooManyErrors {
+			t.Errorf("%q: %d errors %q, want %d starting with %q and ending in %q",
+				tc.line, len(msgs), msgs, token.MaxErrors+1, tc.first, token.TooManyErrors)
+		}
+		if n := len(err.Error()); n >= 4096 {
+			t.Errorf("%q: a %d-byte error message for a %d-byte source", tc.line, n, len(src))
+		}
 	}
 }
 
