@@ -48,12 +48,6 @@ type edge struct {
 	predIdx int
 }
 
-// EdgeExecutable reports whether the CFG edge into `to` from its
-// predIdx-th predecessor was found executable.
-func (r *Result) EdgeExecutable(to *ir.Block, predIdx int) bool {
-	return r.edgeExec[edge{to, predIdx}]
-}
-
 // ValueOf returns the lattice element of an SSA value (⊥ for nil).
 func (r *Result) ValueOf(v *ir.Value) lattice.Value {
 	if v == nil {

@@ -153,17 +153,6 @@ type Proc struct {
 	ElidedPhis int
 }
 
-// NumScalarFormals returns the number of non-array formals.
-func (p *Proc) NumScalarFormals() int {
-	n := 0
-	for _, f := range p.Formals {
-		if !f.Type.IsArray() {
-			n++
-		}
-	}
-	return n
-}
-
 // VarKind classifies procedure-local variables.
 type VarKind int
 
@@ -517,9 +506,6 @@ type Instr struct {
 	// Entries are nil where the callee cannot modify the binding.
 	CallDefs []*Value
 }
-
-// NumArgs returns len(i.Args).
-func (i *Instr) NumArgs() int { return len(i.Args) }
 
 // ---------------------------------------------------------------------------
 // Construction helpers

@@ -168,9 +168,6 @@ type UnitInfo struct {
 	implicitNone bool
 }
 
-// IsFunction reports whether the unit is a FUNCTION.
-func (u *UnitInfo) IsFunction() bool { return u.Unit.Kind == ast.FunctionUnit }
-
 // Program is the fully analyzed file.
 type Program struct {
 	File  *ast.File

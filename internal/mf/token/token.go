@@ -53,7 +53,6 @@ const (
 	TRUE  // .TRUE.
 	FALSE // .FALSE.
 
-	keywordStart
 	PROGRAM
 	SUBROUTINE
 	FUNCTION
@@ -83,7 +82,6 @@ const (
 	WRITE
 	PRINT
 	END
-	keywordEnd
 )
 
 var kindNames = map[Kind]string{
@@ -110,9 +108,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// IsKeyword reports whether k is a reserved keyword.
-func (k Kind) IsKeyword() bool { return k > keywordStart && k < keywordEnd }
 
 var keywords = map[string]Kind{
 	"PROGRAM": PROGRAM, "SUBROUTINE": SUBROUTINE, "FUNCTION": FUNCTION,
@@ -166,9 +161,6 @@ type Pos struct {
 
 // String formats the position as "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a single lexical token with its source position and spelling.
 type Token struct {

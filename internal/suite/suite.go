@@ -133,12 +133,6 @@ func (w *writer) Subroutine(name string, params ...string) {
 	w.indent++
 }
 
-// Function opens an INTEGER FUNCTION unit.
-func (w *writer) Function(name string, params ...string) {
-	w.L("INTEGER FUNCTION %s(%s)", name, strings.Join(params, ", "))
-	w.indent++
-}
-
 // End closes the current unit.
 func (w *writer) End() {
 	w.indent--

@@ -399,15 +399,6 @@ func liftLeaf(v lattice.Value) (lattice.Value, bool) {
 	return v, true
 }
 
-// EvalConst evaluates a closed expression to an integer when possible
-// (no environment: every formal/global leaf makes it non-constant).
-func EvalConst(e Expr) (int64, bool) {
-	if c, ok := e.(*Const); ok {
-		return c.Val, true
-	}
-	return 0, false
-}
-
 // Substitute replaces each Formal and GlobalEntry leaf of e using the
 // given mappings (a nil result from a mapping leaves the leaf in place)
 // and rebuilds the expression with folding. It returns nil when a
