@@ -16,7 +16,9 @@
 #   5. the determinism suite and the matrix differential tests a
 #      second time (-count=2 disables test caching), so
 #      schedule-dependent flakiness — in the matrix runner's shared
-#      stage-1 products too — has two chances to show up per CI run
+#      stage-1 products too — has two chances to show up per CI run;
+#      likewise the server's and the fleet's batch tests, whose items
+#      fan out through par.For
 #   5b. go vet + go test in perfbench, the benchmark's own module: the
 #      root ./... pattern skips nested modules, so without this a core
 #      change that breaks the benchmark's use of the library would pass
@@ -84,6 +86,9 @@ go test -race $short ./...
 
 echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
 go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
+
+echo "==> go test -race -run Batch -count=2 ./internal/server ./internal/fleet"
+go test -race -run Batch -count=2 ./internal/server ./internal/fleet
 
 echo "==> perfbench: go vet ./... && go test ./..."
 (cd perfbench && go vet ./... && go test ./...)
