@@ -40,8 +40,8 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1, atBOL: true}
 }
 
-// Errors returns the lexical errors encountered so far: at most
-// token.MaxErrors, then one token.TooManyErrors entry.
+// Errors returns the lexical errors encountered so far; past
+// token.MaxErrors the list ends in one token.TooManyErrors entry.
 func (lx *Lexer) Errors() []*Error { return lx.errs }
 
 func (lx *Lexer) errorf(pos token.Pos, format string, args ...any) {

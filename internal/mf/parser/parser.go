@@ -39,8 +39,8 @@ func (l ErrorList) Error() string {
 }
 
 // Parse parses a MiniFortran source file. On failure it returns the
-// partial AST together with an ErrorList of at most token.MaxErrors
-// errors, lexical ones first, then one token.TooManyErrors entry.
+// partial AST together with an ErrorList, lexical errors first; past
+// token.MaxErrors the list ends in one token.TooManyErrors entry.
 func Parse(src string) (*ast.File, error) {
 	lx := lexer.New(src)
 	p := &parser{toks: lx.All()}

@@ -221,7 +221,7 @@ type checker struct {
 	unit *UnitInfo
 }
 
-// errorf records an error: at most token.MaxErrors of them, then one
+// errorf records an error; past token.MaxErrors the list ends in one
 // token.TooManyErrors entry.
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	switch {
