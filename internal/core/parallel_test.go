@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"ipcp/internal/analysis/callgraph"
 	"ipcp/internal/core/jump"
@@ -9,6 +13,7 @@ import (
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/par"
 	"ipcp/internal/suite"
 )
 
@@ -136,5 +141,69 @@ func TestAnalyzeMatrixSharesStage1(t *testing.T) {
 	}
 	if len(keyOf) != 5 {
 		t.Fatalf("%d distinct programs, want 5: one per stage-1 group and one for the complete configuration", len(keyOf))
+	}
+}
+
+// TestParallelFor covers stage 1's fan-out across worker counts,
+// including the inline workers=1 path and pools wider than a wave:
+// SSA construction reaches no procedure twice (BuildSSA panics on a
+// second call), and the wave-scheduled value numbering reaches every
+// procedure and gives each one outside a call-graph cycle its return
+// jump functions.
+func TestParallelFor(t *testing.T) {
+	src := suite.Generate("ocean", 2).Source
+	cfg := Config{Jump: jump.Polynomial, MOD: true, ReturnJFs: true}
+	for _, workers := range []int{-4, 0, 1, 2, 3, 8, 64} {
+		s := newStage1(irbuild.Build(mustSema(t, src)), cfg, nil, nil, nil)
+		s.buildSSA(workers)
+		s.stage1ReturnJFs(workers)
+		for _, proc := range s.prog.Procs {
+			if s.vns[proc] == nil {
+				t.Fatalf("workers=%d: %s was not value-numbered", workers, proc.Name)
+			}
+			if got, want := s.retJFs.Get(proc) != nil, !s.cg.InCycle(s.cg.Nodes[proc]); got != want {
+				t.Fatalf("workers=%d: %s has return jump functions %v, want %v", workers, proc.Name, got, want)
+			}
+		}
+	}
+}
+
+// TestPoolSize pins the Workers resolution rule the Config documents,
+// which par.For applies to the per-procedure stages: n > 0 is taken
+// literally, and anything else means one worker per available CPU.
+// Every item holds until the whole pool has been in flight for 20 ms,
+// so a pool smaller than the rule says times out and a larger one has
+// time to show as a peak above it.
+func TestPoolSize(t *testing.T) {
+	cpus := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, pool int }{{3, 3}, {1, 1}, {0, cpus}, {-4, cpus}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		full := make(chan struct{})
+		var (
+			mu             sync.Mutex
+			inFlight, peak int
+		)
+		par.For(c.workers, 4*c.pool, func(int) {
+			mu.Lock()
+			inFlight++
+			if inFlight > peak {
+				peak = inFlight
+				if peak == c.pool {
+					time.AfterFunc(20*time.Millisecond, func() { close(full) })
+				}
+			}
+			mu.Unlock()
+			select {
+			case <-full:
+			case <-ctx.Done():
+			}
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+		})
+		cancel()
+		if peak != c.pool {
+			t.Errorf("Workers=%d: %d calls in flight at most, want %d", c.workers, peak, c.pool)
+		}
 	}
 }
