@@ -23,7 +23,7 @@ const effortScale = 4
 // does, so a refactor of stage 3 shows its effect as a diff against
 // testdata/solver_effort.txt.
 func TestSolverEffortGolden(t *testing.T) {
-	want := readEffortGolden(t)
+	want := readGolden(t, "solver_effort.txt")
 	got := solverEffortLines(t)
 	if len(got) != len(want) {
 		t.Errorf("rendered %d effort lines, golden has %d", len(got), len(want))
@@ -81,11 +81,11 @@ func solverEffortLines(t *testing.T) []string {
 	return lines
 }
 
-// readEffortGolden returns the non-comment lines of
-// testdata/solver_effort.txt.
-func readEffortGolden(t *testing.T) []string {
+// readGolden returns the non-comment lines of the golden file
+// testdata/<name>.
+func readGolden(t *testing.T, name string) []string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "solver_effort.txt"))
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
