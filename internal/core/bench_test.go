@@ -72,7 +72,9 @@ func BenchmarkStage1ReturnJFs(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstitutionCount isolates stage 4's reference counting.
+// BenchmarkSubstitutionCount isolates the paper's metric: stage 1's
+// per-variable tallies (collectUses) and stage 4's sums over them
+// (countFromUses).
 func BenchmarkSubstitutionCount(b *testing.B) {
 	sp := benchSema(b, "ocean", 8)
 	cfg := Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true}
@@ -83,7 +85,8 @@ func BenchmarkSubstitutionCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total = 0
 		for _, proc := range pipe.prog.Procs {
-			n, _ := pipe.countSubstitutions(proc)
+			pipe.uses[proc] = collectUses(proc, pipe.oracle)
+			n, _ := pipe.countFromUses(proc)
 			total += n
 		}
 	}

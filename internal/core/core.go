@@ -387,10 +387,11 @@ func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, ou
 }
 
 // stage1 is the configuration-invariant half of a propagation: the
-// program in SSA form, the value numbering of every procedure, and the
-// return jump functions, all derived under one Stage1Key. Once built it
-// is read-only, so every configuration with that key can run its
-// stages 2–4 over the same product, concurrently in a matrix group.
+// program in SSA form, the substitution tallies and value numbering of
+// every procedure, and the return jump functions, all derived under one
+// Stage1Key. Once built it is read-only, so every configuration with
+// that key can run its stages 2–4 over the same product, concurrently
+// in a matrix group.
 type stage1 struct {
 	key  Stage1Key
 	prog *ir.Program
@@ -410,6 +411,7 @@ type stage1 struct {
 	// dead-code elimination runs SCCP over every procedure.
 	ssaAll bool
 
+	uses   map[*ir.Proc]*ProcUses
 	retJFs *jump.Store
 	vns    map[*ir.Proc]*valnum.Result
 }
@@ -490,26 +492,33 @@ func newPropagation(s1 *stage1, cfg Config) *propagation {
 	}
 }
 
-// buildSSA converts every procedure to SSA form, fanning out over the
-// worker pool: BuildSSA mutates only its own procedure and the MOD
-// oracle is read-only, so the procedures are independent.
+// buildSSA converts every procedure to SSA form and tallies its
+// substitution uses (count.go), fanning out over the worker pool:
+// BuildSSA mutates only its own procedure and the MOD oracle is
+// read-only, so the procedures are independent.
 //
-// Seeded procedures skip SSA construction: their jump functions come
-// from the seed and their substitution counts replay cached use
-// vectors, so nothing downstream reads their SSA state — except
-// complete mode, whose dead-code elimination runs SCCP over every
-// procedure's entry values, so there everyone is converted.
+// Seeded procedures skip SSA construction and take their seed's
+// tallies: their jump functions come from the seed too, so nothing
+// downstream reads their SSA state — except complete mode, whose
+// dead-code elimination runs SCCP over every procedure's entry values,
+// so there everyone is converted and tallied.
 func (s *stage1) buildSSA(workers int) {
 	procs := s.prog.Procs
+	uses := make([]*ProcUses, len(procs))
 	par.For(workers, len(procs), func(i int) {
-		if !s.ssaAll {
-			if seed := s.reuse[procs[i]]; seed != nil && seed.Uses != nil {
-				procs[i].ElidedPhis = seed.Uses.Phis
-				return
-			}
+		proc := procs[i]
+		if seed := s.reuse[proc]; seed != nil && !s.ssaAll {
+			proc.ElidedPhis = seed.Uses.Phis
+			uses[i] = seed.Uses
+			return
 		}
-		procs[i].BuildSSA(s.oracle)
+		proc.BuildSSA(s.oracle)
+		uses[i] = collectUses(proc, s.oracle)
 	})
+	s.uses = make(map[*ir.Proc]*ProcUses, len(procs))
+	for i, proc := range procs {
+		s.uses[proc] = uses[i]
+	}
 }
 
 // stage1ReturnJFs value-numbers every procedure bottom-up over the call
@@ -637,48 +646,34 @@ func (s *stage1) buildReturns(proc *ir.Proc, vn *valnum.Result) *jump.Returns {
 // stage2ForwardJFs builds the configured flavor of forward jump function
 // for every actual parameter and every implicit global at every call
 // site, reusing the stage-1 value numbering (valid because return jump
-// functions are final once stage 1 completes). It runs sequentially in
-// call-graph order: the stage is a small share of the pipeline, and a
-// worker pool did not pay for itself on it (EXPERIMENTS.md).
+// functions are final once stage 1 completes); a seeded procedure's
+// sites come from its seed instead. Both kinds go through one loop, so
+// the shape tally (which skips array formals and truncated global
+// slots) is the same for either. It runs sequentially in call-graph
+// order: the stage is a small share of the pipeline, and a worker pool
+// did not pay for itself on it (EXPERIMENTS.md).
 func (p *propagation) stage2ForwardJFs() {
 	for _, n := range p.cg.TopDown() {
-		if seed := p.reuse[n.Proc]; seed != nil {
-			// Replay the stored jump functions through the exact loop
-			// structure of the derivation below, so the shape tally
-			// (which skips array formals and truncated global slots)
-			// matches a scratch run bit for bit.
-			for si, call := range n.Sites {
-				ss := seed.Sites[si]
-				site := &jump.Site{Call: call, Formal: ss.Formal, Global: ss.Global}
-				for i := 0; i < call.NumActuals && i < len(call.Callee.Formals); i++ {
-					if call.Callee.Formals[i].Type.IsArray() {
-						continue
-					}
-					p.jfShape.classify(site.Formal[i])
-				}
-				for k := range p.prog.ScalarGlobals {
-					if call.NumActuals+k >= len(call.Args) {
-						break
-					}
-					p.jfShape.classify(site.Global[k])
-				}
-				p.sites[call] = site
-			}
-			continue
-		}
+		seed := p.reuse[n.Proc]
 		vn := p.vns[n.Proc]
-		for _, call := range n.Sites {
-			site := &jump.Site{
-				Call:   call,
-				Formal: make([]sym.Expr, len(call.Callee.Formals)),
-				Global: make([]sym.Expr, len(p.prog.ScalarGlobals)),
+		for si, call := range n.Sites {
+			var site *jump.Site
+			if seed != nil {
+				site = seed.Sites[si]
+			} else {
+				site = &jump.Site{
+					Call:   call,
+					Formal: make([]sym.Expr, len(call.Callee.Formals)),
+					Global: make([]sym.Expr, len(p.prog.ScalarGlobals)),
+				}
 			}
 			for i := 0; i < call.NumActuals && i < len(call.Callee.Formals); i++ {
 				if call.Callee.Formals[i].Type.IsArray() {
 					continue // arrays carry no constants
 				}
-				raw := vn.OperandExpr(call.Args[i])
-				site.Formal[i] = jump.Filter(p.cfg.Jump, call.Args[i], raw)
+				if seed == nil {
+					site.Formal[i] = jump.Filter(p.cfg.Jump, call.Args[i], vn.OperandExpr(call.Args[i]))
+				}
 				p.jfShape.classify(site.Formal[i])
 			}
 			for k := range p.prog.ScalarGlobals {
@@ -686,8 +681,9 @@ func (p *propagation) stage2ForwardJFs() {
 				if a >= len(call.Args) {
 					break
 				}
-				raw := vn.OperandExpr(call.Args[a])
-				site.Global[k] = jump.Filter(p.cfg.Jump, call.Args[a], raw)
+				if seed == nil {
+					site.Global[k] = jump.Filter(p.cfg.Jump, call.Args[a], vn.OperandExpr(call.Args[a]))
+				}
 				p.jfShape.classify(site.Global[k])
 			}
 			p.sites[call] = site
@@ -768,7 +764,7 @@ func (p *propagation) stage4Record() *Result {
 			}
 		}
 		sort.Slice(pr.Constants, func(i, j int) bool { return pr.Constants[i].Name < pr.Constants[j].Name })
-		pr.Substituted, pr.ControlFlowSubstituted = p.countSubstitutions(proc)
+		pr.Substituted, pr.ControlFlowSubstituted = p.countFromUses(proc)
 		res.Procs[proc.Name] = pr
 		res.TotalSubstituted += pr.Substituted
 		res.TotalControlFlow += pr.ControlFlowSubstituted

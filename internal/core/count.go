@@ -4,89 +4,21 @@ import (
 	"ipcp/internal/ir"
 )
 
-// countSubstitutions implements the paper's measurement (§4.1,
-// "Recording the results"): the analyzer substitutes the members of
-// CONSTANTS(p) textually into the procedure and counts the
-// substitutions. Metzger & Stroud argue this metric relates directly to
-// code improvement and factors out procedure length — a known but
-// unreferenced constant counts zero.
+// This file implements the paper's measurement (§4.1, "Recording the
+// results"): the analyzer substitutes the members of CONSTANTS(p)
+// textually into the procedure and counts the substitutions. Metzger &
+// Stroud argue this metric relates directly to code improvement and
+// factors out procedure length — a known but unreferenced constant
+// counts zero.
 //
-// A reference is substituted when:
-//
-//   - it is a textual operand (not a synthetic call/ret/loop-control
-//     use, and not a phi argument — phis are not source text);
-//   - it reads the *entry* value of a constant formal or global (uses
-//     reached by a redefinition keep the variable reference);
-//   - it is not a by-reference actual whose formal the callee may
-//     modify (replacing such a reference with a literal would change
-//     the program, so the transformer leaves it).
-func (p *propagation) countSubstitutions(proc *ir.Proc) (count, controlFlow int) {
-	// A seeded procedure replays its cached per-variable use counts
-	// instead of walking SSA form — the counts depend only on the
-	// procedure body and its callees' MOD sets (both covered by the
-	// seed's cone key), so the replay is exact, and skipping the walk is
-	// what lets buildSSA skip reused procedures entirely.
-	if seed := p.reuse[proc]; seed != nil && seed.Uses != nil {
-		return p.countFromUses(proc, seed.Uses)
-	}
-	constEntry := p.constEntryValues(proc)
-	if len(constEntry) == 0 {
-		return 0, 0
-	}
-	for _, b := range proc.Blocks {
-		for _, i := range b.Instrs {
-			if i.Op == ir.OpPhi {
-				continue
-			}
-			for a := range i.Args {
-				op := &i.Args[a]
-				if op.Synthetic || op.Val == nil {
-					continue
-				}
-				if !constEntry[op.Val] {
-					continue
-				}
-				if i.Op == ir.OpCall && a < i.NumActuals && isByRefModified(p.oracle, i, a) {
-					continue
-				}
-				count++
-				// §4's motivation: constants that determine control
-				// flow (loop bounds, strides, branch conditions) are
-				// the ones that pay off in dependence analysis and
-				// parallelization decisions.
-				if i.Role != ir.RoleNone {
-					controlFlow++
-				}
-			}
-		}
-	}
-	return count, controlFlow
-}
-
-// constEntryValues returns the set of entry SSA values whose formal or
-// global has a constant VAL.
-func (p *propagation) constEntryValues(proc *ir.Proc) map[*ir.Value]bool {
-	set := make(map[*ir.Value]bool)
-	fv := p.vals.formals[proc]
-	for i, f := range proc.Formals {
-		if _, ok := fv[i].IntConst(); !ok {
-			continue
-		}
-		if ev := proc.EntryValues[f]; ev != nil {
-			set[ev] = true
-		}
-	}
-	gv := p.vals.globals[proc]
-	for k, gvar := range proc.GlobalVars {
-		if _, ok := gv[k].IntConst(); !ok {
-			continue
-		}
-		if ev := proc.EntryValues[gvar]; ev != nil {
-			set[ev] = true
-		}
-	}
-	return set
-}
+// The count is tallied per variable in stage 1 and summed in stage 4. A
+// reference is substituted exactly when its variable's VAL is constant,
+// so collectUses tallies, once per procedure right after SSA
+// construction, the references each formal's and scalar global's entry
+// value would substitute, and countFromUses sums the tallies of the
+// variables whose final VAL is constant. Every configuration with one
+// Stage1Key sums the same tallies, and a reused procedure brings its
+// tallies from the summary store instead of SSA form.
 
 // VarUses counts the textual references one variable's constant entry
 // value would substitute: Subs in total, Control of them in
@@ -96,12 +28,9 @@ type VarUses struct {
 	Control int
 }
 
-// ProcUses is countSubstitutions factored by variable: Formal[i] for
-// the i-th formal, Global[k] for the k-th scalar global (parallel to
-// Prog.ScalarGlobals). Because a reference is substituted exactly when
-// its variable's VAL is constant, the substitution count under any VAL
-// sets is the sum of the constant variables' entries — so these vectors
-// let a later run count without SSA form.
+// ProcUses is one procedure's substitution tallies: Formal[i] for the
+// i-th formal, Global[k] for the k-th scalar global (parallel to
+// Prog.ScalarGlobals).
 type ProcUses struct {
 	Formal []VarUses
 	Global []VarUses
@@ -112,23 +41,30 @@ type ProcUses struct {
 	Phis int
 }
 
-// collectUses derives a procedure's ProcUses from its SSA form, by the
-// same walk and exclusions as countSubstitutions.
-func (p *propagation) collectUses(proc *ir.Proc) *ProcUses {
+// collectUses tallies a procedure's ProcUses from its SSA form under
+// the given MOD oracle. A reference is counted when:
+//
+//   - it is a textual operand (not a synthetic call/ret/loop-control
+//     use, and not a phi argument — phis are not source text);
+//   - it reads the *entry* value of a formal or global (uses reached by
+//     a redefinition keep the variable reference);
+//   - it is not a by-reference actual whose formal the callee may
+//     modify (replacing such a reference with a literal would change
+//     the program, so the transformer leaves it).
+func collectUses(proc *ir.Proc, oracle ir.ModOracle) *ProcUses {
 	u := &ProcUses{
 		Formal: make([]VarUses, len(proc.Formals)),
 		Global: make([]VarUses, len(proc.GlobalVars)),
 	}
-	owner := make(map[*ir.Value]int, len(proc.Formals)+len(proc.GlobalVars))
-	nf := len(proc.Formals)
+	owner := make(map[*ir.Value]*VarUses, len(proc.Formals)+len(proc.GlobalVars))
 	for i, f := range proc.Formals {
 		if ev := proc.EntryValues[f]; ev != nil {
-			owner[ev] = i
+			owner[ev] = &u.Formal[i]
 		}
 	}
 	for k, gvar := range proc.GlobalVars {
 		if ev := proc.EntryValues[gvar]; ev != nil {
-			owner[ev] = nf + k
+			owner[ev] = &u.Global[k]
 		}
 	}
 	for _, b := range proc.Blocks {
@@ -142,20 +78,18 @@ func (p *propagation) collectUses(proc *ir.Proc) *ProcUses {
 				if op.Synthetic || op.Val == nil {
 					continue
 				}
-				slot, ok := owner[op.Val]
-				if !ok {
+				vu := owner[op.Val]
+				if vu == nil {
 					continue
 				}
-				if i.Op == ir.OpCall && a < i.NumActuals && isByRefModified(p.oracle, i, a) {
+				if i.Op == ir.OpCall && a < i.NumActuals && isByRefModified(oracle, i, a) {
 					continue
-				}
-				var vu *VarUses
-				if slot < nf {
-					vu = &u.Formal[slot]
-				} else {
-					vu = &u.Global[slot-nf]
 				}
 				vu.Subs++
+				// §4's motivation: constants that determine control
+				// flow (loop bounds, strides, branch conditions) are
+				// the ones that pay off in dependence analysis and
+				// parallelization decisions.
 				if i.Role != ir.RoleNone {
 					vu.Control++
 				}
@@ -165,9 +99,10 @@ func (p *propagation) collectUses(proc *ir.Proc) *ProcUses {
 	return u
 }
 
-// countFromUses sums the cached use counts of the variables whose final
-// VAL is constant — the seeded procedure's countSubstitutions.
-func (p *propagation) countFromUses(proc *ir.Proc, u *ProcUses) (count, controlFlow int) {
+// countFromUses is stage 4's count for one procedure: the sum of the
+// tallies of the variables whose final VAL is constant.
+func (p *propagation) countFromUses(proc *ir.Proc) (count, controlFlow int) {
+	u := p.uses[proc]
 	fv := p.vals.formals[proc]
 	for i := range proc.Formals {
 		if _, ok := fv[i].IntConst(); ok {

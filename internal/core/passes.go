@@ -28,7 +28,7 @@ type Propagate struct {
 	// execute over DCE-rebuilt programs that no longer correspond to
 	// any stored summary, so they run fresh, exactly as from scratch.
 	seedProg *ir.Program
-	seeds    map[string]*ProcSeed
+	seeds    map[*ir.Proc]*ProcSeed
 	captured *Summaries
 
 	// warm is the previous fixpoint for demand-driven stage-3
@@ -57,7 +57,7 @@ func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 	if p.s1 == nil || p.s1.prog != prog {
 		var reuse map[*ir.Proc]*ProcSeed
 		if capture {
-			reuse = resolveSeeds(prog, ctx.CallGraph(), p.seeds)
+			reuse = p.seeds
 		}
 		p.s1 = newStage1(prog, p.cfg, ctx.CallGraph(), ctx.ModRef(), reuse)
 		p.s1.buildSSA(p.cfg.Workers)

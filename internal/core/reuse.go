@@ -7,39 +7,28 @@ import (
 	"ipcp/internal/core/lattice"
 	"ipcp/internal/ir"
 	"ipcp/internal/pass"
-	"ipcp/internal/sym"
 )
 
 // This file is core's half of the incremental re-analysis contract
 // (internal/incr holds the other half): a caller that knows some
 // procedures are unchanged since a previous run hands their stored
 // stage-1/stage-2 outputs in as seeds, the propagation injects them
-// instead of re-deriving (skipping value numbering and jump-function
-// construction for those procedures), and the finished run hands back
-// the summaries of every procedure so the caller can persist them.
+// instead of re-deriving (skipping SSA construction, value numbering
+// and jump-function construction for those procedures), and the
+// finished run hands back the summaries of every procedure so the
+// caller can persist them.
 //
 // Soundness is entirely the caller's burden — a seed must be exactly
 // what re-deriving would produce, which internal/incr guarantees by
-// invalidating every procedure whose forward call cone changed. Core
-// only checks structural compatibility (resolveSeeds) and silently
-// drops any seed that does not fit: dropping a seed is always safe, it
-// merely costs the re-derivation.
-
-// SeedSite carries the stored forward jump functions of one call site,
-// already bound to the current program's sym leaves. Vector lengths
-// must match the fresh derivation: one entry per callee formal and one
-// per scalar global (nil = ⊥).
-type SeedSite struct {
-	Formal []sym.Expr
-	Global []sym.Expr
-}
+// invalidating every procedure whose forward call cone changed and by
+// validating every stored record against the current program where it
+// reads the bytes. Core injects the seeds it is handed as they are.
 
 // SharedSeed is the stage-1 (flavor-invariant) half of a seed: the
-// procedure's return jump functions (nil when none were built) and the
-// cached substitution-use vectors that let stage 4 count without the
-// procedure ever being converted to SSA form. It mirrors
-// summary.SharedSummary — nothing in it depends on the forward
-// jump-function flavor.
+// procedure's return jump functions (nil when none were built) and its
+// substitution tallies, which let stage 4 count without the procedure
+// ever being converted to SSA form. It mirrors summary.SharedSummary —
+// nothing in it depends on the forward jump-function flavor.
 type SharedSeed struct {
 	Returns *jump.Returns
 	Uses    *ProcUses
@@ -47,22 +36,23 @@ type SharedSeed struct {
 
 // ProcSeed is everything stage 1 and stage 2 would compute for one
 // unchanged procedure: the shared stage-1 half plus the
-// flavor-dependent jump functions of each call site in body order. A
-// usable seed needs both halves — stage 2 replays Sites instead of
-// re-deriving, so a seed without them cannot be injected.
+// flavor-dependent jump functions of each call site, one per entry of
+// the procedure's call-graph Sites and in that order, with Call set and
+// vector lengths those of a fresh derivation (one entry per callee
+// formal and one per scalar global, nil = ⊥).
 type ProcSeed struct {
 	SharedSeed
-	Sites []*SeedSite
+	Sites []*jump.Site
 }
 
 // Reuse is the seeded-analysis input: the pre-SSA callgraph and
 // mod/ref summaries the caller already built for the program (shared
-// into the pass Context so they are not recomputed), plus the seeds by
-// procedure name. Any field may be nil.
+// into the pass Context so they are not recomputed), plus the seeds of
+// the program's procedures. Any field may be nil.
 type Reuse struct {
 	CG    *callgraph.Graph
 	Mods  *modref.Summary
-	Procs map[string]*ProcSeed
+	Procs map[*ir.Proc]*ProcSeed
 
 	// Warm, when non-nil, warm-starts the stage-3 solve from the
 	// previous run's fixpoint (warm.go). Like Procs, it applies to the
@@ -81,8 +71,7 @@ type Summaries struct {
 	Returns map[string]*jump.Returns
 	Sites   map[string][]*jump.Site
 
-	// Uses holds the substitution-use vectors of every procedure the run
-	// derived fresh (seeded procedures keep the vectors they came with).
+	// Uses holds the substitution tallies of every procedure.
 	Uses map[string]*ProcUses
 
 	// Vals holds the final stage-3 VAL assignment of every procedure
@@ -124,51 +113,6 @@ func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summari
 	return res, prop.captured, nil
 }
 
-// resolveSeeds binds named seeds to procedures of prog, dropping any
-// seed that does not structurally match the current program: a missing
-// procedure, a call-site count or vector-length mismatch, or return
-// jump functions for a procedure the scratch analysis would give none
-// (a recursive one). The survivors are safe to inject verbatim.
-func resolveSeeds(prog *ir.Program, cg *callgraph.Graph, seeds map[string]*ProcSeed) map[*ir.Proc]*ProcSeed {
-	if len(seeds) == 0 {
-		return nil
-	}
-	out := make(map[*ir.Proc]*ProcSeed, len(seeds))
-	for name, seed := range seeds {
-		proc := prog.ProcByName[name]
-		if proc == nil || seed == nil {
-			continue
-		}
-		n := cg.Nodes[proc]
-		if n == nil || len(seed.Sites) != len(n.Sites) {
-			continue
-		}
-		if seed.Returns != nil &&
-			(cg.InCycle(n) || len(seed.Returns.Formal) != len(proc.Formals)) {
-			continue
-		}
-		if seed.Uses == nil ||
-			len(seed.Uses.Formal) != len(proc.Formals) ||
-			len(seed.Uses.Global) != len(proc.GlobalVars) {
-			continue
-		}
-		ok := true
-		for i, call := range n.Sites {
-			ss := seed.Sites[i]
-			if ss == nil ||
-				len(ss.Formal) != len(call.Callee.Formals) ||
-				len(ss.Global) != len(prog.ScalarGlobals) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out[proc] = seed
-		}
-	}
-	return out
-}
-
 // extractSummaries collects the per-procedure summaries of a finished
 // propagation, in deterministic callgraph order.
 func (p *propagation) extractSummaries() *Summaries {
@@ -193,11 +137,7 @@ func (p *propagation) extractSummaries() *Summaries {
 			Formals: append([]lattice.Value(nil), p.vals.formals[n.Proc]...),
 			Globals: append([]lattice.Value(nil), p.vals.globals[n.Proc]...),
 		}
-		// Seeded procedures may have skipped SSA; their use vectors live
-		// in the seed and their summaries are already stored.
-		if p.reuse[n.Proc] == nil {
-			s.Uses[n.Proc.Name] = p.collectUses(n.Proc)
-		}
+		s.Uses[n.Proc.Name] = p.uses[n.Proc]
 	}
 	return s
 }

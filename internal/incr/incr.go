@@ -199,7 +199,7 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 		}
 		fetched[i] = e.fetch(sharedKeys[proc.Name], flavorKeys[proc.Name], proc, irp, cg, mods, fps)
 	})
-	seeds := make(map[string]*core.ProcSeed)
+	seeds := make(map[*ir.Proc]*core.ProcSeed)
 	sharedHit := make(map[string]bool)
 	for i, proc := range irp.Procs {
 		if invalid[proc.Name] {
@@ -216,7 +216,7 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 			stats.Misses++
 			continue
 		}
-		seeds[proc.Name] = f.seed
+		seeds[proc] = f.seed
 		stats.Hits++
 	}
 	stats.Reused = len(seeds)
@@ -259,7 +259,7 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 			JFHash:     sums.SiteHash[name],
 			Cells:      cells,
 		}
-		if seeds[name] != nil {
+		if seeds[proc] != nil {
 			continue
 		}
 		// A failed Put only costs a future recomputation, and the two
@@ -588,7 +588,9 @@ func (e *Engine) fetch(sharedKey, flavorKey summary.Key, proc *ir.Proc, prog *ir
 // program and rebinds its portable expressions to sym leaves. The
 // MOD/REF sets are cross-checked against the freshly computed summary
 // — side-effect facts always come from the current program, and a
-// stored record that disagrees is rejected rather than trusted.
+// stored record that disagrees is rejected rather than trusted. So is
+// a record with return jump functions for a procedure in a call-graph
+// cycle, which a derivation never gives any.
 func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, mods *modref.Summary, fps map[string]string) (*core.SharedSeed, error) {
 	if ps.Name != proc.Name {
 		return nil, fmt.Errorf("incr: summary names %q, want %q", ps.Name, proc.Name)
@@ -626,6 +628,9 @@ func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *
 		seed.Uses.Global[k] = core.VarUses{Subs: u.Subs, Control: u.Control}
 	}
 	if ps.Returns != nil {
+		if cg.InCycle(n) {
+			return nil, fmt.Errorf("incr: %s is recursive but has return JFs", proc.Name)
+		}
 		if len(ps.Returns.Formal) != nformals {
 			return nil, fmt.Errorf("incr: %s return-JF arity mismatch", proc.Name)
 		}
@@ -661,8 +666,9 @@ func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *
 }
 
 // bindFlavor validates a decoded stage-2 record against the current
-// program and rebinds its site jump functions.
-func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, fps map[string]string) ([]*core.SeedSite, error) {
+// program and rebinds its site jump functions to the procedure's call
+// sites.
+func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, fps map[string]string) ([]*jump.Site, error) {
 	if fs.Name != proc.Name {
 		return nil, fmt.Errorf("incr: flavor summary names %q, want %q", fs.Name, proc.Name)
 	}
@@ -677,7 +683,7 @@ func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *
 		return nil, fmt.Errorf("incr: %s has %d sites, summary has %d", proc.Name, len(n.Sites), len(fs.Sites))
 	}
 	nformals := len(proc.Formals)
-	sites := make([]*core.SeedSite, len(fs.Sites))
+	sites := make([]*jump.Site, len(fs.Sites))
 	for si, ss := range fs.Sites {
 		call := n.Sites[si]
 		if ss.Callee != call.Callee.Name {
@@ -686,7 +692,8 @@ func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *
 		if len(ss.Formal) != len(call.Callee.Formals) || len(ss.Global) != len(prog.ScalarGlobals) {
 			return nil, fmt.Errorf("incr: %s site %d vector length mismatch", proc.Name, si)
 		}
-		site := &core.SeedSite{
+		site := &jump.Site{
+			Call:   call,
 			Formal: make([]sym.Expr, len(ss.Formal)),
 			Global: make([]sym.Expr, len(ss.Global)),
 		}
