@@ -68,10 +68,11 @@ type Config struct {
 	NoWarmStart bool
 
 	// Workers bounds the goroutines the per-procedure stages (SSA
-	// construction, stage-1 return jump functions) fan out over. 0 means
-	// one worker per available CPU; 1 forces the sequential reference
-	// path. Results are identical for every setting — the determinism
-	// tests prove it.
+	// construction, stage-1 return jump functions) and, in incremental
+	// runs, internal/incr's fingerprinting and summary fetch fan out
+	// over. 0 means one worker per available CPU; 1 forces the
+	// sequential reference path. Results are identical for every
+	// setting — the determinism tests prove it.
 	Workers int
 
 	// Debug makes the pass runner verify the IR after every pass and

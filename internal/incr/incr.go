@@ -169,7 +169,7 @@ func SharedConfigKey(cfg core.Config) string {
 // new snapshot and the run's reuse statistics. The error is non-nil
 // only when cfg.Cancel reported cancellation mid-run.
 func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapshot) (*core.Result, *summary.Snapshot, Stats, error) {
-	fps := sp.Fingerprints()
+	fps := sp.Fingerprints(cfg.Workers)
 	globalsHash := sp.GlobalsHash()
 	cfgKey := ConfigKey(cfg)
 	sharedCfgKey := SharedConfigKey(cfg)
@@ -188,11 +188,11 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	invalid := invalidProcs(cg, fps, cfgKey, globalsHash, prev)
 
 	stats := Stats{TotalProcs: len(irp.Procs)}
-	// Fetch and bind candidate summaries in parallel: binding only reads
-	// the shared program views, and the per-procedure results land in
-	// distinct slots, so the outcome is independent of scheduling.
+	// Fetch and bind candidate summaries over cfg.Workers: binding only
+	// reads the shared program views, and the per-procedure results land
+	// in distinct slots, so the outcome is independent of scheduling.
 	fetched := make([]fetchResult, len(irp.Procs))
-	par.For(0, len(irp.Procs), func(i int) {
+	par.For(cfg.Workers, len(irp.Procs), func(i int) {
 		proc := irp.Procs[i]
 		if invalid[proc.Name] {
 			return

@@ -2,12 +2,15 @@ package incr
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ipcp/internal/core"
 	"ipcp/internal/core/jump"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/suite"
 	"ipcp/internal/summary"
 )
 
@@ -87,5 +90,48 @@ func TestRecursiveSummaryWithReturnsRejected(t *testing.T) {
 	if !reflect.DeepEqual(res.Procs, want.Procs) || res.TotalSubstituted != want.TotalSubstituted ||
 		res.TotalConstants != want.TotalConstants || res.JFShape != want.JFShape {
 		t.Errorf("incremental result differs from scratch:\n got  %+v\n want %+v", res.Procs, want.Procs)
+	}
+}
+
+// peakStore is a store whose lookups take 200 µs each and which records
+// the largest number of lookups ever in flight at once.
+type peakStore struct {
+	summary.Store
+	inFlight, peak atomic.Int64
+}
+
+func (s *peakStore) Get(k summary.Key) ([]byte, bool) {
+	n := s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	for {
+		p := s.peak.Load()
+		if n <= p || s.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(200 * time.Microsecond)
+	return s.Store.Get(k)
+}
+
+// TestSequentialFetch: with Workers 1 the store lookups run one at a
+// time, as the sequential reference path promises.
+func TestSequentialFetch(t *testing.T) {
+	sp := mustSema(t, suite.Generate("doduc", 4).Source)
+	cfg := core.Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true, Workers: 1}
+	store := &peakStore{Store: summary.NewMemStore(0)}
+	e := NewEngine(store)
+	if _, _, _, err := e.Analyze(sp, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	store.peak.Store(0)
+	_, _, st, err := e.Analyze(sp, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hits != st.TotalProcs {
+		t.Errorf("second run hit %d of %d procedures", st.Hits, st.TotalProcs)
+	}
+	if p := store.peak.Load(); p != 1 {
+		t.Errorf("peak lookups in flight = %d with Workers 1, want 1", p)
 	}
 }

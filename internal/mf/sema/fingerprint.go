@@ -30,11 +30,11 @@ func UnitHash(u *UnitInfo) string {
 
 // Fingerprints returns the UnitHash of every unit, keyed by unit name
 // (unit names are unique — sema enforces it). Units hash independently,
-// so the work fans out over the CPUs; the result does not depend on
-// scheduling.
-func (p *Program) Fingerprints() map[string]string {
+// so the work fans out over up to workers goroutines (par.For's rule:
+// 0 means one per CPU); the result does not depend on scheduling.
+func (p *Program) Fingerprints(workers int) map[string]string {
 	hashes := make([]string, len(p.Units))
-	par.For(0, len(p.Units), func(i int) {
+	par.For(workers, len(p.Units), func(i int) {
 		hashes[i] = UnitHash(p.Units[i])
 	})
 	fps := make(map[string]string, len(p.Units))

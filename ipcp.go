@@ -126,10 +126,11 @@ type Config struct {
 	NoWarmStart bool
 
 	// Workers bounds the goroutines the per-procedure analysis stages
-	// (SSA construction, value numbering and return jump functions) fan
-	// out over. 0 means one worker per available CPU; 1 forces the
-	// sequential reference path. The Report is identical for every
-	// setting — see DESIGN.md, "Concurrency model".
+	// (SSA construction, value numbering and return jump functions, and
+	// in AnalyzeIncremental the summary fetch) fan out over. 0 means
+	// one worker per available CPU; 1 forces the sequential reference
+	// path. The Report is identical for every setting — see DESIGN.md,
+	// "Concurrency model".
 	Workers int
 
 	// Debug makes the pass runner verify the IR after every pass and
