@@ -203,6 +203,16 @@ func (m *machine) arith(f *frame, i *ir.Instr) error {
 			}
 			vals[k] = asReal(operandType(a), c)
 		}
+		if i.Op == ir.OpPow {
+			// realArith multiplies powMuls times inside this one
+			// instruction; charging them first lets fuel bound the loop.
+			n := powMuls(vals[1])
+			if n >= int64(m.fuel) {
+				m.fuel = 0
+				return errFuel
+			}
+			m.fuel -= int(n)
+		}
 		r, err := realArith(i.Op, vals)
 		if err != nil {
 			return fmt.Errorf("interp: %s: %w", f.proc.Name, err)
@@ -248,15 +258,11 @@ func realArith(op ir.Op, v []float64) (float64, error) {
 		return v[0] / v[1], nil
 	case ir.OpPow:
 		r := 1.0
-		n := int64(v[1])
-		neg := n < 0
-		if neg {
-			n = -n
-		}
+		n := powMuls(v[1])
 		for k := int64(0); k < n; k++ {
 			r *= v[0]
 		}
-		if neg {
+		if int64(v[1]) < 0 {
 			if r == 0 {
 				return 0, fmt.Errorf("real power fault")
 			}
@@ -281,6 +287,17 @@ func realArith(op ir.Op, v []float64) (float64, error) {
 		return r, nil
 	}
 	return 0, fmt.Errorf("unsupported real op %v", op)
+}
+
+// powMuls is the number of multiplications realArith performs to raise
+// a REAL to the power x: |int64(x)|, or none when that negation
+// overflows.
+func powMuls(x float64) int64 {
+	n := int64(x)
+	if n < 0 {
+		n = -n
+	}
+	return max(n, 0)
 }
 
 func (m *machine) compare(f *frame, i *ir.Instr) error {

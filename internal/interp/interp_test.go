@@ -3,6 +3,7 @@ package interp
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
@@ -222,6 +223,36 @@ END
 	res := Run(prog, Options{Fuel: 10_000})
 	if !res.FuelExhausted {
 		t.Fatal("fuel should run out")
+	}
+}
+
+// TestRealPowerChargesFuel: a REAL ** runs its multiplications inside
+// one instruction, so fuel must be charged for them or a huge exponent
+// runs unbounded.
+func TestRealPowerChargesFuel(t *testing.T) {
+	prog := build(t, `
+PROGRAM P
+  REAL R
+  R = 1.0 ** 3000000000
+  WRITE(*,*) R
+END
+`)
+	start := time.Now()
+	res := Run(prog, Options{Fuel: 50_000_000})
+	if el := time.Since(start); !res.FuelExhausted || el > 100*time.Millisecond {
+		t.Errorf("1.0 ** 3000000000: FuelExhausted=%t after %v, want true within 100ms", res.FuelExhausted, el)
+	}
+	res = run(t, `
+PROGRAM P
+  REAL R
+  INTEGER N
+  R = 2.0 ** 10
+  N = R
+  WRITE(*,*) N
+END
+`)
+	if len(res.Output) != 1 || res.Output[0] != 1024 {
+		t.Errorf("2.0 ** 10: %v, want [1024]", res.Output)
 	}
 }
 
