@@ -47,10 +47,6 @@ type Config struct {
 	// dead code is found (Table 3, column 3).
 	Complete bool
 
-	// MaxDCERounds bounds the complete-propagation iteration
-	// (default 10). The paper observed convergence after one round.
-	MaxDCERounds int
-
 	// DependenceSolver selects the wake-up policy of the Callahan et
 	// al. dependence-driven solver instead of the paper's simple
 	// worklist. Both compute identical VAL sets; the dependence-driven
@@ -221,17 +217,12 @@ func Analyze(sp *sema.Program, cfg Config) *Result {
 
 // AnalyzeErr is Analyze for cancellable runs: when cfg.Cancel reports
 // cancellation mid-analysis, it returns nil and that error. With a nil
-// Cancel hook it never fails.
+// Cancel hook it never fails. It executes the declared pass plan over a
+// fresh lowering: the propagation pass, or — for complete propagation —
+// a verified fixpoint of DCE rounds that re-propagates after each round
+// that rebuilt the program.
 func AnalyzeErr(sp *sema.Program, cfg Config) (*Result, error) {
-	return analyzeConfigured(irbuild.Build(sp), cfg.withDefaults())
-}
-
-// withDefaults fills the defaulted Config fields.
-func (cfg Config) withDefaults() Config {
-	if cfg.MaxDCERounds == 0 {
-		cfg.MaxDCERounds = 10
-	}
-	return cfg
+	return runPlan(newPlan(cfg), pass.NewContext(irbuild.Build(sp)), cfg)
 }
 
 // Stage1Key is the part of a Config that SSA construction and stage 1
@@ -248,15 +239,6 @@ type Stage1Key struct {
 // Stage1Key returns the stage-1 key of cfg.
 func (cfg Config) Stage1Key() Stage1Key {
 	return Stage1Key{MOD: cfg.MOD, ReturnJFs: cfg.ReturnJFs}
-}
-
-// analyzeConfigured runs one full configured analysis over a fresh
-// pre-SSA program by executing the declared pass plan: the propagation
-// pass, or — for complete propagation — a verified fixpoint of DCE
-// rounds that re-propagates after each round that rebuilt the program.
-// cfg must already have its defaults filled.
-func analyzeConfigured(irp *ir.Program, cfg Config) (*Result, error) {
-	return runPlan(newPlan(cfg), pass.NewContext(irp), cfg)
 }
 
 // runPlan executes a declared plan over a prepared Context and collects

@@ -38,10 +38,9 @@ type Propagate struct {
 	warm *WarmSeed
 }
 
-// NewPropagate builds the propagation pass for one configuration
-// (defaults filled).
+// NewPropagate builds the propagation pass for one configuration.
 func NewPropagate(cfg Config) *Propagate {
-	return &Propagate{cfg: cfg.withDefaults()}
+	return &Propagate{cfg: cfg}
 }
 
 func (p *Propagate) Name() string { return "propagate" }
@@ -108,11 +107,10 @@ func newPlan(cfg Config) *plan {
 // pass trace. The round that finds nothing to remove ends the fixpoint
 // without a further propagation.
 func newPlanWith(cfg Config, prop *Propagate) *plan {
-	cfg = cfg.withDefaults()
 	pl := &plan{prop: prop, root: prop}
 	if cfg.Complete {
 		round := pass.NewPipeline("dce-round", pass.NewRefresh(prop, nil), &dcePass{prop: prop})
-		pl.fix = pass.NewFixpoint("complete", round, cfg.MaxDCERounds)
+		pl.fix = pass.NewFixpoint("complete", round, pass.DefaultMaxRounds)
 		pl.root = pl.fix
 	}
 	return pl

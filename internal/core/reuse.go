@@ -97,7 +97,6 @@ type Summaries struct {
 // exactly as they do from scratch. The error is non-nil only when
 // cfg.Cancel reported cancellation mid-run.
 func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summaries, error) {
-	cfg = cfg.withDefaults()
 	prop := NewPropagate(cfg)
 	prop.seedProg = irp
 	ctx := pass.NewContext(irp)

@@ -38,10 +38,6 @@ type Config struct {
 	// processes; tests inject in-process servers).
 	Start StartWorker
 
-	// ReadyTimeout bounds how long a freshly started worker may take to
-	// answer /readyz before it is killed and retried (default 30s).
-	ReadyTimeout time.Duration
-
 	// BackoffMin and BackoffMax bound the restart backoff after a
 	// worker crash: the first restart waits BackoffMin, doubling per
 	// consecutive failure up to BackoffMax, resetting once a worker
@@ -60,6 +56,10 @@ type Config struct {
 // retryBusy caps the wait before the one retry a dispatch makes when a
 // worker sheds it with 429.
 const retryBusy = 2 * time.Second
+
+// readyTimeout bounds how long a freshly started worker may take to
+// answer /readyz before it is killed and retried.
+const readyTimeout = 30 * time.Second
 
 // batchItemsPerWorker bounds a batch's items in flight across the
 // fleet, per worker.
@@ -88,9 +88,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Start == nil {
 		return nil, errors.New("fleet: Config.Start is required")
 	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 30 * time.Second
-	}
 	if cfg.BackoffMin <= 0 {
 		cfg.BackoffMin = 100 * time.Millisecond
 	}
@@ -105,7 +102,7 @@ func New(cfg Config) (*Fleet, error) {
 		metrics: newFleetMetrics(cfg.Workers),
 		clients: make(map[string]*client.Client),
 	}
-	f.sup = newSupervisor(cfg.Start, cfg.Workers, cfg.ReadyTimeout,
+	f.sup = newSupervisor(cfg.Start, cfg.Workers,
 		cfg.BackoffMin, cfg.BackoffMax, cfg.DrainTimeout, f.logf)
 	return f, nil
 }

@@ -65,7 +65,6 @@ type ShardStatus struct {
 type supervisor struct {
 	start        StartWorker
 	n            int
-	readyTimeout time.Duration
 	backoffMin   time.Duration
 	backoffMax   time.Duration
 	drainTimeout time.Duration
@@ -87,11 +86,10 @@ type shardInfo struct {
 	restarts int64
 }
 
-func newSupervisor(start StartWorker, n int, readyTimeout, backoffMin, backoffMax, drainTimeout time.Duration, logf func(string, ...any)) *supervisor {
+func newSupervisor(start StartWorker, n int, backoffMin, backoffMax, drainTimeout time.Duration, logf func(string, ...any)) *supervisor {
 	return &supervisor{
 		start:        start,
 		n:            n,
-		readyTimeout: readyTimeout,
 		backoffMin:   backoffMin,
 		backoffMax:   backoffMax,
 		drainTimeout: drainTimeout,
@@ -188,7 +186,7 @@ func (s *supervisor) stopWorker(i int, h *WorkerHandle) {
 // awaitReady polls the worker's /readyz until it answers 200, bounded
 // by the ready timeout, the worker exiting, and supervisor stop.
 func (s *supervisor) awaitReady(h *WorkerHandle) error {
-	deadline := time.Now().Add(s.readyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for {
 		resp, err := s.probe.Get("http://" + h.Addr + "/readyz")
 		if err == nil {
@@ -198,7 +196,7 @@ func (s *supervisor) awaitReady(h *WorkerHandle) error {
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("not ready after %s", s.readyTimeout)
+			return fmt.Errorf("not ready after %s", readyTimeout)
 		}
 		t := time.NewTimer(25 * time.Millisecond)
 		select {
