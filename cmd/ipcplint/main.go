@@ -7,10 +7,10 @@
 // errors (codecerr), and a /metrics exposition that matches its
 // declarations (metricreg).
 //
-// It runs two ways:
+// It runs as a vet tool:
 //
-//	ipcplint [-only a,b] [packages]      # standalone multichecker
-//	go vet -vettool=$(pwd)/ipcplint ./...  # as a vet tool (CI gate)
+//	go vet -vettool=$(pwd)/ipcplint [-only=a,b] ./...
+//	ipcplint -list                       # name the analyzers
 //
 // Diagnostics print as `file:line:col: message [analyzer]`; the exit
 // code is 2 when any were found. False positives are suppressed in
@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ipcplint [-only a,b] [package patterns]\n")
-		fmt.Fprintf(stderr, "       go vet -vettool=/path/to/ipcplint ./...\n\n")
+		fmt.Fprintf(stderr, "usage: go vet -vettool=/path/to/ipcplint [-only=a,b] ./...\n")
+		fmt.Fprintf(stderr, "       ipcplint -list\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -80,40 +80,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Vet-tool mode: cmd/go invokes the tool with a single JSON
-	// config argument.
+	// cmd/go invokes the tool with a single JSON config argument per
+	// compilation unit.
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return driver.RunVet(rest[0], analyzers, stderr)
-	}
-
-	// Standalone mode over package patterns.
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	units, err := driver.Load(patterns)
-	if err != nil {
-		fmt.Fprintf(stderr, "ipcplint: %v\n", err)
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		fs.Usage()
 		return 1
 	}
-	total := 0
-	for _, unit := range units {
-		findings, err := driver.RunAnalyzers(unit, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "ipcplint: %v\n", err)
-			return 1
-		}
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-		total += len(findings)
-	}
-	if total > 0 {
-		fmt.Fprintf(stderr, "ipcplint: %d finding(s)\n", total)
-		return 2
-	}
-	return 0
+	return driver.RunVet(rest[0], analyzers, stderr)
 }
 
 // selfID hashes the running binary so cmd/go's action cache

@@ -1,30 +1,16 @@
-// Package driver loads Go packages and applies the lint suite to
-// them. It is the stdlib-only replacement for the x/tools analysis
-// drivers (the module is dependency-free by policy) and supports the
-// two ways ipcplint runs:
-//
-//   - standalone (`ipcplint ./...`): package metadata and compiled
-//     export data come from `go list -export -deps -json`, each target
-//     package is parsed from source and type-checked against its
-//     dependencies' export data — the same shape a unitchecker sees;
-//   - as a vet tool (`go vet -vettool=ipcplint ./...`): the go
-//     command hands the tool one JSON config per compilation unit; see
-//     unitchecker.go.
+// Package driver applies the lint suite to type-checked Go packages.
+// It is the stdlib-only replacement for the x/tools analysis drivers
+// (the module is dependency-free by policy), and ipcplint runs through
+// it as a vet tool (`go vet -vettool=ipcplint ./...`): the go command
+// hands the tool one JSON config per compilation unit; see
+// unitchecker.go.
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -60,9 +46,8 @@ func (f Finding) String() string {
 // Test files are exempt: the invariants audit production paths, and a
 // test's deliberate fault injection — dropped Close errors on cleanup,
 // hand-built lattice cells in expectation tables — is the harness, not
-// a contract violation. Vet units include _test.go sources (the
-// standalone loader never sees them), so the exemption is applied
-// here, where both drivers converge.
+// a contract violation. Vet units include _test.go sources, so the
+// exemption is applied here.
 func RunAnalyzers(unit *Unit, analyzers []*lint.Analyzer) ([]Finding, error) {
 	srcFiles := unit.Files
 	if n := len(srcFiles); n > 0 {
@@ -132,81 +117,4 @@ func newInfo() *types.Info {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-}
-
-// listPkg is the slice of `go list -json` output the loader needs.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	DepOnly    bool
-	Standard   bool
-}
-
-// Load resolves the patterns with the go command and type-checks
-// every matched (non-dependency) package from source against the
-// compiled export data of its dependencies.
-func Load(patterns []string) ([]*Unit, error) {
-	args := append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard", "--",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
-	}
-
-	exports := make(map[string]string)
-	var targets []listPkg
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding: %v", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-
-	var units []*Unit
-	for _, p := range targets {
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("parsing %s: %v", name, err)
-			}
-			files = append(files, f)
-		}
-		info := newInfo()
-		conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
-		}
-		units = append(units, &Unit{Path: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, Info: info})
-	}
-	return units, nil
 }
