@@ -208,7 +208,6 @@ func (m *machine) arith(f *frame, i *ir.Instr) error {
 			// instruction; charging them first lets fuel bound the loop.
 			n := powMuls(vals[1])
 			if n >= int64(m.fuel) {
-				m.fuel = 0
 				return errFuel
 			}
 			m.fuel -= int(n)
