@@ -74,7 +74,7 @@ func Transform(proc *ir.Proc, res *sccp.Result, opts *Options) (*ir.Proc, Stats)
 	// Record which conditional branches fold, by instruction identity.
 	folded := make(map[*ir.Instr]int)
 	for _, b := range proc.Blocks {
-		if !res.Reachable[b] {
+		if !res.Reachable[b.ID] {
 			continue
 		}
 		if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
@@ -93,7 +93,7 @@ func Transform(proc *ir.Proc, res *sccp.Result, opts *Options) (*ir.Proc, Stats)
 				continue
 			}
 			total++
-			if live[i] && res.Reachable[b] {
+			if live[i] && res.Reachable[b.ID] {
 				kept++
 			}
 		}
@@ -101,7 +101,7 @@ func Transform(proc *ir.Proc, res *sccp.Result, opts *Options) (*ir.Proc, Stats)
 	stats.InstrsRemoved = total - kept
 
 	np := proc.CloneStripSSA(nil, func(i *ir.Instr) bool {
-		return live[i] && res.Reachable[i.Block]
+		return live[i] && res.Reachable[i.Block.ID]
 	})
 
 	// Rewrite folded branches on the clone (IDs survive cloning, so
@@ -169,7 +169,7 @@ func markLive(proc *ir.Proc, res *sccp.Result, refs RefOracle, sweepUseless bool
 
 	// Roots: side-effecting and control instructions in reachable blocks.
 	for _, b := range proc.Blocks {
-		if !res.Reachable[b] {
+		if !res.Reachable[b.ID] {
 			continue
 		}
 		for _, i := range b.Instrs {

@@ -69,7 +69,7 @@ END
 	np.BuildSSA(ir.WorstCase)
 	res2 := sccp.Run(np, nil, nil)
 	for _, b := range np.Blocks {
-		if !res2.Reachable[b] {
+		if !res2.Reachable[b.ID] {
 			t.Fatalf("clone has unreachable block:\n%s", np)
 		}
 	}
@@ -191,8 +191,8 @@ END
 `)
 	init := p.ProcByName["INIT"]
 	seed := map[*ir.Value]lattice.Value{}
-	for v, val := range init.EntryValues {
-		if v.Kind == ir.FormalVar && v.Index == 0 {
+	for id, val := range init.EntryValues {
+		if v := init.Vars[id]; val != nil && v.Kind == ir.FormalVar && v.Index == 0 {
 			seed[val] = lattice.OfInt(0)
 		}
 	}

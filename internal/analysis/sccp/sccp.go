@@ -27,36 +27,27 @@ import (
 // when nothing is known.
 type CallDefEval func(call *ir.Instr, def *ir.Value, argVal func(int) lattice.Value) lattice.Value
 
-// Result is the analysis outcome for one procedure.
+// Result is the analysis outcome for one procedure. Its state is held
+// in slices indexed by the procedure's dense Value and Block IDs.
 type Result struct {
 	Proc *ir.Proc
 
-	// Val maps every SSA value to its final lattice element. Values in
-	// unreachable code keep ⊤.
-	Val map[*ir.Value]lattice.Value
+	// vals holds every SSA value's lattice element, by Value.ID. Values
+	// in unreachable code keep ⊤.
+	vals []lattice.Value
 
-	// Reachable marks the blocks executable from the entry under
-	// constant-branch pruning.
-	Reachable map[*ir.Block]bool
-
-	// edgeExec marks executable CFG edges as (from, predIndex-in-to).
-	edgeExec map[edge]bool
+	// Reachable marks, by Block.ID, the blocks executable from the entry
+	// under constant-branch pruning.
+	Reachable []bool
 }
 
-type edge struct {
-	to      *ir.Block
-	predIdx int
-}
-
-// ValueOf returns the lattice element of an SSA value (⊥ for nil).
+// ValueOf returns the lattice element of an SSA value: ⊥ for nil and for
+// a value never lowered from ⊤ (one in unreachable code).
 func (r *Result) ValueOf(v *ir.Value) lattice.Value {
-	if v == nil {
+	if v == nil || v.ID >= len(r.vals) || r.vals[v.ID].IsTop() {
 		return lattice.Bottom
 	}
-	if lv, ok := r.Val[v]; ok {
-		return lv
-	}
-	return lattice.Bottom
+	return r.vals[v.ID]
 }
 
 // OperandValue returns the lattice element of an instruction operand.
@@ -93,28 +84,38 @@ func (r *Result) valOperand(op ir.Operand) lattice.Value { return r.OperandValue
 // values (the CONSTANTS(p) sets during complete propagation); entry
 // values without a seed start at ⊥. cde may be nil.
 func Run(proc *ir.Proc, seed map[*ir.Value]lattice.Value, cde CallDefEval) *Result {
-	s := &solver{
-		res: &Result{
-			Proc:      proc,
-			Val:       make(map[*ir.Value]lattice.Value),
-			Reachable: make(map[*ir.Block]bool),
-			edgeExec:  make(map[edge]bool),
-		},
-		cde:     cde,
-		visited: make(map[*ir.Block]bool),
+	res := &Result{
+		Proc:      proc,
+		vals:      make([]lattice.Value, proc.NumValues()),
+		Reachable: make([]bool, len(proc.Blocks)),
 	}
+	s := &solver{
+		res:      res,
+		cde:      cde,
+		edgeBase: make([]int, len(proc.Blocks)),
+		visited:  make([]bool, len(proc.Blocks)),
+	}
+	nedges := 0
+	for _, b := range proc.Blocks {
+		s.edgeBase[b.ID] = nedges
+		nedges += len(b.Preds)
+	}
+	s.edgeExec = make([]bool, nedges)
 	// Initialize non-instruction definitions: entry and undef values
 	// are ⊥ unless seeded. (CallDefs are computed when their call runs.)
 	for _, val := range proc.EntryValues {
+		if val == nil {
+			continue
+		}
 		if sv, ok := seed[val]; ok {
-			s.res.Val[val] = sv
+			res.vals[val.ID] = sv
 		} else {
-			s.res.Val[val] = lattice.Bottom
+			res.vals[val.ID] = lattice.Bottom
 		}
 	}
 	s.flowWork = append(s.flowWork, flowItem{to: proc.Entry, predIdx: -1})
 	s.run()
-	return s.res
+	return res
 }
 
 type flowItem struct {
@@ -127,7 +128,12 @@ type solver struct {
 	cde      CallDefEval
 	flowWork []flowItem
 	ssaWork  []*ir.Instr
-	visited  map[*ir.Block]bool
+
+	// edgeExec marks executable CFG edges: the edge into block b through
+	// its k-th predecessor slot is edgeExec[edgeBase[b.ID]+k].
+	edgeExec []bool
+	edgeBase []int
+	visited  []bool // by Block.ID
 }
 
 func (s *solver) run() {
@@ -140,7 +146,7 @@ func (s *solver) run() {
 		case len(s.ssaWork) > 0:
 			i := s.ssaWork[len(s.ssaWork)-1]
 			s.ssaWork = s.ssaWork[:len(s.ssaWork)-1]
-			if s.res.Reachable[i.Block] {
+			if s.res.Reachable[i.Block.ID] {
 				s.visitInstr(i)
 			}
 		}
@@ -150,14 +156,14 @@ func (s *solver) run() {
 func (s *solver) flowEdge(item flowItem) {
 	b := item.to
 	if item.predIdx >= 0 {
-		e := edge{b, item.predIdx}
-		if s.res.edgeExec[e] {
+		e := s.edgeBase[b.ID] + item.predIdx
+		if s.edgeExec[e] {
 			return
 		}
-		s.res.edgeExec[e] = true
+		s.edgeExec[e] = true
 	}
-	s.res.Reachable[b] = true
-	if s.visited[b] {
+	s.res.Reachable[b.ID] = true
+	if s.visited[b.ID] {
 		// Re-evaluate only the phis: a new incoming edge adds operands.
 		for _, i := range b.Instrs {
 			if i.Op != ir.OpPhi {
@@ -167,7 +173,7 @@ func (s *solver) flowEdge(item flowItem) {
 		}
 		return
 	}
-	s.visited[b] = true
+	s.visited[b.ID] = true
 	for _, i := range b.Instrs {
 		s.visitInstr(i)
 	}
@@ -176,15 +182,12 @@ func (s *solver) flowEdge(item flowItem) {
 // lower updates a value's lattice element and wakes its uses. Lattice
 // discipline: the new value must be ≤ the old one (monotone descent).
 func (s *solver) lower(v *ir.Value, nv lattice.Value) {
-	old, ok := s.res.Val[v]
-	if !ok {
-		old = lattice.Top
-	}
+	old := s.res.vals[v.ID]
 	nv = lattice.Meet(old, nv)
 	if nv.Equal(old) {
 		return
 	}
-	s.res.Val[v] = nv
+	s.res.vals[v.ID] = nv
 	s.ssaWork = append(s.ssaWork, v.Uses...)
 }
 
@@ -195,10 +198,7 @@ func (s *solver) operand(op ir.Operand) lattice.Value {
 	if op.Val == nil {
 		return lattice.Bottom // arrays and untracked uses
 	}
-	if v, ok := s.res.Val[op.Val]; ok {
-		return v
-	}
-	return lattice.Top
+	return s.res.vals[op.Val.ID]
 }
 
 func (s *solver) visitInstr(i *ir.Instr) {
@@ -240,8 +240,9 @@ func (s *solver) typedResult(i *ir.Instr, v lattice.Value) lattice.Value {
 
 func (s *solver) visitPhi(i *ir.Instr) {
 	acc := lattice.Top
+	base := s.edgeBase[i.Block.ID]
 	for k := range i.Args {
-		if !s.res.edgeExec[edge{i.Block, k}] {
+		if !s.edgeExec[base+k] {
 			continue
 		}
 		acc = lattice.Meet(acc, s.operand(i.Args[k]))

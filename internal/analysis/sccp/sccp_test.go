@@ -76,7 +76,7 @@ END
 	}
 	unreachable := 0
 	for _, b := range p.Main.Blocks {
-		if !res.Reachable[b] {
+		if !res.Reachable[b.ID] {
 			unreachable++
 		}
 	}
@@ -145,8 +145,8 @@ END
 	}
 	// Seed N = 41 (as the interprocedural propagation would).
 	seed := map[*ir.Value]lattice.Value{}
-	for v, val := range s.EntryValues {
-		if v.Kind == ir.FormalVar && v.Index == 0 {
+	for id, val := range s.EntryValues {
+		if v := s.Vars[id]; val != nil && v.Kind == ir.FormalVar && v.Index == 0 {
 			seed[val] = lattice.OfInt(41)
 		}
 	}
@@ -173,8 +173,8 @@ END
 `)
 	s := p.ProcByName["S"]
 	seed := map[*ir.Value]lattice.Value{}
-	for v, val := range s.EntryValues {
-		if v.Kind == ir.FormalVar {
+	for id, val := range s.EntryValues {
+		if v := s.Vars[id]; val != nil && v.Kind == ir.FormalVar {
 			seed[val] = lattice.OfInt(0)
 		}
 	}

@@ -38,16 +38,16 @@ type ReturnEval interface {
 // expression.
 type Result struct {
 	Proc  *ir.Proc
-	exprs map[*ir.Value]sym.Expr
+	exprs []sym.Expr // indexed by Value.ID
 }
 
 // ExprOf returns the expression of an SSA value (nil for untracked
 // values, which callers treat as unknown).
 func (r *Result) ExprOf(v *ir.Value) sym.Expr {
-	if v == nil {
+	if v == nil || v.ID >= len(r.exprs) {
 		return nil
 	}
-	return r.exprs[v]
+	return r.exprs[v.ID]
 }
 
 // OperandExpr returns the expression of an instruction operand: integer
@@ -68,14 +68,18 @@ func (r *Result) OperandExpr(op ir.Operand) sym.Expr {
 func (a *analyzer) run() {
 	p := a.proc
 	// Entry values first.
-	for v, val := range p.EntryValues {
+	for _, val := range p.EntryValues {
+		if val == nil {
+			continue
+		}
+		v := val.Var
 		switch {
 		case val.Kind == ir.EntryDef && v.Kind == ir.FormalVar:
-			a.exprs[val] = &sym.Formal{Index: v.Index, Name: v.Name}
+			a.exprs[val.ID] = &sym.Formal{Index: v.Index, Name: v.Name}
 		case val.Kind == ir.EntryDef && v.Kind == ir.GlobalRefVar:
-			a.exprs[val] = &sym.GlobalEntry{G: v.Global}
+			a.exprs[val.ID] = &sym.GlobalEntry{G: v.Global}
 		default:
-			a.exprs[val] = &sym.Unknown{ID: val.ID}
+			a.exprs[val.ID] = &sym.Unknown{ID: val.ID}
 		}
 	}
 
@@ -93,7 +97,7 @@ func Analyze(p *ir.Proc, re ReturnEval) *Result {
 	a := &analyzer{
 		proc:  p,
 		re:    re,
-		exprs: make(map[*ir.Value]sym.Expr),
+		exprs: make([]sym.Expr, p.NumValues()),
 	}
 	a.run()
 	return &Result{Proc: p, exprs: a.exprs}
@@ -102,7 +106,7 @@ func Analyze(p *ir.Proc, re ReturnEval) *Result {
 type analyzer struct {
 	proc  *ir.Proc
 	re    ReturnEval
-	exprs map[*ir.Value]sym.Expr
+	exprs []sym.Expr // indexed by Value.ID
 }
 
 // unknown returns the opaque expression for an SSA value.
@@ -119,7 +123,7 @@ func (a *analyzer) operandExpr(op ir.Operand) sym.Expr {
 	if op.Val == nil {
 		return nil
 	}
-	return a.exprs[op.Val]
+	return a.exprs[op.Val.ID]
 }
 
 func (a *analyzer) visit(i *ir.Instr) {
@@ -137,13 +141,13 @@ func (a *analyzer) visit(i *ir.Instr) {
 	// Only integer scalar results carry symbolic values; the paper
 	// propagates integer constants only.
 	if i.Var == nil || i.Var.Type != ir.Int {
-		a.exprs[i.Dst] = a.unknown(i.Dst)
+		a.exprs[i.Dst.ID] = a.unknown(i.Dst)
 		return
 	}
 	switch i.Op {
 	case ir.OpCopy:
 		if e := a.operandExpr(i.Args[0]); e != nil {
-			a.exprs[i.Dst] = e
+			a.exprs[i.Dst.ID] = e
 			return
 		}
 	case ir.OpNeg, ir.OpAbs, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv,
@@ -159,13 +163,13 @@ func (a *analyzer) visit(i *ir.Instr) {
 		}
 		if ok {
 			if e := sym.MakeOp(i.Op, args...); e != nil {
-				a.exprs[i.Dst] = e
+				a.exprs[i.Dst.ID] = e
 				return
 			}
 		}
 	}
 	// ALoad, Read, conversions, failed folds: opaque.
-	a.exprs[i.Dst] = a.unknown(i.Dst)
+	a.exprs[i.Dst.ID] = a.unknown(i.Dst)
 }
 
 func (a *analyzer) visitPhi(i *ir.Instr) {
@@ -188,10 +192,10 @@ func (a *analyzer) visitPhi(i *ir.Instr) {
 		}
 	}
 	if common != nil {
-		a.exprs[i.Dst] = common
+		a.exprs[i.Dst.ID] = common
 		return
 	}
-	a.exprs[i.Dst] = a.unknown(i.Dst)
+	a.exprs[i.Dst.ID] = a.unknown(i.Dst)
 }
 
 func (a *analyzer) visitCall(i *ir.Instr) {
@@ -209,7 +213,7 @@ func (a *analyzer) visitCall(i *ir.Instr) {
 		if e == nil {
 			e = a.unknown(i.Dst)
 		}
-		a.exprs[i.Dst] = e
+		a.exprs[i.Dst.ID] = e
 	}
 	for _, def := range i.CallDefs {
 		if def == nil {
@@ -222,6 +226,6 @@ func (a *analyzer) visitCall(i *ir.Instr) {
 		if e == nil {
 			e = a.unknown(def)
 		}
-		a.exprs[def] = e
+		a.exprs[def.ID] = e
 	}
 }

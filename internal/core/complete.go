@@ -44,14 +44,14 @@ func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 		seed := make(map[*ir.Value]lattice.Value)
 		for i, f := range proc.Formals {
 			if c, ok := pr.FormalVals[i].IntConst(); ok {
-				if ev := proc.EntryValues[f]; ev != nil {
+				if ev := proc.EntryValues[f.ID]; ev != nil {
 					seed[ev] = lattice.OfInt(c)
 				}
 			}
 		}
 		for k, gvar := range proc.GlobalVars {
 			if c, ok := pr.GlobalVals[k].IntConst(); ok {
-				if ev := proc.EntryValues[gvar]; ev != nil {
+				if ev := proc.EntryValues[gvar.ID]; ev != nil {
 					seed[ev] = lattice.OfInt(c)
 				}
 			}

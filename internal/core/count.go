@@ -58,12 +58,12 @@ func collectUses(proc *ir.Proc, oracle ir.ModOracle) *ProcUses {
 	}
 	owner := make(map[*ir.Value]*VarUses, len(proc.Formals)+len(proc.GlobalVars))
 	for i, f := range proc.Formals {
-		if ev := proc.EntryValues[f]; ev != nil {
+		if ev := proc.EntryValues[f.ID]; ev != nil {
 			owner[ev] = &u.Formal[i]
 		}
 	}
 	for k, gvar := range proc.GlobalVars {
-		if ev := proc.EntryValues[gvar]; ev != nil {
+		if ev := proc.EntryValues[gvar.ID]; ev != nil {
 			owner[ev] = &u.Global[k]
 		}
 	}

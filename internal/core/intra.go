@@ -57,7 +57,7 @@ func AnalyzeIntraproceduralIR(irp *ir.Program) *IntraResult {
 func countIntraSubstitutions(proc *ir.Proc, sres *sccp.Result, oracle ir.ModOracle) int {
 	count := 0
 	for _, b := range proc.Blocks {
-		if !sres.Reachable[b] {
+		if !sres.Reachable[b.ID] {
 			continue
 		}
 		for _, i := range b.Instrs {

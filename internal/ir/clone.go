@@ -84,6 +84,11 @@ type RewriteFunc func(instr *Instr, argIndex int, op Operand) Operand
 // keepInstr (when non-nil) filters instructions: returning false drops
 // the instruction. Terminators are always kept. Dead-code elimination
 // uses both hooks.
+//
+// Variables and blocks keep their IDs, so the clone looks them up by ID.
+// Its variables, blocks, instructions, operands and edge lists are each
+// carved from one allocation per procedure; every carved slice is capped
+// at its own length, so appending to one reallocates it.
 func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *Proc {
 	np := &Proc{
 		Name:     p.Name,
@@ -91,44 +96,71 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 		Prog:     p.Prog,
 		SrcLines: p.SrcLines,
 	}
-	varMap := make(map[*Var]*Var, len(p.Vars))
-	for _, v := range p.Vars {
-		nv := &Var{ID: v.ID, Name: v.Name, Kind: v.Kind, Type: v.Type, Index: v.Index, Global: v.Global, Size: v.Size, Dims: v.Dims}
-		np.Vars = append(np.Vars, nv)
-		varMap[v] = nv
+	vars := make([]Var, len(p.Vars))
+	np.Vars = make([]*Var, len(p.Vars))
+	for k, v := range p.Vars {
+		vars[k] = Var{ID: k, Name: v.Name, Kind: v.Kind, Type: v.Type, Index: v.Index, Global: v.Global, Size: v.Size, Dims: v.Dims}
+		np.Vars[k] = &vars[k]
 	}
 	mapVar := func(v *Var) *Var {
 		if v == nil {
 			return nil
 		}
-		return varMap[v]
+		return np.Vars[v.ID]
 	}
-	for _, f := range p.Formals {
-		np.Formals = append(np.Formals, varMap[f])
+	mapVars := func(list []*Var) []*Var {
+		if len(list) == 0 {
+			return nil
+		}
+		out := make([]*Var, len(list))
+		for k, v := range list {
+			out[k] = np.Vars[v.ID]
+		}
+		return out
 	}
+	np.Formals = mapVars(p.Formals)
 	np.Result = mapVar(p.Result)
-	for _, g := range p.GlobalVars {
-		np.GlobalVars = append(np.GlobalVars, varMap[g])
-	}
-	for _, r := range p.RetVars {
-		np.RetVars = append(np.RetVars, varMap[r])
-	}
+	np.GlobalVars = mapVars(p.GlobalVars)
+	np.RetVars = mapVars(p.RetVars)
 
-	blockMap := make(map[*Block]*Block, len(p.Blocks))
+	nedges, ninstrs, nargs := 0, 0, 0
 	for _, b := range p.Blocks {
-		nb := np.NewBlock()
-		blockMap[b] = nb
+		nedges += len(b.Succs) + len(b.Preds)
+		for _, i := range b.Instrs {
+			if i.Op != OpPhi {
+				ninstrs++
+				nargs += len(i.Args)
+			}
+		}
 	}
-	np.Entry = blockMap[p.Entry]
+	blocks := make([]Block, len(p.Blocks))
+	np.Blocks = make([]*Block, len(p.Blocks))
+	for k := range blocks {
+		blocks[k].ID = k
+		np.Blocks[k] = &blocks[k]
+	}
+	np.Entry = np.Blocks[p.Entry.ID]
+	edges := make([]*Block, nedges)
+	carveEdges := func(list []*Block) []*Block {
+		if len(list) == 0 {
+			return nil
+		}
+		out := edges[:len(list):len(list)]
+		edges = edges[len(list):]
+		for k, b := range list {
+			out[k] = np.Blocks[b.ID]
+		}
+		return out
+	}
+	instrs := make([]Instr, ninstrs)
+	list := make([]*Instr, ninstrs)
+	args := make([]Operand, nargs)
 
-	for _, b := range p.Blocks {
-		nb := blockMap[b]
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, blockMap[s])
-		}
-		for _, pr := range b.Preds {
-			nb.Preds = append(nb.Preds, blockMap[pr])
-		}
+	for bi, b := range p.Blocks {
+		nb := np.Blocks[bi]
+		nb.Succs = carveEdges(b.Succs)
+		nb.Preds = carveEdges(b.Preds)
+		n := 0
 		for _, i := range b.Instrs {
 			if i.Op == OpPhi {
 				continue // named variables carry the merge
@@ -136,16 +168,20 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 			if keepInstr != nil && !i.Op.IsTerminator() && !keepInstr(i) {
 				continue
 			}
-			ni := &Instr{
+			ni := &instrs[0]
+			instrs = instrs[1:]
+			*ni = Instr{
 				ID:         i.ID,
 				Op:         i.Op,
+				Block:      nb,
 				Pos:        i.Pos,
 				Role:       i.Role,
 				Var:        mapVar(i.Var),
 				Callee:     i.Callee,
 				NumActuals: i.NumActuals,
 			}
-			ni.Args = make([]Operand, len(i.Args))
+			ni.Args = args[:len(i.Args):len(i.Args)]
+			args = args[len(i.Args):]
 			for a := range i.Args {
 				op := i.Args[a]
 				if rewrite != nil {
@@ -155,7 +191,12 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 				op.Var = mapVar(op.Var)
 				ni.Args[a] = op
 			}
-			nb.Append(ni)
+			list[n] = ni
+			n++
+		}
+		if n > 0 {
+			nb.Instrs = list[:n:n]
+			list = list[n:]
 		}
 	}
 	return np

@@ -135,10 +135,11 @@ type Proc struct {
 	ssaBuilt  bool
 	nextValID int
 
-	// EntryValues maps each SSA-tracked variable to its value at
-	// procedure entry (EntryDef for formals and globals, UndefDef for
-	// locals), filled by BuildSSA.
-	EntryValues map[*Var]*Value
+	// EntryValues holds, indexed by Var.ID, each SSA-tracked variable's
+	// value at procedure entry (EntryDef for formals and globals,
+	// UndefDef for locals), filled by BuildSSA; untracked variables'
+	// entries are nil.
+	EntryValues []*Value
 
 	// SrcLines is the number of noncomment source lines of the original
 	// program unit (used for Table 1).
@@ -183,7 +184,7 @@ func (k VarKind) String() string {
 
 // Var is a variable within one procedure.
 type Var struct {
-	ID     int // dense per-procedure index
+	ID     int // dense per-procedure index; Proc.Vars[ID] == this
 	Name   string
 	Kind   VarKind
 	Type   Type
@@ -210,7 +211,7 @@ func (v *Var) Tracked() bool {
 
 // Block is a basic block.
 type Block struct {
-	ID     int
+	ID     int // dense per-procedure index; Proc.Blocks[ID] == this
 	Instrs []*Instr
 	Succs  []*Block
 	Preds  []*Block
@@ -253,7 +254,7 @@ const (
 
 // Value is one SSA definition of a variable (or a temp).
 type Value struct {
-	ID   int
+	ID   int  // dense per-procedure index, below Proc.NumValues
 	Var  *Var // the variable this value is a version of
 	Kind DefKind
 	Def  *Instr // defining instruction (InstrDef), or the call (CallDef)
@@ -552,9 +553,7 @@ func (b *Block) Append(i *Instr) *Instr {
 	return i
 }
 
-// newValue allocates an SSA value for v.
-func (p *Proc) newValue(v *Var, kind DefKind, def *Instr) *Value {
-	val := &Value{ID: p.nextValID, Var: v, Kind: kind, Def: def, CalleeFormal: -1}
-	p.nextValID++
-	return val
-}
+// NumValues returns the number of SSA values created so far; every
+// Value.ID of the procedure is below it, so analyses can index per-value
+// state by ID.
+func (p *Proc) NumValues() int { return p.nextValID }

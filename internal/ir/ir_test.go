@@ -63,7 +63,7 @@ func TestBuildSSAByHand(t *testing.T) {
 	if phis != 1 {
 		t.Fatalf("header phis = %d, want 1 (only I merges)\n%s", phis, p)
 	}
-	if p.EntryValues[n] == nil || p.EntryValues[n].Kind != EntryDef {
+	if p.EntryValues[n.ID] == nil || p.EntryValues[n.ID].Kind != EntryDef {
 		t.Error("formal entry value missing")
 	}
 	// Building twice must panic (the IR is consumed).
@@ -141,7 +141,7 @@ func TestCloneStripSSA(t *testing.T) {
 func TestCloneRewriteHook(t *testing.T) {
 	p, n, _ := buildCounterProc()
 	p.BuildSSA(WorstCase)
-	entryN := p.EntryValues[n]
+	entryN := p.EntryValues[n.ID]
 	np := p.CloneStripSSA(func(_ *Instr, _ int, op Operand) Operand {
 		if op.Val == entryN {
 			return ConstOperand(IntConst(42))

@@ -403,13 +403,13 @@ END
 		t.Fatal("no entry values")
 	}
 	for _, f := range s.Formals {
-		v := s.EntryValues[f]
+		v := s.EntryValues[f.ID]
 		if v == nil || v.Kind != ir.EntryDef {
 			t.Fatalf("formal %s entry value: %v", f.Name, v)
 		}
 	}
 	for _, gv := range s.GlobalVars {
-		v := s.EntryValues[gv]
+		v := s.EntryValues[gv.ID]
 		if v == nil || v.Kind != ir.EntryDef {
 			t.Fatalf("global %s entry value: %v", gv.Name, v)
 		}
@@ -417,7 +417,7 @@ END
 	// Locals start undefined.
 	for _, v := range s.Vars {
 		if v.Kind == ir.LocalVar {
-			if ev := s.EntryValues[v]; ev == nil || ev.Kind != ir.UndefDef {
+			if ev := s.EntryValues[v.ID]; ev == nil || ev.Kind != ir.UndefDef {
 				t.Fatalf("local %s entry value: %v", v.Name, ev)
 			}
 		}

@@ -1,7 +1,5 @@
 package ir
 
-import "sort"
-
 // ModOracle answers, during SSA construction, whether a call may modify
 // a by-reference binding. The real oracle is backed by interprocedural
 // MOD summaries; the worst-case oracle (paper §4.2, Table 3 column 1)
@@ -28,6 +26,10 @@ func (worstCase) ModifiesGlobal(*Proc, *GlobalVar) bool { return true }
 // renames every use and definition. Call instructions get CallDef values
 // for each binding the oracle says the callee may modify.
 //
+// Per-variable and per-block state lives in slices indexed by Var.ID
+// and Block.ID, and each block's phis are ordered by variable ID, so
+// rebuilding the same IR yields the same phis and value IDs.
+//
 // BuildSSA must be called exactly once per procedure instance; to
 // reanalyze under a different oracle, rebuild the IR (see
 // irbuild.Build).
@@ -39,46 +41,54 @@ func (p *Proc) BuildSSA(oracle ModOracle) {
 	rpo := p.ComputeDominators()
 
 	// --- Phi placement -----------------------------------------------------
-	// Every tracked variable is implicitly defined at entry (EntryDef or
-	// UndefDef), plus at each real definition site.
-	defBlocks := make(map[*Var]map[*Block]bool)
+	// Every tracked variable is also implicitly defined at entry (EntryDef
+	// or UndefDef), but the entry block needs no site: Verify requires
+	// that it has no predecessors, so its dominance frontier is empty.
+	var defs []defSite
 	addDef := func(v *Var, b *Block) {
-		if !v.Tracked() {
-			return
+		if v.Tracked() {
+			defs = append(defs, defSite{v, b})
 		}
-		m := defBlocks[v]
-		if m == nil {
-			m = make(map[*Block]bool)
-			defBlocks[v] = m
-		}
-		m[b] = true
 	}
-	for _, v := range p.Vars {
-		addDef(v, p.Entry)
-	}
+	untracked := 0 // definitions that get a value but no phis (temps)
 	for _, b := range rpo {
 		for _, i := range b.Instrs {
-			if i.Op.DefinesScalar() && i.Var != nil {
+			switch {
+			case i.Op.DefinesScalar() && i.Var != nil:
+				if !i.Var.Tracked() {
+					untracked++
+				}
 				addDef(i.Var, b)
-			}
-			if i.Op == OpCall {
+			case i.Op == OpCall:
+				if i.Var != nil { // function result temp
+					untracked++
+				}
 				p.addCallDefSites(i, oracle, addDef, b)
 			}
 		}
 	}
-
-	for v, sites := range defBlocks {
-		p.placePhis(v, sites)
-	}
+	phis := p.placePhis(defs)
+	p.insertPhis(phis)
 
 	// --- Renaming -----------------------------------------------------------
+	// Renaming pushes one value per phi and definition. Those and the
+	// entry values share one allocation; only a defensive undef (see top)
+	// comes from the heap.
+	pushes := len(phis) + len(defs) + untracked
+	tracked := 0
+	for _, v := range p.Vars {
+		if v.Tracked() {
+			tracked++
+		}
+	}
 	r := &renamer{
 		proc:   p,
 		oracle: oracle,
-		stacks: make(map[*Var][]*Value),
-		undefs: make(map[*Var]*Value),
+		cur:    make([]*Value, len(p.Vars)),
+		undo:   make([]undoEntry, 0, pushes),
+		slab:   make([]Value, tracked+pushes),
 	}
-	p.EntryValues = make(map[*Var]*Value)
+	p.EntryValues = make([]*Value, len(p.Vars))
 	for _, v := range p.Vars {
 		if !v.Tracked() {
 			continue
@@ -87,11 +97,18 @@ func (p *Proc) BuildSSA(oracle ModOracle) {
 		if v.Kind == FormalVar || v.Kind == GlobalRefVar {
 			kind = EntryDef
 		}
-		val := p.newValue(v, kind, nil)
-		p.EntryValues[v] = val
-		r.stacks[v] = []*Value{val}
+		val := r.newValue(v, kind, nil)
+		p.EntryValues[v.ID] = val
+		r.cur[v.ID] = val
 	}
 	r.renameBlock(p.Entry)
+}
+
+// defSite is one definition of a tracked variable in a block; placePhis
+// also uses it for the (variable, block) pairs that need a phi.
+type defSite struct {
+	v *Var
+	b *Block
 }
 
 // addCallDefSites registers the definition sites a call contributes: one
@@ -136,81 +153,172 @@ func callByRefActual(call *Instr, i int) *Var {
 	return v
 }
 
-// placePhis inserts phi instructions for v on the iterated dominance
-// frontier of its definition sites.
-func (p *Proc) placePhis(v *Var, sites map[*Block]bool) {
-	hasPhi := make(map[*Block]bool)
-	work := make([]*Block, 0, len(sites))
-	for b := range sites {
-		work = append(work, b)
+// placePhis returns the phis the definition sites call for, one per
+// block on the iterated dominance frontier of each variable's sites,
+// ordered by variable ID.
+func (p *Proc) placePhis(defs []defSite) []defSite {
+	// Counting-sort the sites by variable.
+	start := make([]int, len(p.Vars)+1)
+	for _, d := range defs {
+		start[d.v.ID+1]++
 	}
-	// The worklist order decides phi insertion order; sort it so SSA
-	// construction is deterministic run to run.
-	sort.Slice(work, func(i, j int) bool { return work[i].ID < work[j].ID })
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, df := range b.DomFront {
-			if hasPhi[df] {
-				continue
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	sites := make([]*Block, len(defs))
+	next := append([]int(nil), start[:len(p.Vars)]...)
+	for _, d := range defs {
+		sites[next[d.v.ID]] = d.b
+		next[d.v.ID]++
+	}
+
+	// Per-block stamps: the ID+1 of the last variable that gave the block
+	// a phi, and of the last one that put it on the worklist.
+	hasPhi := make([]int, len(p.Blocks))
+	queued := make([]int, len(p.Blocks))
+	var phis []defSite
+	var work []*Block
+	for _, v := range p.Vars {
+		vs := sites[start[v.ID]:start[v.ID+1]]
+		if len(vs) == 0 {
+			continue
+		}
+		stamp := v.ID + 1
+		work = work[:0]
+		for _, b := range vs {
+			if queued[b.ID] != stamp {
+				queued[b.ID] = stamp
+				work = append(work, b)
 			}
-			hasPhi[df] = true
-			phi := &Instr{
-				Op:   OpPhi,
-				Var:  v,
-				Args: make([]Operand, len(df.Preds)),
-			}
-			for j := range phi.Args {
-				phi.Args[j] = VarOperand(v)
-			}
-			phi.Block = df
-			df.Instrs = append([]*Instr{phi}, df.Instrs...)
-			if !sites[df] {
-				sites[df] = true
-				work = append(work, df)
+		}
+		for len(work) > 0 {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, df := range b.DomFront {
+				if hasPhi[df.ID] == stamp {
+					continue
+				}
+				hasPhi[df.ID] = stamp
+				phis = append(phis, defSite{v, df})
+				if queued[df.ID] != stamp {
+					queued[df.ID] = stamp
+					work = append(work, df)
+				}
 			}
 		}
 	}
+	return phis
 }
 
+// insertPhis creates the phi instructions and splices each block's run
+// of them, in the given order, ahead of its instructions. The phis, their
+// operands and the spliced instruction lists share one allocation each.
+func (p *Proc) insertPhis(phis []defSite) {
+	if len(phis) == 0 {
+		return
+	}
+	count := make([]int, len(p.Blocks))
+	nargs := 0
+	for _, s := range phis {
+		count[s.b.ID]++
+		nargs += len(s.b.Preds)
+	}
+	total := 0
+	for id, n := range count {
+		if n > 0 {
+			total += n + len(p.Blocks[id].Instrs)
+		}
+	}
+	list := make([]*Instr, total)
+	// count becomes each block's next phi slot in list.
+	off := 0
+	for id, n := range count {
+		if n == 0 {
+			continue
+		}
+		b := p.Blocks[id]
+		end := off + n + len(b.Instrs)
+		copy(list[off+n:end], b.Instrs)
+		b.Instrs = list[off:end:end]
+		count[id] = off
+		off = end
+	}
+	instrs := make([]Instr, len(phis))
+	args := make([]Operand, nargs)
+	for k, s := range phis {
+		n := len(s.b.Preds)
+		phi := &instrs[k]
+		phi.Op = OpPhi
+		phi.Var = s.v
+		phi.Block = s.b
+		phi.Args = args[:n:n]
+		args = args[n:]
+		for j := range phi.Args {
+			phi.Args[j] = VarOperand(s.v)
+		}
+		list[count[s.b.ID]] = phi
+		count[s.b.ID]++
+	}
+}
+
+// renamer carries the reaching definition of every variable down the
+// dominator tree: cur is indexed by Var.ID, and undo logs the entries a
+// block overwrote so they can be restored when the walk leaves it.
 type renamer struct {
 	proc   *Proc
 	oracle ModOracle
-	stacks map[*Var][]*Value
-	undefs map[*Var]*Value
+	cur    []*Value
+	undo   []undoEntry
+	slab   []Value // values not yet handed out
+}
+
+type undoEntry struct {
+	v   *Var
+	old *Value
+}
+
+// newValue creates the procedure's next SSA value for v.
+func (r *renamer) newValue(v *Var, kind DefKind, def *Instr) *Value {
+	var val *Value
+	if len(r.slab) > 0 {
+		val = &r.slab[0]
+		r.slab = r.slab[1:]
+	} else {
+		val = new(Value)
+	}
+	*val = Value{ID: r.proc.nextValID, Var: v, Kind: kind, Def: def, CalleeFormal: -1}
+	r.proc.nextValID++
+	return val
 }
 
 func (r *renamer) top(v *Var) *Value {
-	if s := r.stacks[v]; len(s) > 0 {
-		return s[len(s)-1]
+	if val := r.cur[v.ID]; val != nil {
+		return val
 	}
-	// Temps are defined before use within dominating code; an empty
-	// stack can only mean an untracked variable read before any write,
-	// which lowering never produces, or a tracked local (already seeded
-	// with UndefDef). Keep a defensive shared undef.
-	u := r.undefs[v]
-	if u == nil {
-		u = r.proc.newValue(v, UndefDef, nil)
-		r.undefs[v] = u
-	}
+	// Temps are defined before use within dominating code; no reaching
+	// definition can only mean an untracked variable read before any
+	// write, which lowering never produces (tracked variables start at
+	// their entry value). Keep a defensive shared undef; it stays the
+	// variable's value outside every definition's dominator subtree.
+	u := r.newValue(v, UndefDef, nil)
+	r.cur[v.ID] = u
 	return u
 }
 
-func (r *renamer) push(v *Var, val *Value) int {
-	r.stacks[v] = append(r.stacks[v], val)
-	return 1
+func (r *renamer) push(v *Var, val *Value) {
+	r.undo = append(r.undo, undoEntry{v, r.cur[v.ID]})
+	r.cur[v.ID] = val
 }
 
 func (r *renamer) renameBlock(b *Block) {
-	var pushed []*Var
+	mark := len(r.undo)
 
 	for _, i := range b.Instrs {
 		// Phi definitions first; their arguments are filled from
 		// predecessors.
 		if i.Op == OpPhi {
-			val := r.proc.newValue(i.Var, InstrDef, i)
+			val := r.newValue(i.Var, InstrDef, i)
 			i.Dst = val
-			pushed = append(pushed, i.Var)
 			r.push(i.Var, val)
 			continue
 		}
@@ -229,11 +337,10 @@ func (r *renamer) renameBlock(b *Block) {
 		// Definitions.
 		switch {
 		case i.Op == OpCall:
-			r.renameCall(i, &pushed)
+			r.renameCall(i)
 		case i.Op.DefinesScalar() && i.Var != nil:
-			val := r.proc.newValue(i.Var, InstrDef, i)
+			val := r.newValue(i.Var, InstrDef, i)
 			i.Dst = val
-			pushed = append(pushed, i.Var)
 			r.push(i.Var, val)
 		}
 	}
@@ -265,20 +372,19 @@ func (r *renamer) renameBlock(b *Block) {
 		r.renameBlock(child)
 	}
 
-	for _, v := range pushed {
-		s := r.stacks[v]
-		r.stacks[v] = s[:len(s)-1]
+	for k := len(r.undo) - 1; k >= mark; k-- {
+		r.cur[r.undo[k].v.ID] = r.undo[k].old
 	}
+	r.undo = r.undo[:mark]
 }
 
 // renameCall creates the call's definitions: the function result and the
 // CallDef values for modified by-reference bindings.
-func (r *renamer) renameCall(i *Instr, pushed *[]*Var) {
+func (r *renamer) renameCall(i *Instr) {
 	p := r.proc
 	if i.Var != nil { // function result temp
-		val := p.newValue(i.Var, InstrDef, i)
+		val := r.newValue(i.Var, InstrDef, i)
 		i.Dst = val
-		*pushed = append(*pushed, i.Var)
 		r.push(i.Var, val)
 	}
 	i.CallDefs = make([]*Value, i.NumActuals+len(p.GlobalVars))
@@ -290,10 +396,9 @@ func (r *renamer) renameCall(i *Instr, pushed *[]*Var) {
 		if !r.oracle.ModifiesFormal(i.Callee, a) {
 			continue
 		}
-		val := p.newValue(v, CallDef, i)
+		val := r.newValue(v, CallDef, i)
 		val.CalleeFormal = a
 		i.CallDefs[a] = val
-		*pushed = append(*pushed, v)
 		r.push(v, val)
 	}
 	for k, gv := range p.GlobalVars {
@@ -301,10 +406,9 @@ func (r *renamer) renameCall(i *Instr, pushed *[]*Var) {
 		if !r.oracle.ModifiesGlobal(i.Callee, g) {
 			continue
 		}
-		val := p.newValue(gv, CallDef, i)
+		val := r.newValue(gv, CallDef, i)
 		val.CalleeGlobal = g
 		i.CallDefs[i.NumActuals+k] = val
-		*pushed = append(*pushed, gv)
 		r.push(gv, val)
 	}
 }
