@@ -10,6 +10,10 @@ import "fmt"
 // Checked invariants:
 //
 //   - the entry block exists and belongs to the procedure;
+//   - block and variable IDs equal their index in Blocks and Vars, and
+//     in SSA form there is one entry-value slot per variable and every
+//     value's ID is below NumValues (the dense IDs that per-block,
+//     per-variable and per-value state is indexed by);
 //   - successor/predecessor lists are symmetric (with multiplicity);
 //   - every reachable block ends in exactly one terminator, branch
 //     blocks have two successors, jump blocks one, ret/stop none;
@@ -23,11 +27,19 @@ func (p *Proc) Verify() error {
 	if p.Entry == nil {
 		return fmt.Errorf("%s: no entry block", p.Name)
 	}
-	inProc := make(map[*Block]bool, len(p.Blocks))
-	for _, b := range p.Blocks {
-		inProc[b] = true
+	// The dense-ID invariant per-block and per-variable state rests on.
+	for k, b := range p.Blocks {
+		if b.ID != k {
+			return fmt.Errorf("%s: block %v is Blocks[%d]", p.Name, b, k)
+		}
 	}
-	if !inProc[p.Entry] {
+	for k, v := range p.Vars {
+		if v.ID != k {
+			return fmt.Errorf("%s: variable %s has ID %d but is Vars[%d]", p.Name, v, v.ID, k)
+		}
+	}
+	inProc := func(b *Block) bool { return b.ID >= 0 && b.ID < len(p.Blocks) && p.Blocks[b.ID] == b }
+	if !inProc(p.Entry) {
 		return fmt.Errorf("%s: entry block not in Blocks", p.Name)
 	}
 	// The entry block is never a branch target: lowering starts labeled
@@ -38,21 +50,42 @@ func (p *Proc) Verify() error {
 		return fmt.Errorf("%s: entry block has %d predecessors", p.Name, len(p.Entry.Preds))
 	}
 
-	// Collect definitions for SSA checking.
+	// Collect definitions for SSA checking, by value ID.
 	ssa := p.EntryValues != nil
-	defined := make(map[*Value]bool)
+	var defined []*Value
+	define := func(v *Value) error {
+		if v.ID < 0 || v.ID >= len(defined) {
+			return fmt.Errorf("%s: value %v has ID %d, want below NumValues %d", p.Name, v, v.ID, len(defined))
+		}
+		defined[v.ID] = v
+		return nil
+	}
 	if ssa {
+		if len(p.EntryValues) != len(p.Vars) {
+			return fmt.Errorf("%s: %d entry values for %d variables", p.Name, len(p.EntryValues), len(p.Vars))
+		}
+		defined = make([]*Value, p.NumValues())
 		for _, v := range p.EntryValues {
-			defined[v] = true
+			if v == nil {
+				continue
+			}
+			if err := define(v); err != nil {
+				return err
+			}
 		}
 		for _, b := range p.Blocks {
 			for _, i := range b.Instrs {
 				if i.Dst != nil {
-					defined[i.Dst] = true
+					if err := define(i.Dst); err != nil {
+						return err
+					}
 				}
 				for _, d := range i.CallDefs {
-					if d != nil {
-						defined[d] = true
+					if d == nil {
+						continue
+					}
+					if err := define(d); err != nil {
+						return err
 					}
 				}
 			}
@@ -72,7 +105,7 @@ func (p *Proc) Verify() error {
 	for _, b := range p.Blocks {
 		// Edge symmetry with multiplicity.
 		for _, s := range b.Succs {
-			if !inProc[s] {
+			if !inProc(s) {
 				return fmt.Errorf("%s: %v has successor outside the procedure", p.Name, b)
 			}
 			if count(b.Succs, s) != count(s.Preds, b) {
@@ -81,7 +114,7 @@ func (p *Proc) Verify() error {
 			}
 		}
 		for _, pr := range b.Preds {
-			if !inProc[pr] {
+			if !inProc(pr) {
 				return fmt.Errorf("%s: %v has predecessor outside the procedure", p.Name, b)
 			}
 		}
@@ -138,8 +171,14 @@ func (p *Proc) Verify() error {
 			}
 			for a := range i.Args {
 				op := i.Args[a]
-				if op.Val != nil && ssa && !defined[op.Val] {
-					return fmt.Errorf("%s: %v uses undefined value %v", p.Name, b, op.Val)
+				if op.Val != nil && ssa {
+					if op.Val.ID < 0 || op.Val.ID >= len(defined) {
+						return fmt.Errorf("%s: %v uses undefined value %v: ID %d, want below NumValues %d",
+							p.Name, b, op.Val, op.Val.ID, len(defined))
+					}
+					if defined[op.Val.ID] != op.Val {
+						return fmt.Errorf("%s: %v uses undefined value %v", p.Name, b, op.Val)
+					}
 				}
 				if op.Const == nil && op.Var == nil && op.Val == nil {
 					return fmt.Errorf("%s: %v has empty operand %d of %v", p.Name, b, a, i.Op)

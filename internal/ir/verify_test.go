@@ -97,3 +97,33 @@ func TestVerifyCatchesCallWithoutCallee(t *testing.T) {
 	b.Append(&Instr{Op: OpRet})
 	expectVerifyError(t, p, "without callee")
 }
+
+// The dense-ID invariant: per-block, per-variable and per-value state is
+// indexed by ID, so an ID that disagrees with its slot must fail Verify,
+// naming the procedure and the block or variable.
+func TestVerifyCatchesSwappedBlockIDs(t *testing.T) {
+	p, _, _ := buildCounterProc()
+	p.Blocks[1].ID, p.Blocks[2].ID = 2, 1
+	expectVerifyError(t, p, "COUNT: block b2 is Blocks[1]")
+}
+
+func TestVerifyCatchesStaleVarID(t *testing.T) {
+	p, _, _ := buildCounterProc()
+	p.Vars = append(p.Vars, &Var{ID: 1, Name: "STALE", Kind: LocalVar, Type: Int})
+	expectVerifyError(t, p, "COUNT: variable STALE has ID 1 but is Vars[3]")
+}
+
+func TestVerifyCatchesEntryValueCount(t *testing.T) {
+	p, _, _ := buildCounterProc()
+	p.BuildSSA(WorstCase)
+	p.EntryValues = p.EntryValues[:1]
+	expectVerifyError(t, p, "COUNT: 1 entry values for 3 variables")
+}
+
+func TestVerifyCatchesValueIDBeyondNumValues(t *testing.T) {
+	p, _, _ := buildCounterProc()
+	p.BuildSSA(WorstCase)
+	def := p.Blocks[0].Instrs[0]
+	def.Dst = &Value{ID: p.NumValues(), Var: def.Var, Def: def}
+	expectVerifyError(t, p, "want below NumValues")
+}
