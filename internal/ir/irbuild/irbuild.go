@@ -9,6 +9,7 @@ package irbuild
 
 import (
 	"fmt"
+	"sort"
 
 	"ipcp/internal/ir"
 	"ipcp/internal/mf/ast"
@@ -39,6 +40,7 @@ func Build(prog *sema.Program) *ir.Program {
 // and body passes.
 type unitState struct {
 	vars map[*sema.Symbol]*ir.Var
+	syms []*sema.Symbol // the unit's symbols, sorted by name
 }
 
 type builder struct {
@@ -117,6 +119,7 @@ func (b *builder) declareProc(u *sema.UnitInfo) {
 func (b *builder) declareVars(u *sema.UnitInfo) *unitState {
 	b.vars = make(map[*sema.Symbol]*ir.Var)
 	p := b.irp.ProcByName[u.Name]
+	syms := orderedSymbols(u)
 
 	// Formals, in order.
 	for _, s := range u.Params {
@@ -168,8 +171,9 @@ func (b *builder) declareVars(u *sema.UnitInfo) *unitState {
 			}
 		}
 	}
-	// Locals (declared or implicit).
-	for _, s := range u.Symbols {
+	// Locals (declared or implicit), in name order so that every lowering
+	// of the unit numbers them alike.
+	for _, s := range syms {
 		if s.Kind != sema.LocalSym {
 			continue
 		}
@@ -190,7 +194,7 @@ func (b *builder) declareVars(u *sema.UnitInfo) *unitState {
 	}
 	p.RetVars = append(p.RetVars, p.GlobalVars...)
 
-	return &unitState{vars: b.vars}
+	return &unitState{vars: b.vars, syms: syms}
 }
 
 // lowerBody fills in the body of the already-declared procedure.
@@ -207,7 +211,7 @@ func (b *builder) lowerBody(u *sema.UnitInfo) {
 
 	// DATA initializations (PROGRAM unit only) lower to entry
 	// assignments of literal constants.
-	for _, s := range orderedSymbols(u) {
+	for _, s := range b.states[u].syms {
 		if !s.HasInit {
 			continue
 		}
@@ -229,25 +233,16 @@ func (b *builder) lowerBody(u *sema.UnitInfo) {
 // orderedSymbols returns the unit's symbols in a deterministic order
 // (map iteration is randomized).
 func orderedSymbols(u *sema.UnitInfo) []*sema.Symbol {
-	var names []string
+	names := make([]string, 0, len(u.Symbols))
 	for n := range u.Symbols {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	syms := make([]*sema.Symbol, len(names))
 	for i, n := range names {
 		syms[i] = u.Symbols[n]
 	}
 	return syms
-}
-
-func sortStrings(s []string) {
-	// Insertion sort keeps this dependency-free; symbol tables are small.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // finishWithReturn terminates the final block with an implicit RETURN if

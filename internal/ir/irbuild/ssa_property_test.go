@@ -1,11 +1,14 @@
 package irbuild
 
 import (
+	"strings"
 	"testing"
 
 	"ipcp/internal/analysis/callgraph"
 	"ipcp/internal/analysis/modref"
 	"ipcp/internal/ir"
+	"ipcp/internal/mf/parser"
+	"ipcp/internal/mf/sema"
 	"ipcp/internal/suite"
 )
 
@@ -84,6 +87,44 @@ func checkSSADominance(t *testing.T, si int, proc *ir.Proc) {
 			for _, d := range i.CallDefs {
 				note(d)
 			}
+		}
+	}
+}
+
+// TestSSAIdenticalOnRebuild lowers every suite program six times and
+// builds SSA under the MOD oracle each time: the printed IR (phi order
+// and value IDs included) must be the same on every rebuild. Map
+// iteration order is randomized per range statement, so a phi placement
+// or local-variable numbering that ranges over a map shows up here.
+func TestSSAIdenticalOnRebuild(t *testing.T) {
+	const rebuilds = 6
+	for _, name := range suite.Names() {
+		f, err := parser.Parse(suite.Generate(name, 4).Source)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		sp, err := sema.Analyze(f)
+		if err != nil {
+			t.Fatalf("%s: sema: %v", name, err)
+		}
+		var first string
+		differ := 0
+		for k := 0; k < rebuilds; k++ {
+			prog := Build(sp)
+			mods := modref.Compute(prog, callgraph.Build(prog))
+			var sb strings.Builder
+			for _, proc := range prog.Procs {
+				proc.BuildSSA(mods.Oracle())
+				sb.WriteString(proc.String())
+			}
+			if k == 0 {
+				first = sb.String()
+			} else if sb.String() != first {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of %d rebuilds print different SSA than the first", name, differ, rebuilds-1)
 		}
 	}
 }
