@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"ipcp/internal/ir"
 	"ipcp/internal/sym"
@@ -203,7 +204,8 @@ func (m *machine) arith(f *frame, i *ir.Instr) error {
 			}
 			vals[k] = asReal(operandType(a), c)
 		}
-		if i.Op == ir.OpPow {
+		realExp := i.Op == ir.OpPow && operandType(i.Args[1]) == ir.Real
+		if i.Op == ir.OpPow && !realExp {
 			// realArith multiplies powMuls times inside this one
 			// instruction; charging them first lets fuel bound the loop.
 			n := powMuls(vals[1])
@@ -212,7 +214,7 @@ func (m *machine) arith(f *frame, i *ir.Instr) error {
 			}
 			m.fuel -= int(n)
 		}
-		r, err := realArith(i.Op, vals)
+		r, err := realArith(i.Op, vals, realExp)
 		if err != nil {
 			return fmt.Errorf("interp: %s: %w", f.proc.Name, err)
 		}
@@ -235,7 +237,10 @@ func (m *machine) arith(f *frame, i *ir.Instr) error {
 	return nil
 }
 
-func realArith(op ir.Op, v []float64) (float64, error) {
+// realArith evaluates a REAL operation. realExp says that a power's
+// exponent is itself REAL: it may be fractional, so it goes through
+// math.Pow rather than the multiply loop an INTEGER exponent takes.
+func realArith(op ir.Op, v []float64, realExp bool) (float64, error) {
 	switch op {
 	case ir.OpNeg:
 		return -v[0], nil
@@ -256,6 +261,14 @@ func realArith(op ir.Op, v []float64) (float64, error) {
 		}
 		return v[0] / v[1], nil
 	case ir.OpPow:
+		if realExp {
+			// NaN for a negative base, +Inf for zero to a negative power.
+			r := math.Pow(v[0], v[1])
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return 0, fmt.Errorf("real power fault")
+			}
+			return r, nil
+		}
 		r := 1.0
 		n := powMuls(v[1])
 		for k := int64(0); k < n; k++ {
@@ -289,7 +302,7 @@ func realArith(op ir.Op, v []float64) (float64, error) {
 }
 
 // powMuls is the number of multiplications realArith performs to raise
-// a REAL to the power x: |int64(x)|, or none when that negation
+// a REAL to the INTEGER power x: |int64(x)|, or none when that negation
 // overflows.
 func powMuls(x float64) int64 {
 	n := int64(x)

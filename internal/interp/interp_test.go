@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -253,6 +256,42 @@ END
 `)
 	if len(res.Output) != 1 || res.Output[0] != 1024 {
 		t.Errorf("2.0 ** 10: %v, want [1024]", res.Output)
+	}
+}
+
+// TestRealExponents: a REAL exponent may be fractional, so it is
+// evaluated with math.Pow, not truncated to an integer multiply count;
+// an INTEGER exponent keeps the multiply loop.
+func TestRealExponents(t *testing.T) {
+	want := strconv.FormatFloat(math.Pow(2, 2.9), 'f', -1, 64)
+	res := run(t, `
+PROGRAM P
+  REAL R, S, T
+  R = 4.0 ** 0.5
+  S = 2.0 ** 2.9
+  T = 2.0 ** 10
+  IF (R .EQ. 2.0) THEN
+    WRITE(*,*) 1
+  ENDIF
+  IF (S .EQ. `+want+`) THEN
+    WRITE(*,*) 2
+  ENDIF
+  IF (T .EQ. 1024.0) THEN
+    WRITE(*,*) 3
+  ENDIF
+END
+`)
+	if fmt.Sprint(res.Output) != "[1 2 3]" {
+		t.Errorf("4.0**0.5 == 2, 2.0**2.9 == %s, 2.0**10 == 1024: checks passed %v, want [1 2 3]", want, res.Output)
+	}
+	res = Run(build(t, `
+PROGRAM P
+  REAL R
+  R = (-8.0) ** (1.0/3.0)
+END
+`), Options{})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "real power fault") {
+		t.Errorf("(-8.0)**(1.0/3.0): err = %v, want a real power fault", res.Err)
 	}
 }
 
