@@ -19,6 +19,9 @@
 #      stage-1 products too — has two chances to show up per CI run;
 #      likewise the server's and the fleet's batch tests, whose items
 #      fan out through par.For
+#   5a. every benchmark once (-benchtime 1x): no test runs their set-up
+#      code, which reaches into IR and analysis types a refactor can
+#      change under them
 #   5b. go vet + go test in perfbench, the benchmark's own module: the
 #      root ./... pattern skips nested modules, so without this a core
 #      change that breaks the benchmark's use of the library would pass
@@ -89,6 +92,9 @@ go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
 
 echo "==> go test -race -run Batch -count=2 ./internal/server ./internal/fleet"
 go test -race -run Batch -count=2 ./internal/server ./internal/fleet
+
+echo "==> go test -run '^\$' -bench . -benchtime 1x ./..."
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "==> perfbench: go vet ./... && go test ./..."
 (cd perfbench && go vet ./... && go test ./...)
