@@ -99,7 +99,7 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 	vars := make([]Var, len(p.Vars))
 	np.Vars = make([]*Var, len(p.Vars))
 	for k, v := range p.Vars {
-		vars[k] = Var{ID: k, Name: v.Name, Kind: v.Kind, Type: v.Type, Index: v.Index, Global: v.Global, Size: v.Size, Dims: v.Dims}
+		vars[k] = *v
 		np.Vars[k] = &vars[k]
 	}
 	mapVar := func(v *Var) *Var {

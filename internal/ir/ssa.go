@@ -211,53 +211,23 @@ func (p *Proc) placePhis(defs []defSite) []defSite {
 }
 
 // insertPhis creates the phi instructions and splices each block's run
-// of them, in the given order, ahead of its instructions. The phis, their
-// operands and the spliced instruction lists share one allocation each.
+// of them, in the given order, ahead of its instructions.
 func (p *Proc) insertPhis(phis []defSite) {
-	if len(phis) == 0 {
-		return
-	}
-	count := make([]int, len(p.Blocks))
-	nargs := 0
-	for _, s := range phis {
-		count[s.b.ID]++
-		nargs += len(s.b.Preds)
-	}
-	total := 0
-	for id, n := range count {
-		if n > 0 {
-			total += n + len(p.Blocks[id].Instrs)
-		}
-	}
-	list := make([]*Instr, total)
-	// count becomes each block's next phi slot in list.
-	off := 0
-	for id, n := range count {
-		if n == 0 {
-			continue
-		}
-		b := p.Blocks[id]
-		end := off + n + len(b.Instrs)
-		copy(list[off+n:end], b.Instrs)
-		b.Instrs = list[off:end:end]
-		count[id] = off
-		off = end
-	}
+	heads := make([][]*Instr, len(p.Blocks))
 	instrs := make([]Instr, len(phis))
-	args := make([]Operand, nargs)
 	for k, s := range phis {
-		n := len(s.b.Preds)
 		phi := &instrs[k]
-		phi.Op = OpPhi
-		phi.Var = s.v
-		phi.Block = s.b
-		phi.Args = args[:n:n]
-		args = args[n:]
+		*phi = Instr{Op: OpPhi, Var: s.v, Block: s.b, Args: make([]Operand, len(s.b.Preds))}
 		for j := range phi.Args {
 			phi.Args[j] = VarOperand(s.v)
 		}
-		list[count[s.b.ID]] = phi
-		count[s.b.ID]++
+		heads[s.b.ID] = append(heads[s.b.ID], phi)
+	}
+	for id, head := range heads {
+		if head != nil {
+			b := p.Blocks[id]
+			b.Instrs = append(head, b.Instrs...)
+		}
 	}
 }
 

@@ -53,42 +53,25 @@ func (p *Proc) Verify() error {
 	// Collect definitions for SSA checking, by value ID.
 	ssa := p.EntryValues != nil
 	var defined []*Value
-	define := func(v *Value) error {
-		if v.ID < 0 || v.ID >= len(defined) {
-			return fmt.Errorf("%s: value %v has ID %d, want below NumValues %d", p.Name, v, v.ID, len(defined))
-		}
-		defined[v.ID] = v
-		return nil
-	}
 	if ssa {
 		if len(p.EntryValues) != len(p.Vars) {
 			return fmt.Errorf("%s: %d entry values for %d variables", p.Name, len(p.EntryValues), len(p.Vars))
 		}
+		defs := append([]*Value(nil), p.EntryValues...)
+		for _, b := range p.Blocks {
+			for _, i := range b.Instrs {
+				defs = append(append(defs, i.Dst), i.CallDefs...)
+			}
+		}
 		defined = make([]*Value, p.NumValues())
-		for _, v := range p.EntryValues {
+		for _, v := range defs {
 			if v == nil {
 				continue
 			}
-			if err := define(v); err != nil {
-				return err
+			if v.ID < 0 || v.ID >= len(defined) {
+				return fmt.Errorf("%s: value %v has ID %d, want below NumValues %d", p.Name, v, v.ID, len(defined))
 			}
-		}
-		for _, b := range p.Blocks {
-			for _, i := range b.Instrs {
-				if i.Dst != nil {
-					if err := define(i.Dst); err != nil {
-						return err
-					}
-				}
-				for _, d := range i.CallDefs {
-					if d == nil {
-						continue
-					}
-					if err := define(d); err != nil {
-						return err
-					}
-				}
-			}
+			defined[v.ID] = v
 		}
 	}
 
