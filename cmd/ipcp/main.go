@@ -74,7 +74,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist summaries and a snapshot under this directory and re-analyze incrementally")
 	remoteCache := flag.String("remote-cache", "", "share summaries through a blob service at this URL (ipcpd's /v1/blob endpoint), tiered behind the local cache")
 	walOn := flag.Bool("wal", true, "journal cache puts to a write-ahead log for crash recovery (needs -cache-dir; -wal=false disables)")
-	warm := flag.Bool("warm", true, "warm-start the incremental solve from the previous snapshot's fixpoint (-warm=false forces a cold solve)")
 	baseline := flag.String("baseline", "", "warm the cache from this source file, then analyze the input incrementally")
 	cacheGC := flag.Bool("cache-gc", false, "garbage-collect the -cache-dir (delete unreferenced summaries, enforce -cache-budget) and exit")
 	cacheBudget := flag.Int64("cache-budget", 0, "byte budget for -cache-gc (0 = delete only unreferenced summaries)")
@@ -220,7 +219,6 @@ func main() {
 		ReturnJumpFunctions: !*noRet,
 		MOD:                 !*noMod,
 		Complete:            *complete,
-		NoWarmStart:         !*warm,
 		Workers:             *workers,
 		Debug:               *debug,
 	}
@@ -284,12 +282,6 @@ func printSummary(name string, cfg ipcp.Config, rep *ipcp.Report) {
 	if st := rep.Incremental; st != nil {
 		fmt.Printf("  incremental: %d/%d procedures re-analyzed, %d hits, %d misses (%.1f%% hit rate), %d stage-1 hits\n",
 			st.Reanalyzed, st.TotalProcedures, st.CacheHits, st.CacheMisses, 100*st.HitRate(), st.Stage1Hits)
-		solve := "cold"
-		if st.WarmStarted {
-			solve = "warm"
-		}
-		fmt.Printf("  re-solve:    %s, %d-procedure cone, worklist %d seeded / %d visited / %d enqueued\n",
-			solve, st.ConeProcedures, st.WorklistSeeded, st.WorklistVisited, st.WorklistEnqueued)
 	}
 }
 

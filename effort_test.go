@@ -17,10 +17,9 @@ const effortScale = 4
 // TestSolverEffortGolden pins the stage-3 solver effort: SolverPasses
 // and JFEvaluations of every suite program under every flavor and both
 // wake-up policies (the paper's simple worklist and the Callahan et al.
-// dependence-driven one), plus the warm-start worklist counters of one
-// doduc leaf edit under each policy. The constants themselves are
-// pinned elsewhere; this file moves only when the solver's schedule
-// does, so a refactor of stage 3 shows its effect as a diff against
+// dependence-driven one). The constants themselves are pinned
+// elsewhere; this file moves only when the solver's schedule does, so
+// a refactor of stage 3 shows its effect as a diff against
 // testdata/solver_effort.txt.
 func TestSolverEffortGolden(t *testing.T) {
 	want := readGolden(t, "solver_effort.txt")
@@ -39,7 +38,7 @@ func TestSolverEffortGolden(t *testing.T) {
 }
 
 // solverEffortLines renders the effort table: one "cold" line per
-// (program, flavor, policy) and one "warm" line per policy.
+// (program, flavor, policy).
 func solverEffortLines(t *testing.T) []string {
 	t.Helper()
 	policies := []struct {
@@ -58,25 +57,6 @@ func solverEffortLines(t *testing.T) []string {
 					name, jf, pol.name, rep.SolverPasses, rep.JFEvaluations))
 			}
 		}
-	}
-	// LEAF0 is a doduc leaf with a single caller: the edit's cone is
-	// {LEAF0}, so the warm re-solve seeds only it and its caller.
-	gen := suite.Generate("doduc", effortScale)
-	edited, ok := editProgramIn(t, gen.Source, "LEAF0", 1)
-	if !ok {
-		t.Fatal("LEAF0 has no editable literals")
-	}
-	for _, pol := range policies {
-		cfg := ipcp.Config{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, DependenceSolver: pol.dep}
-		cache := ipcp.NewMemoryCache()
-		_, snap := ipcp.MustLoad(gen.Source).AnalyzeIncremental(cfg, nil, cache)
-		rep, _ := ipcp.MustLoad(edited).AnalyzeIncremental(cfg, snap, cache)
-		st := rep.Incremental
-		if !st.WarmStarted {
-			t.Fatalf("%s: leaf edit did not warm-start", pol.name)
-		}
-		lines = append(lines, fmt.Sprintf("warm doduc-LEAF0 %s seeded=%d visited=%d enqueued=%d",
-			pol.name, st.WorklistSeeded, st.WorklistVisited, st.WorklistEnqueued))
 	}
 	return lines
 }

@@ -50,13 +50,12 @@ func FuzzAnalyze(f *testing.F) {
 	})
 }
 
-// FuzzIncrementalEditChain drives the incremental engine — and its
-// warm-started stage-3 re-solve — through fuzzer-chosen edit chains:
-// pick a suite program and a configuration, then apply a chain of
-// literal edits, threading the snapshot from run to run. At every step
-// the warm incremental Report must be reflect.DeepEqual to a
-// from-scratch Analyze of the same source; any divergence means the
-// two-phase restart resurrected a stale lattice cell.
+// FuzzIncrementalEditChain drives the incremental engine through
+// fuzzer-chosen edit chains: pick a suite program and a configuration,
+// then apply a chain of literal edits, threading the snapshot from run
+// to run. At every step the incremental Report, solver effort
+// included, must be reflect.DeepEqual to a from-scratch Analyze of the
+// same source; any divergence means a reused summary was stale.
 //
 // Run with `go test -fuzz FuzzIncrementalEditChain -fuzztime 1m .` for
 // a session; scripts/check.sh runs a short smoke.
@@ -86,10 +85,10 @@ func FuzzIncrementalEditChain(f *testing.F) {
 			if err != nil {
 				t.Fatalf("edited suite program no longer loads: %v\n%s", err, src)
 			}
-			warm, nextSnap := prog.AnalyzeIncremental(cfg, snap, cache)
+			inc, nextSnap := prog.AnalyzeIncremental(cfg, snap, cache)
 			scratch := prog.Analyze(cfg)
-			normalizeIncrementalReports(scratch, warm)
-			if !reflect.DeepEqual(scratch, warm) {
+			normalizeIncrementalReports(scratch, inc)
+			if !reflect.DeepEqual(scratch, inc) {
 				t.Fatalf("incremental report diverges from scratch under %+v\n%s", cfg, src)
 			}
 			snap = nextSnap
@@ -130,7 +129,7 @@ func FuzzSummaryCodec(f *testing.F) {
 		ConfigKey:   "ck",
 		GlobalsHash: "gh",
 		Procs: map[string]summary.ProcStamp{
-			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P"), SharedKey: summary.KeyOf("proc-shared", "P"), Callees: []string{"Q"}},
+			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P"), SharedKey: summary.KeyOf("proc-shared", "P")},
 			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q"), SharedKey: summary.KeyOf("proc-shared", "Q")},
 		},
 	}))

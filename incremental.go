@@ -248,22 +248,10 @@ type IncrementalStats struct {
 	Stage1Hits   int
 	Stage1Misses int
 
-	// WarmStarted reports whether the stage-3 solve warm-started from
-	// the previous snapshot's fixpoint (false on a first run, under
-	// Config.NoWarmStart, or when the snapshot was not comparable);
-	// ConeProcedures counts the procedures it reset to their initial
-	// lattice cells — the whole program on a cold solve.
-	WarmStarted    bool
-	ConeProcedures int
-
-	// WorklistSeeded, WorklistVisited, and WorklistEnqueued are the
-	// stage-3 worklist counters: items initially scheduled, items
-	// popped over the whole solve, and items re-enqueued by lattice
-	// changes. A warm start's win shows up as WorklistVisited shrinking
-	// to the edit's cone instead of the whole program.
-	WorklistSeeded   int64
-	WorklistVisited  int64
-	WorklistEnqueued int64
+	// WorklistVisited counts the work items the stage-3 solve visited.
+	// Stage 3 solves every run from the initial VAL sets, so it equals
+	// the Report's SolverPasses.
+	WorklistVisited int64
 }
 
 // HitRate returns the fraction of this run's cache lookups that hit,
@@ -328,18 +316,14 @@ func (p *Program) analyzeIncremental(icfg core.Config, cfg Config, prev *Snapsho
 	}
 	rep := buildReport(cfg, res)
 	rep.Incremental = &IncrementalStats{
-		TotalProcedures:  st.TotalProcs,
-		Reanalyzed:       st.Reanalyzed,
-		Reused:           st.Reused,
-		CacheHits:        st.Hits,
-		CacheMisses:      st.Misses,
-		Stage1Hits:       st.SharedHits,
-		Stage1Misses:     st.SharedMisses,
-		WarmStarted:      st.WarmStarted,
-		ConeProcedures:   st.ConeProcs,
-		WorklistSeeded:   st.WorklistSeeded,
-		WorklistVisited:  st.WorklistVisited,
-		WorklistEnqueued: st.WorklistEnqueued,
+		TotalProcedures: st.TotalProcs,
+		Reanalyzed:      st.Reanalyzed,
+		Reused:          st.Reused,
+		CacheHits:       st.Hits,
+		CacheMisses:     st.Misses,
+		Stage1Hits:      st.SharedHits,
+		Stage1Misses:    st.SharedMisses,
+		WorklistVisited: st.WorklistVisited,
 	}
 	return rep, &Snapshot{snap: snap, cache: cache}, nil
 }

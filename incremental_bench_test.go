@@ -52,45 +52,6 @@ func BenchmarkAnalyzeIncrementalEdit(b *testing.B) {
 	}
 }
 
-// benchLeafEdit is the warm-vs-cold re-solve comparison: a warm cache
-// and snapshot exist and exactly one leaf procedure of doduc changed
-// (LEAF0 has no callees and one caller, so the edit's cone is a single
-// procedure). Beyond ns/op it reports the stage-3 worklist items the
-// re-solve visited — the demand-driven claim is that the warm number
-// stays proportional to the cone, not the program.
-func benchLeafEdit(b *testing.B, cfg ipcp.Config, metric string) {
-	src := suite.Generate("doduc", suite.DefaultScale).Source
-	edited, ok := editProgramIn(b, src, "LEAF0", 1)
-	if !ok {
-		b.Fatal("LEAF0 has no editable literals")
-	}
-	cache := ipcp.NewMemoryCache()
-	_, snap := ipcp.MustLoad(src).AnalyzeIncremental(cfg, nil, cache)
-	var visited int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := ipcp.MustLoad(edited)
-		rep, _ := prog.AnalyzeIncremental(cfg, snap, cache)
-		visited = rep.Incremental.WorklistVisited
-	}
-	b.ReportMetric(float64(visited), metric)
-}
-
-// BenchmarkResolveWarmLeafEdit re-solves the leaf edit warm-started
-// from the previous fixpoint (the default).
-func BenchmarkResolveWarmLeafEdit(b *testing.B) {
-	benchLeafEdit(b, benchCfg, "warm_worklist_visited")
-}
-
-// BenchmarkResolveColdLeafEdit is the same edit with NoWarmStart: the
-// stage-3 worklist restarts from ⊤ over the whole program.
-func BenchmarkResolveColdLeafEdit(b *testing.B) {
-	cfg := benchCfg
-	cfg.NoWarmStart = true
-	benchLeafEdit(b, cfg, "cold_worklist_visited")
-}
-
 // BenchmarkCrossFlavorSweep measures the cmd/ipcp -all scenario: the
 // four jump-function flavors analyzed back to back through one shared
 // cache. Beyond ns/op it reports the flavor-split payoff — the stage-1

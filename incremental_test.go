@@ -92,17 +92,12 @@ func incrementalConfigs() []ipcp.Config {
 
 // normalizeIncrementalReports clears the fields that legitimately
 // differ between scratch and incremental runs: the run bookkeeping
-// (Incremental), the echoed worker and warm-start knobs, wall-clock
-// Nanos, and the solver-effort counters — a warm-started stage 3
-// visits fewer items and evaluates fewer jump functions than a cold
-// solve while computing the identical assignment, which is the whole
-// point.
+// (Incremental), the echoed worker knob, and wall-clock Nanos. Stage 3
+// solves every run from the initial VAL sets, so the solver-effort
+// counters must match too.
 func normalizeIncrementalReports(reps ...*ipcp.Report) {
 	for _, r := range reps {
 		r.Incremental = nil
-		r.Config.NoWarmStart = false
-		r.SolverPasses = 0
-		r.JFEvaluations = 0
 	}
 	normalizeReports(reps)
 }
@@ -202,14 +197,13 @@ func TestDeterminismIncrementalUnchanged(t *testing.T) {
 	}
 }
 
-// TestWarmColdEquivalenceSweep is the differential proof of the
-// warm-start re-solve: for every suite program and every configuration
-// in the grid, over an unchanged re-run and a two-edit chain, the
-// warm-started incremental Report, the cold (NoWarmStart) incremental
-// Report, and the from-scratch Report are reflect.DeepEqual. The
-// two-phase restart scheme (DESIGN.md, "Demand-driven re-solve") must
-// be invisible in the results; only the worklist counters may differ.
-func TestWarmColdEquivalenceSweep(t *testing.T) {
+// TestIncrementalSuiteEditSweep runs every suite program through an
+// unchanged re-run and a two-edit chain under every configuration in
+// the grid, threading one cache and snapshot, and requires each
+// incremental Report to be reflect.DeepEqual to the from-scratch one.
+// It is the deterministic counterpart of FuzzIncrementalEditChain over
+// the suite programs.
+func TestIncrementalSuiteEditSweep(t *testing.T) {
 	cfgs := incrementalConfigs()
 	for _, name := range suite.Names() {
 		name := name
@@ -233,78 +227,17 @@ func TestWarmColdEquivalenceSweep(t *testing.T) {
 				var snap *ipcp.Snapshot
 				for step, s := range srcs {
 					prog := ipcp.MustLoad(s)
-					warm, next := prog.AnalyzeIncremental(cfg, snap, cache)
-					coldCfg := cfg
-					coldCfg.NoWarmStart = true
-					cold, _ := prog.AnalyzeIncremental(coldCfg, snap, cache)
+					inc, next := prog.AnalyzeIncremental(cfg, snap, cache)
 					scratch := prog.Analyze(cfg)
-
-					ws, cs := warm.Incremental, cold.Incremental
-					if cs.WarmStarted {
-						t.Fatalf("%s %+v step %d: NoWarmStart run claims a warm start", name, cfg, step)
-					}
-					if step == 0 && ws.WarmStarted {
-						t.Fatalf("%s %+v: first run (no snapshot) claims a warm start", name, cfg)
-					}
-					if step > 0 && !ws.WarmStarted {
-						t.Fatalf("%s %+v step %d: snapshot-seeded run did not warm-start", name, cfg, step)
-					}
-					if step == 1 && (ws.ConeProcedures != 0 || ws.WorklistVisited != 0) {
-						t.Fatalf("%s %+v: unchanged re-run reset a %d-procedure cone and visited %d items",
-							name, cfg, ws.ConeProcedures, ws.WorklistVisited)
-					}
-
-					normalizeIncrementalReports(scratch, warm, cold)
-					if !reflect.DeepEqual(scratch, warm) {
-						t.Fatalf("%s %+v step %d: warm report diverges from scratch\nscratch: %+v\nwarm:    %+v",
-							name, cfg, step, scratch, warm)
-					}
-					if !reflect.DeepEqual(scratch, cold) {
-						t.Fatalf("%s %+v step %d: cold report diverges from scratch", name, cfg, step)
+					normalizeIncrementalReports(scratch, inc)
+					if !reflect.DeepEqual(scratch, inc) {
+						t.Fatalf("%s %+v step %d: incremental report diverges from scratch\nscratch: %+v\nincr:    %+v",
+							name, cfg, step, scratch, inc)
 					}
 					snap = next
 				}
 			}
 		})
-	}
-}
-
-// TestWarmStartConeLocality pins the demand-driven claim itself: after
-// an edit confined to one leaf procedure of doduc (the largest suite
-// program), the warm re-solve resets a cone that is a small fraction of
-// the program and visits far fewer worklist items than the cold solve —
-// while still agreeing with scratch.
-func TestWarmStartConeLocality(t *testing.T) {
-	gen := suite.Generate("doduc", 4)
-	cfg := ipcp.Config{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true}
-	cache := ipcp.NewMemoryCache()
-	prog := ipcp.MustLoad(gen.Source)
-	first, snap := prog.AnalyzeIncremental(cfg, nil, cache)
-
-	// LEAF0 is one of doduc's generated leaf procedures: no callees, a
-	// single caller, so the edit's cone is {LEAF0} exactly.
-	edited, ok := editProgramIn(t, gen.Source, "LEAF0", 1)
-	if !ok {
-		t.Fatal("LEAF0 has no editable literals")
-	}
-	prog2 := ipcp.MustLoad(edited)
-	rep, _ := prog2.AnalyzeIncremental(cfg, snap, cache)
-	st := rep.Incremental
-	if !st.WarmStarted {
-		t.Fatalf("leaf edit did not warm-start: %+v", st)
-	}
-	if st.ConeProcedures*4 > st.TotalProcedures {
-		t.Fatalf("leaf edit reset %d of %d procedures (want < 25%%)", st.ConeProcedures, st.TotalProcedures)
-	}
-	coldVisited := first.Incremental.WorklistVisited
-	if st.WorklistVisited*4 > coldVisited {
-		t.Fatalf("leaf edit visited %d worklist items, cold solve visited %d (want < 25%%)",
-			st.WorklistVisited, coldVisited)
-	}
-	scratch := prog2.Analyze(cfg)
-	normalizeIncrementalReports(scratch, rep)
-	if !reflect.DeepEqual(scratch, rep) {
-		t.Fatal("leaf-edit warm report diverges from scratch")
 	}
 }
 

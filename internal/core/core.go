@@ -54,15 +54,6 @@ type Config struct {
 	// changes, achieving the O(Σ cost(J)) bound of §3.1.5.
 	DependenceSolver bool
 
-	// NoWarmStart disables demand-driven re-solving in incremental
-	// runs: stage 3 always solves cold from ⊤ instead of warm-starting
-	// from the previous fixpoint. The propagation itself ignores the
-	// flag — it solves warm exactly when the incremental driver hands
-	// it a Reuse.Warm seed, which the driver only does when this is
-	// unset. Results are identical either way; only the solver effort
-	// differs.
-	NoWarmStart bool
-
 	// Workers bounds the goroutines the per-procedure stages (SSA
 	// construction, stage-1 return jump functions) and, in incremental
 	// runs, internal/incr's fingerprinting and summary fetch fan out
@@ -444,21 +435,10 @@ type propagation struct {
 	vals    *vals
 	jfShape JFShapeStats
 
-	// Stage-3 effort (solver.go): work items visited, jump functions
-	// evaluated, items on the initial worklist, and items re-enqueued
-	// by lowered cells after it.
+	// Stage-3 effort (solver.go): work items visited and jump
+	// functions evaluated.
 	solverPasses int
 	jfEvals      int
-	seeded       int
-	enqueued     int
-
-	// Warm-start state (warm.go): the previous fixpoint injected for
-	// the capture run of an incremental analysis (nil = cold solve) and
-	// the cached per-procedure jump-function fingerprints.
-	warm        *WarmSeed
-	siteHash    map[string]string
-	warmStarted bool
-	coneProcs   int
 
 	// cancel is the pass Context's cancellation hook (nil when the run
 	// is uncancellable); the stage-3 solve polls it per work item.

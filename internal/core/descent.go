@@ -10,11 +10,10 @@ import (
 // descentWatcher is the Debug-mode assertion behind the monotone-
 // descent invariant of stage 3: every update a solver stores into a
 // VAL cell must satisfy next ⊑ old. The lattice has depth 2, so the
-// solvers' termination — and the correctness of every warm start
-// seeded from a previous fixpoint — rests on cells only ever moving
-// down; a raise is a solver bug, never a user error, and panics
-// loudly naming the solver, the offending procedure, the cell, and
-// both values (the same fail-fast contract as the Debug IR verifier).
+// solvers' termination rests on cells only ever moving down; a raise
+// is a solver bug, never a user error, and panics loudly naming the
+// solver, the offending procedure, the cell, and both values (the same
+// fail-fast contract as the Debug IR verifier).
 //
 // The nil watcher is a no-op, so non-Debug runs pay only a nil check
 // per changed cell.

@@ -30,12 +30,6 @@ type Propagate struct {
 	seedProg *ir.Program
 	seeds    map[*ir.Proc]*ProcSeed
 	captured *Summaries
-
-	// warm is the previous fixpoint for demand-driven stage-3
-	// re-solving; like the seeds, it applies only to the run over
-	// seedProg — complete-mode re-propagations over DCE-rebuilt
-	// programs solve cold, exactly as from scratch.
-	warm *WarmSeed
 }
 
 // NewPropagate builds the propagation pass for one configuration.
@@ -68,9 +62,6 @@ func (p *Propagate) Run(ctx *pass.Context) (bool, error) {
 	}
 	pr := newPropagation(p.s1, p.cfg)
 	pr.cancel = ctx.Cancel
-	if capture {
-		pr.warm = p.warm
-	}
 	pr.stage2ForwardJFs()
 	if err := pr.stage3Solve(); err != nil {
 		return true, err

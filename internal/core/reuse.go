@@ -4,7 +4,6 @@ import (
 	"ipcp/internal/analysis/callgraph"
 	"ipcp/internal/analysis/modref"
 	"ipcp/internal/core/jump"
-	"ipcp/internal/core/lattice"
 	"ipcp/internal/ir"
 	"ipcp/internal/pass"
 )
@@ -53,13 +52,6 @@ type Reuse struct {
 	CG    *callgraph.Graph
 	Mods  *modref.Summary
 	Procs map[*ir.Proc]*ProcSeed
-
-	// Warm, when non-nil, warm-starts the stage-3 solve from the
-	// previous run's fixpoint (warm.go). Like Procs, it applies to the
-	// first propagation only; soundness of the seed is the caller's
-	// burden, discharged by internal/incr's dirty-set rules plus the
-	// jump-function fingerprint diff core performs itself.
-	Warm *WarmSeed
 }
 
 // Summaries is the extraction a seeded run hands back: the return jump
@@ -73,18 +65,6 @@ type Summaries struct {
 
 	// Uses holds the substitution tallies of every procedure.
 	Uses map[string]*ProcUses
-
-	// Vals holds the final stage-3 VAL assignment of every procedure
-	// and SiteHash its jump-function fingerprint — the warm-start seed
-	// and its validity guard, persisted into the next snapshot. In
-	// complete mode both describe the first propagation (the one over
-	// the original program), which is exactly what the next incremental
-	// run's first propagation re-solves.
-	Vals     map[string]ProcCells
-	SiteHash map[string]string
-
-	// Warm reports how the stage-3 solve executed.
-	Warm WarmStats
 }
 
 // AnalyzeSeeded runs one configured analysis over a fresh pre-SSA
@@ -102,7 +82,6 @@ func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summari
 	ctx := pass.NewContext(irp)
 	if reuse != nil {
 		prop.seeds = reuse.Procs
-		prop.warm = reuse.Warm
 		ctx = pass.NewContextWith(irp, reuse.CG, reuse.Mods)
 	}
 	res, err := runPlan(newPlanWith(cfg, prop), ctx, cfg)
@@ -116,12 +95,9 @@ func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summari
 // propagation, in deterministic callgraph order.
 func (p *propagation) extractSummaries() *Summaries {
 	s := &Summaries{
-		Returns:  make(map[string]*jump.Returns, len(p.prog.Procs)),
-		Sites:    make(map[string][]*jump.Site, len(p.prog.Procs)),
-		Uses:     make(map[string]*ProcUses, len(p.prog.Procs)),
-		Vals:     make(map[string]ProcCells, len(p.prog.Procs)),
-		SiteHash: p.siteFingerprints(),
-		Warm:     p.warmStats(),
+		Returns: make(map[string]*jump.Returns, len(p.prog.Procs)),
+		Sites:   make(map[string][]*jump.Site, len(p.prog.Procs)),
+		Uses:    make(map[string]*ProcUses, len(p.prog.Procs)),
 	}
 	for _, n := range p.cg.TopDown() {
 		if r := p.retJFs.Get(n.Proc); r != nil {
@@ -132,10 +108,6 @@ func (p *propagation) extractSummaries() *Summaries {
 			sites[i] = p.sites[call]
 		}
 		s.Sites[n.Proc.Name] = sites
-		s.Vals[n.Proc.Name] = ProcCells{
-			Formals: append([]lattice.Value(nil), p.vals.formals[n.Proc]...),
-			Globals: append([]lattice.Value(nil), p.vals.globals[n.Proc]...),
-		}
 		s.Uses[n.Proc.Name] = p.uses[n.Proc]
 	}
 	return s

@@ -24,8 +24,6 @@ import (
 //	work item       a procedure's call sites      one instance
 //	lowered cell    re-enqueues its procedure     re-enqueues the instances whose
 //	                                              support reads the cell
-//	warm start      cone members and the          the instances targeting
-//	seeds           callers into the cone         the cone
 //
 // Under the dependence policy each instance is therefore evaluated at
 // most 1 + 2·|support| times, the O(Σ cost(J)) bound §3.1.5 quotes,
@@ -100,21 +98,13 @@ type solver struct {
 	readers  map[cellRef][]int
 }
 
-// stage3Solve runs stage 3 to the fixpoint. It polls the cancellation
-// hook once per work item, so a served analysis whose deadline expires
-// abandons the solve within one item.
-//
-// A warm-started run (warm.go) begins from the previous fixpoint
-// instead of ⊤ everywhere: only the re-solve cone starts at its initial
-// cells, and the initial worklist shrinks to the items that can lower a
-// cone cell. Every other instance's caller is warm, so its cells never
-// change during the solve, and its contribution already sits at or
-// above the seeded fixpoint cell.
+// stage3Solve runs stage 3 to the fixpoint from the initial VAL sets,
+// with every work item on the initial worklist. It polls the
+// cancellation hook once per work item, so a served analysis whose
+// deadline expires abandons the solve within one item.
 func (p *propagation) stage3Solve() error {
 	p.initVals()
-	cone := p.warmPrep()
 	s := p.newSolver()
-	s.seed(cone)
 	policy := "worklist"
 	if s.readers != nil {
 		policy = "dependence"
@@ -162,10 +152,11 @@ func (p *propagation) stage3Solve() error {
 }
 
 // newSolver builds the instances of every call site in a procedure
-// reachable from main, in body order, and cuts them into items under
-// the configured wake-up policy. Procedures never called stay at ⊤ and
-// their sites never fire, preserving the paper's "⊤ only if never
-// called". Only the dependence policy builds a support index.
+// reachable from main, in body order, cuts them into items under the
+// configured wake-up policy, and queues every item. Procedures never
+// called stay at ⊤ and their sites never fire, preserving the paper's
+// "⊤ only if never called". Only the dependence policy builds a
+// support index.
 func (p *propagation) newSolver() *solver {
 	size := 0
 	for _, site := range p.sites {
@@ -215,26 +206,12 @@ func (p *propagation) newSolver() *solver {
 		}
 	}
 	s.queued = make([]bool, len(s.items))
-	s.work = make([]int, 0, len(s.items))
-	return s
-}
-
-// seed fills the initial worklist: every item on a cold solve (cone ==
-// nil), and on a warm one the items in a cone procedure or feeding a
-// cone cell. The cone is closed under callees, so under the dependence
-// policy these are exactly the instances targeting the cone.
-func (s *solver) seed(cone map[*ir.Proc]bool) {
-	for i, it := range s.items {
-		seeded := cone == nil || cone[it.proc]
-		for _, in := range s.insts[it.lo:it.hi] {
-			seeded = seeded || cone[in.to.proc]
-		}
-		if seeded {
-			s.work = append(s.work, i)
-			s.queued[i] = true
-		}
+	s.work = make([]int, len(s.items))
+	for i := range s.items {
+		s.work[i] = i
+		s.queued[i] = true
 	}
-	s.p.seeded = len(s.work)
+	return s
 }
 
 // wake re-enqueues the items a lowered cell affects: the cell's
@@ -257,7 +234,6 @@ func (s *solver) push(i int) {
 	}
 	s.queued[i] = true
 	s.work = append(s.work, i)
-	s.p.enqueued++
 }
 
 // evalJF evaluates one jump function under the caller's VAL set. A nil

@@ -2,8 +2,8 @@
 // front-end router owning admission and a listener, dispatching
 // requests to N shared-nothing worker processes — each a full ipcpd on
 // a loopback port — by rendezvous hashing on the lineage key, so a
-// lineage's resident snapshot and warm-start state always live on
-// exactly one worker and incremental re-solves stay hot (the serving
+// lineage's resident snapshot and cached summaries always live on
+// exactly one worker and incremental re-analyses stay hot (the serving
 // form of value-context reuse: route the query to the owner of its
 // cached context). The supervisor health-checks workers, restarts
 // crashes with bounded backoff, re-routes a down shard's lineages to

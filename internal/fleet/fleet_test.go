@@ -182,8 +182,6 @@ func normalize(reps ...*ipcp.Report) {
 		}
 		r.Config.Workers = 0
 		r.Incremental = nil
-		r.SolverPasses = 0
-		r.JFEvaluations = 0
 		for i := range r.Passes {
 			r.Passes[i].Nanos = 0
 		}

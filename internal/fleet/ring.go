@@ -13,7 +13,7 @@ import (
 // healthy shards. Rendezvous hashing gives the two properties the
 // fleet's warm state depends on: the same lineage always lands on the
 // same shard while the healthy set is stable (so a lineage's resident
-// snapshot and warm-start fixpoint accumulate on exactly one worker),
+// snapshot and cached summaries accumulate on exactly one worker),
 // and when a shard goes down only *its* lineages move — everyone
 // else's placement, and therefore their warm caches, are untouched.
 

@@ -64,7 +64,6 @@ import (
 	"ipcp/internal/analysis/modref"
 	"ipcp/internal/core"
 	"ipcp/internal/core/jump"
-	"ipcp/internal/core/lattice"
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/sema"
@@ -98,19 +97,10 @@ type Stats struct {
 	SharedHits   int
 	SharedMisses int
 
-	// WarmStarted reports whether stage 3 warm-started from the
-	// previous fixpoint; ConeProcs counts the procedures the solve
-	// reset to their initial cells (everything, on a cold solve).
-	WarmStarted bool
-	ConeProcs   int
-
-	// WorklistSeeded / WorklistVisited / WorklistEnqueued are the
-	// stage-3 worklist counters: items initially scheduled, items
-	// popped, and items (re-)enqueued by cell changes. A warm start's
-	// win is Visited shrinking to the cone's share of the program.
-	WorklistSeeded   int64
-	WorklistVisited  int64
-	WorklistEnqueued int64
+	// WorklistVisited counts the stage-3 work items the solve visited.
+	// Stage 3 always solves from the initial VAL sets, so it equals the
+	// Result's SolverPasses.
+	WorklistVisited int64
 }
 
 // Engine drives incremental analysis over one summary store. An Engine
@@ -132,9 +122,10 @@ func (e *Engine) Store() summary.Store { return e.store }
 // — plus the codec version. Workers, Debug, the solver choice, and
 // Complete deliberately stay out: none of them change what stages 1–2
 // compute for a procedure (complete-mode re-propagations run on DCE'd
-// programs and never touch the store). Snapshots carry this full key:
-// warm-starting stage 3 from a fixpoint computed under a different
-// flavor would be unsound, so flavor comparability stays strict there.
+// programs and never touch the store). Snapshots carry this full key,
+// because a snapshot stamps each procedure with its flavor-record key:
+// a snapshot is comparable only to a run that would look up the same
+// flavor records.
 func ConfigKey(cfg core.Config) string {
 	return summary.KeyOf(
 		"config",
@@ -222,23 +213,18 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	stats.Reused = len(seeds)
 	stats.Reanalyzed = stats.TotalProcs - stats.Reused
 
-	warm := warmSeed(cfg, prev, cfgKey, globalsHash, fps, irp, cg)
-	res, sums, err := core.AnalyzeSeeded(irp, cfg, &core.Reuse{CG: cg, Mods: mods, Procs: seeds, Warm: warm})
+	res, sums, err := core.AnalyzeSeeded(irp, cfg, &core.Reuse{CG: cg, Mods: mods, Procs: seeds})
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	stats.WarmStarted = sums.Warm.Started
-	stats.ConeProcs = sums.Warm.ConeProcs
-	stats.WorklistSeeded = sums.Warm.Seeded
-	stats.WorklistVisited = sums.Warm.Visited
-	stats.WorklistEnqueued = sums.Warm.Enqueued
+	stats.WorklistVisited = int64(res.SolverPasses)
 
-	// Stamp the new snapshot — including the jump-function fingerprint
-	// and final VAL cells the next run warm-starts from — and persist
-	// the blobs this run had to rebuild (reused ones are already stored
-	// under the same keys). A procedure whose shared blob hit but whose
-	// flavor blob missed re-persists only the flavor half: that skipped
-	// re-encoding is exactly the byte saving of the key split.
+	// Stamp the new snapshot with each procedure's source fingerprint
+	// and its two blob keys, and persist the blobs this run had to
+	// rebuild (reused ones are already stored under the same keys). A
+	// procedure whose shared blob hit but whose flavor blob missed
+	// re-persists only the flavor half: that skipped re-encoding is
+	// exactly the byte saving of the key split.
 	snap := &summary.Snapshot{
 		ConfigKey:   cfgKey,
 		GlobalsHash: globalsHash,
@@ -247,17 +233,10 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	for _, proc := range irp.Procs {
 		name := proc.Name
 		n := cg.Nodes[proc]
-		var cells *summary.ValCells
-		if pc, ok := sums.Vals[name]; ok {
-			cells = cellsFromLattice(pc)
-		}
 		snap.Procs[name] = summary.ProcStamp{
 			SourceHash: fps[name],
 			Key:        flavorKeys[name],
 			SharedKey:  sharedKeys[name],
-			Callees:    calleeNames(n),
-			JFHash:     sums.SiteHash[name],
-			Cells:      cells,
 		}
 		if seeds[proc] != nil {
 			continue
@@ -278,176 +257,6 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 		}
 	}
 	return res, snap, stats, nil
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start seeding (demand-driven re-solve)
-
-// warmSeed assembles the previous fixpoint as a core.WarmSeed, or nil
-// when no sound warm start is possible (no comparable snapshot, no
-// main, or the caller opted out). The dirty base it declares covers
-// everything core cannot detect from its own jump-function fingerprint
-// diff:
-//
-//   - source-changed and new procedures — their initial cell vectors
-//     (formal count, array-ness) may have moved even when their jump
-//     functions did not;
-//   - targets of removed call edges — losing an incoming meet can only
-//     *raise* a cell, which a monotone restart can never do, so the
-//     target must re-solve from its initial cells (core's forward cone
-//     closure covers added and changed edges, but a removed edge's
-//     target is invisible to it);
-//   - procedures whose reachability from main flipped — unreachable
-//     procedures keep their initial cells and their sites never fire.
-func warmSeed(cfg core.Config, prev *summary.Snapshot, cfgKey, globalsHash string, fps map[string]string, irp *ir.Program, cg *callgraph.Graph) *core.WarmSeed {
-	if cfg.NoWarmStart || prev == nil || prev.ConfigKey != cfgKey || prev.GlobalsHash != globalsHash || irp.Main == nil {
-		return nil
-	}
-	if _, ok := prev.Procs[irp.Main.Name]; !ok {
-		return nil
-	}
-	w := &core.WarmSeed{
-		Cells:  make(map[string]core.ProcCells, len(prev.Procs)),
-		JFHash: make(map[string]string, len(prev.Procs)),
-		Dirty:  make(map[string]bool),
-	}
-	for name, st := range prev.Procs {
-		if st.JFHash != "" {
-			w.JFHash[name] = st.JFHash
-		}
-		if pc, ok := cellsToLattice(st.Cells); ok {
-			w.Cells[name] = pc
-		}
-	}
-
-	// Source-changed and new procedures.
-	for _, proc := range irp.Procs {
-		st, ok := prev.Procs[proc.Name]
-		if !ok || fps[proc.Name] == "" || st.SourceHash != fps[proc.Name] {
-			w.Dirty[proc.Name] = true
-		}
-	}
-
-	// Targets of removed call edges: every old callee of a deleted
-	// procedure, and the old callees a source-changed procedure no
-	// longer calls.
-	for name, st := range prev.Procs {
-		deleted := irp.ProcByName[name] == nil
-		if !deleted && !w.Dirty[name] {
-			continue
-		}
-		var kept map[string]bool
-		if !deleted {
-			kept = make(map[string]bool)
-			for _, c := range calleeNames(cg.Nodes[irp.ProcByName[name]]) {
-				kept[c] = true
-			}
-		}
-		for _, c := range st.Callees {
-			if !kept[c] {
-				w.Dirty[c] = true
-			}
-		}
-	}
-
-	// Reachability flips, diffing a BFS over the snapshot's recorded
-	// call edges against the current call graph.
-	oldReach := map[string]bool{irp.Main.Name: true}
-	queue := []string{irp.Main.Name}
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		for _, c := range prev.Procs[name].Callees {
-			if !oldReach[c] {
-				oldReach[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
-	newReach := cg.ReachableFromMain()
-	for _, proc := range irp.Procs {
-		if oldReach[proc.Name] != newReach[proc] {
-			w.Dirty[proc.Name] = true
-		}
-	}
-	return w
-}
-
-// cellsToLattice rebuilds a persisted VAL assignment as lattice values;
-// false when there is none (or a cell kind is unknown).
-func cellsToLattice(cs *summary.ValCells) (core.ProcCells, bool) {
-	if cs == nil {
-		return core.ProcCells{}, false
-	}
-	conv := func(in []summary.ValCell) ([]lattice.Value, bool) {
-		out := make([]lattice.Value, len(in))
-		for i, c := range in {
-			switch c.Kind {
-			case summary.CellTop:
-				out[i] = lattice.Top
-			case summary.CellBottom:
-				out[i] = lattice.Bottom
-			case summary.CellInt:
-				out[i] = lattice.OfInt(c.Int)
-			case summary.CellReal:
-				out[i] = lattice.Of(ir.RealConst(c.Real))
-			case summary.CellBool:
-				out[i] = lattice.OfBool(c.Bool)
-			default:
-				return nil, false
-			}
-		}
-		return out, true
-	}
-	var (
-		pc core.ProcCells
-		ok bool
-	)
-	if pc.Formals, ok = conv(cs.Formals); !ok {
-		return core.ProcCells{}, false
-	}
-	if pc.Globals, ok = conv(cs.Globals); !ok {
-		return core.ProcCells{}, false
-	}
-	return pc, true
-}
-
-// cellsFromLattice converts a final VAL assignment to its persisted
-// form; nil when some cell has no portable spelling (a constant of a
-// type the codec does not know), in which case the procedure simply
-// re-solves cold next run. An all-empty assignment (a procedure with
-// no formals in a program with no scalar globals) is still a valid —
-// and complete — assignment, and persists as an empty ValCells.
-func cellsFromLattice(pc core.ProcCells) *summary.ValCells {
-	conv := func(in []lattice.Value) ([]summary.ValCell, bool) {
-		out := make([]summary.ValCell, len(in))
-		for i, v := range in {
-			switch c := v.Const(); {
-			case v.IsTop():
-				out[i] = summary.ValCell{Kind: summary.CellTop}
-			case v.IsBottom():
-				out[i] = summary.ValCell{Kind: summary.CellBottom}
-			case c.Type == ir.Int:
-				out[i] = summary.ValCell{Kind: summary.CellInt, Int: c.Int}
-			case c.Type == ir.Real:
-				out[i] = summary.ValCell{Kind: summary.CellReal, Real: c.Real}
-			case c.Type == ir.Bool:
-				out[i] = summary.ValCell{Kind: summary.CellBool, Bool: c.Bool}
-			default:
-				return nil, false
-			}
-		}
-		return out, true
-	}
-	cs := &summary.ValCells{}
-	var ok bool
-	if cs.Formals, ok = conv(pc.Formals); !ok {
-		return nil
-	}
-	if cs.Globals, ok = conv(pc.Globals); !ok {
-		return nil
-	}
-	return cs
 }
 
 // ---------------------------------------------------------------------------

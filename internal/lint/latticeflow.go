@@ -15,9 +15,8 @@ const latticePkg = "ipcp/internal/core/lattice"
 // (Top/Bottom/Of/OfInt/OfBool), lowered through lattice.Meet, or
 // copied from another cell. Any other write risks raising a cell
 // mid-solve, which silently breaks the fixpoint the whole flavor
-// study rests on (a warm-started re-solve that diverges from the cold
-// one, a solver that never terminates, or — worst — one that
-// terminates on a wrong answer).
+// study rests on (a solver that never terminates, or — worst — one
+// that terminates on a wrong answer).
 //
 // Flagged:
 //   - composite literals of lattice.Value outside the lattice package

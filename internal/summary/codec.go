@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 )
 
@@ -32,8 +31,9 @@ import (
 // kindFlavor replacing the old kindProc) and added SharedKey to
 // ProcStamp. Version 4 added delta-encoded snapshots (kindDelta): a
 // per-procedure add/update/remove record against a parent snapshot
-// identified by its content key.
-const Version = 4
+// identified by its content key. Version 5 dropped Callees, JFHash and
+// the VAL cells from ProcStamp, leaving SourceHash and the two keys.
+const Version = 5
 
 const magic = "IPCS"
 
@@ -99,23 +99,6 @@ func (w *writer) uses(us []UseCount) {
 		w.varint(int64(u.Control))
 	}
 }
-func (w *writer) cells(cs []ValCell) {
-	w.count(len(cs))
-	for _, c := range cs {
-		w.buf = append(w.buf, byte(c.Kind))
-		switch c.Kind {
-		case CellInt:
-			w.varint(c.Int)
-		case CellReal:
-			var fb [8]byte
-			binary.BigEndian.PutUint64(fb[:], math.Float64bits(c.Real))
-			w.buf = append(w.buf, fb[:]...)
-		case CellBool:
-			w.boolean(c.Bool)
-		}
-	}
-}
-
 func (w *writer) expr(e Expr) {
 	switch e := e.(type) {
 	case nil:
@@ -310,47 +293,6 @@ func (r *reader) uses() ([]UseCount, error) {
 			return nil, err
 		}
 		out[i] = UseCount{Subs: int(s), Control: int(c)}
-	}
-	return out, nil
-}
-
-func (r *reader) cells() ([]ValCell, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > r.remaining() {
-		return nil, corrupt("cell count %d exceeds %d remaining bytes", n, r.remaining())
-	}
-	out := make([]ValCell, n)
-	for i := range out {
-		tag, err := r.byteVal()
-		if err != nil {
-			return nil, err
-		}
-		if tag > byte(CellBool) {
-			return nil, corrupt("cell kind %d", tag)
-		}
-		out[i].Kind = CellKind(tag)
-		switch out[i].Kind {
-		case CellInt:
-			if out[i].Int, err = r.varint(); err != nil {
-				return nil, err
-			}
-		case CellReal:
-			if r.remaining() < 8 {
-				return nil, corrupt("truncated real cell")
-			}
-			out[i].Real = math.Float64frombits(binary.BigEndian.Uint64(r.data[r.pos:]))
-			r.pos += 8
-		case CellBool:
-			if out[i].Bool, err = r.boolean(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return out, nil
 }
@@ -629,13 +571,6 @@ func (w *writer) stamp(st ProcStamp) {
 	w.str(st.SourceHash)
 	w.bytes(st.Key[:])
 	w.bytes(st.SharedKey[:])
-	w.strs(st.Callees)
-	w.str(st.JFHash)
-	w.boolean(st.Cells != nil)
-	if st.Cells != nil {
-		w.cells(st.Cells.Formals)
-		w.cells(st.Cells.Globals)
-	}
 }
 
 // stamp is the inverse of writer.stamp.
@@ -663,25 +598,6 @@ func (r *reader) stamp() (ProcStamp, error) {
 	}
 	copy(st.SharedKey[:], r.data[r.pos:])
 	r.pos += sklen
-	if st.Callees, err = r.strs(); err != nil {
-		return st, err
-	}
-	if st.JFHash, err = r.str(); err != nil {
-		return st, err
-	}
-	hasCells, err := r.boolean()
-	if err != nil {
-		return st, err
-	}
-	if hasCells {
-		st.Cells = &ValCells{}
-		if st.Cells.Formals, err = r.cells(); err != nil {
-			return st, err
-		}
-		if st.Cells.Globals, err = r.cells(); err != nil {
-			return st, err
-		}
-	}
 	return st, nil
 }
 

@@ -55,24 +55,9 @@ func sampleSnapshot() *Snapshot {
 		ConfigKey:   KeyOf("config", "test").String(),
 		GlobalsHash: "abc123",
 		Procs: map[string]ProcStamp{
-			"SOLVE": {
-				SourceHash: "h1", Key: KeyOf("proc", "1"), SharedKey: KeyOf("proc-shared", "1"),
-				Callees: []string{"INIT", "STEP"},
-				JFHash:  "jf1",
-				Cells: &ValCells{
-					Formals: []ValCell{{Kind: CellInt, Int: 42}, {Kind: CellBottom}, {Kind: CellInt, Int: -3}},
-					Globals: []ValCell{{Kind: CellTop}, {Kind: CellReal, Real: 2.5}, {Kind: CellBool, Bool: true}, {Kind: CellInt, Int: 0}},
-				},
-			},
-			// A stamp without warm-start data (a run that could not
-			// persist the assignment) must round-trip as-is.
-			"INIT": {SourceHash: "h2", Key: KeyOf("proc", "2"), SharedKey: KeyOf("proc-shared", "2")},
-			"STEP": {
-				SourceHash: "h3", Key: KeyOf("proc", "3"), SharedKey: KeyOf("proc-shared", "3"),
-				Callees: []string{"INIT"},
-				JFHash:  "jf3",
-				Cells:   &ValCells{Globals: []ValCell{{Kind: CellBottom}}},
-			},
+			"SOLVE": {SourceHash: "h1", Key: KeyOf("proc", "1"), SharedKey: KeyOf("proc-shared", "1")},
+			"INIT":  {SourceHash: "h2", Key: KeyOf("proc", "2"), SharedKey: KeyOf("proc-shared", "2")},
+			"STEP":  {SourceHash: "h3", Key: KeyOf("proc", "3"), SharedKey: KeyOf("proc-shared", "3")},
 		},
 	}
 }

@@ -49,16 +49,6 @@ func SnapshotContentKey(s *Snapshot) Key {
 	return Key(sha256.Sum256(EncodeSnapshot(s)))
 }
 
-// stampEqual compares two stamps by their canonical encoding, so nil
-// and empty slices — which decode interchangeably — never register as
-// a change.
-func stampEqual(a, b ProcStamp) bool {
-	wa, wb := &writer{}, &writer{}
-	wa.stamp(a)
-	wb.stamp(b)
-	return bytes.Equal(wa.buf, wb.buf)
-}
-
 // DiffSnapshot computes the delta taking parent to child, or nil when
 // the two are not diffable (different lineages, or either side
 // missing) and the caller should write a full snapshot instead.
@@ -73,7 +63,7 @@ func DiffSnapshot(parent, child *Snapshot) *SnapshotDelta {
 		Updated:     make(map[string]ProcStamp),
 	}
 	for name, st := range child.Procs {
-		if old, ok := parent.Procs[name]; !ok || !stampEqual(old, st) {
+		if old, ok := parent.Procs[name]; !ok || old != st {
 			d.Updated[name] = st
 		}
 	}

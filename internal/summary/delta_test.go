@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// sampleDelta exercises every delta field: an added stamp with cells, a
-// changed stamp without them, and a removal.
+// sampleDelta exercises every delta field: an added stamp, a changed
+// one, and a removal.
 func sampleDelta() *SnapshotDelta {
 	base := sampleSnapshot()
 	return &SnapshotDelta{
@@ -19,7 +19,7 @@ func sampleDelta() *SnapshotDelta {
 		Parent:      SnapshotContentKey(base),
 		Updated: map[string]ProcStamp{
 			"SOLVE": base.Procs["SOLVE"],
-			"NEW":   {SourceHash: "h9", Key: KeyOf("proc", "9"), SharedKey: KeyOf("proc-shared", "9"), JFHash: "jf9"},
+			"NEW":   {SourceHash: "h9", Key: KeyOf("proc", "9"), SharedKey: KeyOf("proc-shared", "9")},
 		},
 		Removed: []string{"STEP"},
 	}
@@ -149,8 +149,6 @@ func editN(n int) *Snapshot {
 			SourceHash: "hash-" + name,
 			Key:        KeyOf("proc", name),
 			SharedKey:  KeyOf("proc-shared", name),
-			Callees:    []string{"INIT"},
-			JFHash:     "jf-" + name,
 		}
 	}
 	st := s.Procs["SOLVE"]

@@ -316,57 +316,13 @@ func SortGlobalExprs(gs []GlobalExpr) {
 // ---------------------------------------------------------------------------
 // Snapshots
 
-// CellKind discriminates a persisted VAL lattice cell.
-type CellKind uint8
-
-const (
-	CellTop    CellKind = 0
-	CellBottom CellKind = 1
-	CellInt    CellKind = 2
-	CellReal   CellKind = 3
-	CellBool   CellKind = 4
-)
-
-// ValCell is one persisted stage-3 lattice cell: ⊤, ⊥, or a constant
-// of one of the source language's scalar types (Int/Real/Bool carry
-// the value in the matching field).
-type ValCell struct {
-	Kind CellKind
-	Int  int64
-	Real float64
-	Bool bool
-}
-
-// ValCells is one procedure's final VAL assignment from stage 3:
-// Formals is parallel to the procedure's formal list, Globals to the
-// program's scalar-global list (both guarded by SourceHash and the
-// snapshot's GlobalsHash respectively). It is the warm-start seed the
-// next incremental run restarts the worklist from.
-type ValCells struct {
-	Formals []ValCell
-	Globals []ValCell
-}
-
 // ProcStamp is what a snapshot remembers about one procedure: enough to
-// decide reuse (SourceHash), locate the stored summary blobs (Key for
-// the flavor record, SharedKey for the config-invariant one), document
-// the dependence edges the keys covered (Callees), and warm-start the
-// next run's stage-3 solve (JFHash, Cells).
+// decide reuse (SourceHash) and to locate the stored summary blobs (Key
+// for the flavor record, SharedKey for the config-invariant one).
 type ProcStamp struct {
 	SourceHash string
 	Key        Key // flavor-record key (full configuration)
 	SharedKey  Key // shared-record key (flavor-free configuration)
-	Callees    []string
-
-	// JFHash fingerprints the forward jump functions of the procedure's
-	// call sites (canonical expression spellings in body order, computed
-	// by internal/core); the next run re-solves the procedure's cone
-	// when the fingerprint moved. Empty when the run recorded none.
-	JFHash string
-
-	// Cells is the procedure's final VAL assignment, nil when the run
-	// did not (or could not) persist one.
-	Cells *ValCells
 }
 
 // Snapshot is the per-run index of the program database: which

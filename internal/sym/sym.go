@@ -4,11 +4,14 @@
 // parameters, the entry values of global variables (the paper extends
 // "parameter" to include globals), and opaque unknowns.
 //
-// Expressions are hash-consed by a canonical key, constant-folded on
-// construction, and lightly normalized (commutative operands sorted), so
-// two occurrences of the same computation compare equal — this is the
-// "value numbering" part of the SSA-based value-number graph the paper
-// builds jump functions on.
+// Expressions are constant-folded on construction and lightly
+// normalized: each Op carries a canonical key built from its
+// arguments' keys, with commutative operands sorted by key, and Equal
+// compares keys. Two occurrences of the same computation therefore
+// compare equal — this is the "value numbering" part of the SSA-based
+// value-number graph the paper builds jump functions on. Nothing is
+// interned: equal expressions are distinct trees, and keys live only
+// in memory.
 package sym
 
 import (

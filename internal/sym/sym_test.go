@@ -46,9 +46,10 @@ func TestPowMatchesRepeatedMultiplication(t *testing.T) {
 	}
 }
 
-// TestKeySpellings pins the canonical key of every expression kind.
-// Keys are persisted — warm-start jump-function fingerprints hash them —
-// so a changed spelling would invalidate every stored snapshot.
+// TestKeySpellings pins the canonical key of every expression kind,
+// including the operand order of commutative operators, which MakeOp
+// sorts by key and Equal relies on. No key is persisted, so a spelling
+// may change as long as equal expressions keep equal keys.
 func TestKeySpellings(t *testing.T) {
 	g := &ir.GlobalVar{ID: 7, Block: "C", Name: "N"}
 	f0 := &Formal{Index: 0, Name: "A"}

@@ -116,13 +116,10 @@ type Config struct {
 	// complexity bound quoted in §3.1.5.
 	DependenceSolver bool
 
-	// NoWarmStart makes AnalyzeIncremental solve stage 3 cold from ⊤
-	// instead of warm-starting the worklist from the previous
-	// snapshot's fixpoint (DESIGN.md, "Demand-driven re-solve"). The
-	// Report is identical either way — warm starting only shrinks the
-	// solver-effort counters — so the flag exists as an escape hatch
-	// and for benchmarking the warm/cold gap. It does not enter the
-	// cache key: snapshots written under either setting interoperate.
+	// NoWarmStart is ignored.
+	//
+	// Deprecated: stage 3 always solves from the initial VAL sets, in
+	// AnalyzeIncremental as in Analyze.
 	NoWarmStart bool
 
 	// Workers bounds the goroutines the per-procedure analysis stages
@@ -146,7 +143,6 @@ func (c Config) internal() core.Config {
 		MOD:              c.MOD,
 		Complete:         c.Complete,
 		DependenceSolver: c.DependenceSolver,
-		NoWarmStart:      c.NoWarmStart,
 		Workers:          c.Workers,
 		Debug:            c.Debug,
 	}
