@@ -122,10 +122,9 @@ func (e *Engine) Store() summary.Store { return e.store }
 // — plus the codec version. Workers, Debug, the solver choice, and
 // Complete deliberately stay out: none of them change what stages 1–2
 // compute for a procedure (complete-mode re-propagations run on DCE'd
-// programs and never touch the store). Snapshots carry this full key,
-// because a snapshot stamps each procedure with its flavor-record key:
-// a snapshot is comparable only to a run that would look up the same
-// flavor records.
+// programs and never touch the store). Snapshots carry this full key:
+// a snapshot stamps each procedure with its flavor-record key, which
+// the cache GC pins, so every flavor keeps its own snapshot.
 func ConfigKey(cfg core.Config) string {
 	return summary.KeyOf(
 		"config",
