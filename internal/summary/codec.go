@@ -26,14 +26,14 @@ import (
 
 // Version is the codec version; bump on any format change.
 // Version 2 added the warm-start fields of ProcStamp (a jump-function
-// fingerprint and the persisted VAL-cell vectors). Version 3 split the procedure record
-// into a config-invariant shared blob and a flavor blob (kindShared /
-// kindFlavor replacing the old kindProc) and added SharedKey to
-// ProcStamp. Version 4 added delta-encoded snapshots (kindDelta): a
-// per-procedure add/update/remove record against a parent snapshot
-// identified by its content key. Version 5 dropped the warm-start
-// fields and the callee list from ProcStamp, leaving SourceHash and the
-// two keys.
+// fingerprint and the persisted VAL-cell vectors). Version 3 split the
+// procedure record into a config-invariant shared blob and a flavor
+// blob (kindShared / kindFlavor replacing the old kindProc) and added
+// SharedKey to ProcStamp. Version 4 added delta-encoded snapshots
+// (kindDelta): a per-procedure add/update/remove record against a
+// parent snapshot identified by its content key. Version 5 dropped the
+// warm-start fields and the callee list from ProcStamp, leaving
+// SourceHash and the two keys.
 const Version = 5
 
 const magic = "IPCS"
