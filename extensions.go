@@ -11,7 +11,8 @@ import (
 // cloning (the downstream consumer of CONSTANTS sets the paper
 // discusses in §1 and §5).
 
-// CloneOptions bounds the procedure-cloning transformation.
+// CloneOptions bounds the procedure-cloning transformation. A field
+// that is zero or negative takes its default.
 type CloneOptions struct {
 	// MaxVersionsPerProc caps the versions of one procedure (including
 	// the original). Default 4.
@@ -49,14 +50,9 @@ func (p *Program) AnalyzeWithCloning(cfg Config, opts CloneOptions) *CloneReport
 		MaxRounds:          opts.MaxRounds,
 	})
 	return &CloneReport{
-		Base:        p.toReport(cfg, out.Base),
-		Final:       p.toReport(cfg, out.Final),
+		Base:        buildReport(cfg, out.Base),
+		Final:       buildReport(cfg, out.Final),
 		Rounds:      out.Rounds,
 		TotalClones: out.TotalClones,
 	}
-}
-
-// toReport converts a core result (shared with Analyze).
-func (p *Program) toReport(cfg Config, res *core.Result) *Report {
-	return buildReport(cfg, res)
 }

@@ -10,7 +10,7 @@
 // lost. Cloning the procedure per distinct incoming constant vector
 // lets every version keep its own CONSTANTS set. This package partitions
 // call sites by the jump-function vectors a propagation produced
-// (core.Result.SiteVals), clones the profitable procedures, retargets
+// (core.Result.EvalSite), clones the profitable procedures, retargets
 // the call sites, and reanalyzes — iterating, because one round of
 // cloning can expose new opportunities in the clones' callees.
 package clone
@@ -25,7 +25,8 @@ import (
 	"ipcp/internal/pass"
 )
 
-// Options bounds the transformation.
+// Options bounds the transformation. A field that is zero or
+// negative takes its default.
 type Options struct {
 	// MaxVersionsPerProc caps the versions of one procedure (including
 	// the original). Default 4.
@@ -36,10 +37,10 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.MaxVersionsPerProc == 0 {
+	if o.MaxVersionsPerProc <= 0 {
 		o.MaxVersionsPerProc = 4
 	}
-	if o.MaxRounds == 0 {
+	if o.MaxRounds <= 0 {
 		o.MaxRounds = 3
 	}
 }
@@ -51,9 +52,10 @@ type Stats struct {
 }
 
 // group is one equivalence class of call sites: same incoming
-// jump-function vector.
+// jump-function vector, vals.
 type group struct {
 	sig   string
+	vals  *core.SiteValues
 	sites []*ir.Instr
 }
 
@@ -77,13 +79,13 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 					continue
 				}
 				callerOf[call] = proc
-				sv := res.SiteVals[call]
-				if sv == nil {
-					continue // unreachable caller
-				}
 				callee := call.Callee
 				if callee.Kind == ir.MainProc {
 					continue
+				}
+				sv := res.EvalSite(proc, call)
+				if sv == nil {
+					continue // unreachable caller
 				}
 				sig := signature(sv)
 				m := bySig[callee]
@@ -93,7 +95,7 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 				}
 				g := m[sig]
 				if g == nil {
-					g = &group{sig: sig}
+					g = &group{sig: sig, vals: sv}
 					m[sig] = g
 					plans[callee] = append(plans[callee], g)
 				}
@@ -213,7 +215,7 @@ func profitable(res *core.Result, callee *ir.Proc, groups []*group) bool {
 				continue
 			}
 			for _, g := range groups {
-				vals := pick(res.SiteVals[g.sites[0]])
+				vals := pick(g.vals)
 				if pos < len(vals) && vals[pos].IsConst() {
 					return true
 				}
@@ -267,66 +269,56 @@ type Result struct {
 	TotalClones int
 }
 
-// clonePass is one cloning round as a pass: it reads the analysis of
-// the current program and replaces the program with the cloned,
-// retargeted version. Round 1 reads base, the analysis the caller
-// already has; every later round reads prop, which the pass.Refresh
-// ahead of the clone pass re-ran on the program the previous round
-// built.
-type clonePass struct {
-	opts  Options
-	base  *core.Result
-	prop  *core.Propagate
-	total int
-}
-
-func (c *clonePass) Name() string { return "clone" }
-
-// current returns the analysis of the latest program prop or the
-// caller analyzed.
-func (c *clonePass) current() *core.Result {
-	if res := c.prop.Result(); res != nil {
-		return res
-	}
-	return c.base
-}
-
-func (c *clonePass) Run(ctx *pass.Context) (bool, error) {
-	np, stats := Apply(c.current(), c.opts)
-	if stats.ClonesCreated == 0 {
-		return false, nil
-	}
-	c.total += stats.ClonesCreated
-	ctx.SetProgram(np)
-	return true, nil
-}
-
 // AndAnalyze iterates propagation and cloning until no more clones are
 // profitable (or the round budget runs out), reanalyzing after each
-// round as Metzger & Stroud's compiler did. The iteration is a
-// budgeted pass.Fixpoint — the round cap is a quality budget, not a
-// convergence bound, so exhausting it is not an error; the final
-// program is still reanalyzed, outside any round, when the last round
-// replaced it.
+// round as Metzger & Stroud's compiler did. Round 1 clones base, the
+// analysis the caller already has; every later round first
+// reanalyzes the program the previous round built. The round cap is a
+// quality budget, not a convergence bound, so exhausting it is not an
+// error: the final program is still reanalyzed, outside any round.
+//
+// The trace of Final reads propagate and clone per round (round 1
+// without a propagate), then a "clone" row that summarizes the loop,
+// then that last propagate if the budget ran out. When no round
+// clones anything, Final is base, trace included.
 func AndAnalyze(base *core.Result, cfg core.Config, opts Options) *Result {
 	opts.fill()
-	prop := core.NewPropagate(cfg)
-	cp := &clonePass{opts: opts, base: base, prop: prop}
-	refresh := pass.NewRefresh(prop, base.Prog)
-	fix := pass.NewBudgetedFixpoint("clone", pass.NewPipeline("clone-round", refresh, cp), opts.MaxRounds)
-
-	ctx := pass.NewContext(base.Prog)
-	ctx.Debug = cfg.Debug
-	if _, err := ctx.Exec(fix); err != nil {
-		panic("clone: " + err.Error())
+	rec := &pass.Recorder{Debug: cfg.Debug}
+	must := func(err error) {
+		if err != nil {
+			panic("clone: " + err.Error())
+		}
 	}
-	if _, err := ctx.Exec(refresh); err != nil {
-		panic("clone: " + err.Error())
+	loop, err := rec.Begin("clone", 0, pass.SizeOf(base.Prog))
+	must(err)
+	loop.Fixpoint = true
+	cur, prog, total := base, base.Prog, 0
+	for round := 1; round <= opts.MaxRounds; round++ {
+		if prog != cur.Prog {
+			cur, err = core.Reanalyze(rec, round, prog, cfg)
+			must(err)
+		}
+		row, err := rec.Begin("clone", round, pass.SizeOf(prog))
+		must(err)
+		np, stats := Apply(cur, opts)
+		changed := stats.ClonesCreated > 0
+		if changed {
+			prog = np
+		}
+		must(rec.End(row, prog, changed))
+		if !changed {
+			break
+		}
+		total += stats.ClonesCreated
+		loop.Rounds++
 	}
-
-	final := cp.current()
-	if final != base {
-		final.Stats.Passes = ctx.PassStats()
+	must(rec.End(loop, prog, loop.Rounds > 0))
+	if prog != cur.Prog {
+		cur, err = core.Reanalyze(rec, 0, prog, cfg)
+		must(err)
 	}
-	return &Result{Base: base, Final: final, Rounds: fix.Rounds(), TotalClones: cp.total}
+	if cur != base {
+		cur.Stats.Passes = rec.Stats()
+	}
+	return &Result{Base: base, Final: cur, Rounds: loop.Rounds, TotalClones: total}
 }

@@ -285,3 +285,31 @@ func TestCloningTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestNonPositiveOptionsMeanDefault pins that a zero or negative
+// option takes its default, field by field. cascadeLoopSrc needs two
+// cloning rounds and two clones, so an option read as "no rounds" or
+// "no extra versions" would clone nothing.
+func TestNonPositiveOptionsMeanDefault(t *testing.T) {
+	cfg := core.Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true}
+	cases := []struct {
+		opts, want Options
+	}{
+		{Options{MaxVersionsPerProc: 0, MaxRounds: 5}, Options{MaxVersionsPerProc: 4, MaxRounds: 5}},
+		{Options{MaxVersionsPerProc: -1, MaxRounds: 5}, Options{MaxVersionsPerProc: 4, MaxRounds: 5}},
+		{Options{MaxVersionsPerProc: 8, MaxRounds: 0}, Options{MaxVersionsPerProc: 8, MaxRounds: 3}},
+		{Options{MaxVersionsPerProc: 8, MaxRounds: -1}, Options{MaxVersionsPerProc: 8, MaxRounds: 3}},
+	}
+	for _, tc := range cases {
+		got := tc.opts
+		got.fill()
+		if got != tc.want {
+			t.Errorf("%+v fills to %+v, want %+v", tc.opts, got, tc.want)
+		}
+		_, base := analyze(t, cascadeLoopSrc)
+		out := AndAnalyze(base, cfg, tc.opts)
+		if out.Rounds != 2 || out.TotalClones != 2 {
+			t.Errorf("%+v: rounds, clones = %d, %d; want 2, 2", tc.opts, out.Rounds, out.TotalClones)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"ipcp/internal/analysis/dce"
 	"ipcp/internal/analysis/sccp"
 	"ipcp/internal/core/lattice"
@@ -8,22 +11,97 @@ import (
 	"ipcp/internal/pass"
 )
 
-// dcePass is one round of the paper's complete propagation as a pass:
-// it reads prop's result (brought up to date by the pass.Refresh ahead
-// of it) and removes the code the discovered constants prove dead.
-// Iterated under pass.Fixpoint it reproduces Table 3's "complete"
-// column.
-type dcePass struct{ prop *Propagate }
+// maxDCERounds bounds complete propagation's loop. Tests lower it.
+var maxDCERounds = 10
 
-func (d *dcePass) Name() string { return "dce" }
+// ErrNoFixpoint reports a complete propagation whose dead-code round
+// still removed code at the round bound: every round must shrink a
+// finite program, so a round that claims a change forever is a bug, and
+// the bound keeps it from hanging the analysis.
+var ErrNoFixpoint = errors.New("fixpoint not reached")
 
-func (d *dcePass) Run(ctx *pass.Context) (bool, error) {
-	np, changed := eliminateDeadCode(d.prop.Result())
-	if !changed {
-		return false, nil
+// dceFault, when non-nil, is applied to the program each dead-code
+// round leaves. It exists only so the tests can seed IR corruption and
+// prove that a Debug run fails naming the step that caused it.
+var dceFault func(prog *ir.Program)
+
+// analyze runs cfg over prog, a pre-SSA program, tracing every step:
+// one propagation, or in complete mode the paper's loop (Table 3,
+// column 3). Each round propagates, then removes the code the
+// constants prove dead; a round that removed code resets every VAL
+// cell to ⊤ by propagating the rebuilt program from scratch in the next
+// round, and the round that removes nothing ends the loop without a
+// further propagation. The trace reads propagate and dce per round and
+// closes with a "complete" row that summarizes the loop.
+//
+// s1 and reuse feed the first propagation only (see propagate): later
+// rounds run over programs that no stored summary describes. analyze
+// returns the result, the stage-1 product of the last propagation (the
+// members of a matrix group share their leader's) and, when reuse is
+// non-nil, the summaries of the first propagation. Its error is a
+// cancellation, ErrNoFixpoint, or under Debug an IR verification
+// failure naming the step.
+func analyze(prog *ir.Program, cfg Config, s1 *stage1, reuse *Reuse) (*Result, *stage1, *Summaries, error) {
+	rec := &pass.Recorder{Debug: cfg.Debug, Cancel: cfg.Cancel}
+	if !cfg.Complete {
+		res, p, err := propagate(rec, 0, prog, cfg, s1, reuse)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		var sums *Summaries
+		if reuse != nil {
+			sums = p.extractSummaries()
+		}
+		res.Stats.Passes = rec.Stats()
+		return res, p.stage1, sums, nil
 	}
-	ctx.SetProgram(np)
-	return true, nil
+	loop, err := rec.Begin("complete", 0, pass.SizeOf(prog))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	loop.Fixpoint = true
+	var sums *Summaries
+	for round := 1; round <= maxDCERounds; round++ {
+		res, p, err := propagate(rec, round, prog, cfg, s1, reuse)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if reuse != nil {
+			sums = p.extractSummaries()
+		}
+		s1, reuse = nil, nil
+		row, err := rec.Begin("dce", round, pass.SizeOf(res.Prog))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		np, changed := eliminateDeadCode(res)
+		if dceFault != nil {
+			dceFault(np)
+		}
+		if err := rec.End(row, np, changed); err != nil {
+			return nil, nil, nil, err
+		}
+		if !changed {
+			res.DCERounds = round - 1
+			loop.Rounds = res.DCERounds
+			if err := rec.End(loop, np, res.DCERounds > 0); err != nil {
+				return nil, nil, nil, err
+			}
+			res.Stats.Passes = rec.Stats()
+			return res, p.stage1, sums, nil
+		}
+		prog = np
+	}
+	return nil, nil, nil, fmt.Errorf("complete propagation: dce still removes code after %d rounds: %w", maxDCERounds, ErrNoFixpoint)
+}
+
+// PipelineDescription renders, as one line, the schedule of steps a
+// configuration runs (cmd/ipcp -passes).
+func PipelineDescription(cfg Config) string {
+	if !cfg.Complete {
+		return "propagate"
+	}
+	return fmt.Sprintf("fixpoint complete[<=%d rounds]{dce-round(propagate if stale -> dce)}", maxDCERounds)
 }
 
 // eliminateDeadCode performs one round of the paper's complete
@@ -31,7 +109,7 @@ func (d *dcePass) Run(ctx *pass.Context) (bool, error) {
 // CONSTANTS(p) set, remove the code the constants prove dead, and return
 // a fresh pre-SSA program. changed reports whether any procedure lost
 // code; the caller then re-propagates from scratch (all values reset to
-// ⊤).
+// ⊤). When nothing was removed it returns res.Prog itself.
 func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 	prog := res.Prog
 	np := ir.NewProgram()
@@ -58,10 +136,11 @@ func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 		}
 		sres := sccp.Run(proc, seed, nil)
 		nproc, stats := dce.Transform(proc, sres, nil)
-		if stats.Changed {
-			changed = true
-		}
+		changed = changed || stats.Changed
 		np.AddProc(nproc)
+	}
+	if !changed {
+		return prog, false
 	}
 	// Repoint call targets into the new program.
 	for _, proc := range np.Procs {
@@ -73,5 +152,5 @@ func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 			}
 		}
 	}
-	return np, changed
+	return np, true
 }

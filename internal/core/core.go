@@ -62,15 +62,15 @@ type Config struct {
 	// setting — the determinism tests prove it.
 	Workers int
 
-	// Debug makes the pass runner verify the IR after every pass and
-	// fail fast naming the pass that corrupted it.
+	// Debug verifies the IR after every traced step and fails fast
+	// naming the step that corrupted it.
 	Debug bool
 
-	// Cancel, when non-nil, is polled between passes and inside the
-	// stage-3 solver loop; a non-nil return (it must wrap ErrCanceled)
-	// aborts the analysis with that error. Drivers wire request
-	// deadlines through it — see AnalyzeErr. The zero value is an
-	// uncancellable run with no polling overhead.
+	// Cancel, when non-nil, is polled before every traced step and
+	// inside the stage-3 solver loop; a non-nil return (it must wrap
+	// ErrCanceled) aborts the analysis with that error. Drivers wire
+	// request deadlines through it — see AnalyzeErr. The zero value is
+	// an uncancellable run with no polling overhead.
 	Cancel func() error
 }
 
@@ -144,12 +144,6 @@ type Result struct {
 	// removed dead code.
 	DCERounds int
 
-	// SiteVals records, for every call site, the jump-function values
-	// that flowed along that edge under the final VAL sets. The
-	// procedure-cloning extension partitions call sites by these
-	// vectors.
-	SiteVals map[*ir.Instr]*SiteValues
-
 	// JFShape tallies the forward jump functions by syntactic form —
 	// the data behind §3.1.5's observation that "the number of complex
 	// polynomial jump functions actually constructed is small" and that
@@ -158,13 +152,20 @@ type Result struct {
 
 	// Stats reports how the run executed.
 	Stats Stats
+
+	// sites, reach and vals are what EvalSite needs of the finished
+	// propagation: the forward jump functions of every call site, the
+	// procedures reachable from main, and the final VAL sets.
+	sites map[*ir.Instr]*jump.Site
+	reach map[*ir.Proc]bool
+	vals  *vals
 }
 
 // Stats describes how one analysis run executed.
 type Stats struct {
-	// Passes is the pass-manager trace of the run: one entry per pass
-	// execution plus one summary per fixpoint, in completion order.
-	// Every field except the wall-clock Nanos is deterministic.
+	// Passes is the trace of the run: one entry per step plus one
+	// summary per loop, in completion order. Every field except the
+	// wall-clock Nanos is deterministic.
 	Passes []pass.Stat
 }
 
@@ -188,6 +189,33 @@ type SiteValues struct {
 	Globals []lattice.Value
 }
 
+// EvalSite evaluates the forward jump functions of call, a call site in
+// caller, under caller's final VAL set: the values that flowed along
+// that edge. It returns nil when caller is not reachable from main,
+// whose sites never fed the propagation. The procedure-cloning
+// extension partitions call sites by these vectors; nothing else needs
+// them, so no run evaluates them up front.
+func (r *Result) EvalSite(caller *ir.Proc, call *ir.Instr) *SiteValues {
+	site := r.sites[call]
+	if site == nil || !r.reach[caller] {
+		return nil
+	}
+	var env sym.Env = procEnv{v: r.vals, at: caller}
+	sv := &SiteValues{
+		Formals: make([]lattice.Value, len(site.Formal)),
+		Globals: make([]lattice.Value, len(site.Global)),
+	}
+	for i, e := range site.Formal {
+		//lint:ignore latticeflow post-fixpoint evaluation into a freshly allocated result vector, not a live VAL cell
+		sv.Formals[i] = sym.Eval(e, env)
+	}
+	for k, e := range site.Global {
+		//lint:ignore latticeflow post-fixpoint evaluation into a freshly allocated result vector, not a live VAL cell
+		sv.Globals[k] = sym.Eval(e, env)
+	}
+	return sv
+}
+
 // ErrCanceled is the sentinel a Config.Cancel hook wraps: an analysis
 // aborted by its caller (a context deadline or cancellation), as
 // opposed to an internal invariant violation (which still panics).
@@ -208,12 +236,15 @@ func Analyze(sp *sema.Program, cfg Config) *Result {
 
 // AnalyzeErr is Analyze for cancellable runs: when cfg.Cancel reports
 // cancellation mid-analysis, it returns nil and that error. With a nil
-// Cancel hook it never fails. It executes the declared pass plan over a
-// fresh lowering: the propagation pass, or — for complete propagation —
-// a verified fixpoint of DCE rounds that re-propagates after each round
-// that rebuilt the program.
+// Cancel hook it never fails. It analyzes a fresh lowering: one
+// propagation, or for complete propagation the loop of DCE rounds that
+// re-propagates after each round that rebuilt the program.
 func AnalyzeErr(sp *sema.Program, cfg Config) (*Result, error) {
-	return runPlan(newPlan(cfg), pass.NewContext(irbuild.Build(sp)), cfg)
+	res, _, _, err := analyze(irbuild.Build(sp), cfg, nil, nil)
+	if err != nil {
+		return nil, invariant(err)
+	}
+	return res, nil
 }
 
 // Stage1Key is the part of a Config that SSA construction and stage 1
@@ -232,27 +263,16 @@ func (cfg Config) Stage1Key() Stage1Key {
 	return Stage1Key{MOD: cfg.MOD, ReturnJFs: cfg.ReturnJFs}
 }
 
-// runPlan executes a declared plan over a prepared Context and collects
-// the result — the shared tail of the scratch and seeded entry points.
-// Cancellation (an error wrapping ErrCanceled, necessarily from the
-// Config.Cancel hook) is returned; any other pipeline error is an
-// invariant violation (a pass that never converges, or corrupts the IR
-// under Debug), not a user error, and panics loudly.
-func runPlan(pl *plan, ctx *pass.Context, cfg Config) (*Result, error) {
-	ctx.Debug = cfg.Debug
-	ctx.Cancel = cfg.Cancel
-	if _, err := ctx.Exec(pl.root); err != nil {
-		if errors.Is(err, ErrCanceled) {
-			return nil, err
-		}
+// invariant returns a cancellation (an error wrapping ErrCanceled,
+// necessarily from the Config.Cancel hook) as it is. Any other error
+// from analyze is an invariant violation, not a user error: a complete
+// propagation that never converges, or a step that corrupted the IR
+// under Debug. It panics loudly.
+func invariant(err error) error {
+	if !errors.Is(err, ErrCanceled) {
 		panic("core: " + err.Error())
 	}
-	res := pl.prop.Result()
-	if pl.fix != nil {
-		res.DCERounds = pl.fix.Rounds()
-	}
-	res.Stats.Passes = ctx.PassStats()
-	return res, nil
+	return err
 }
 
 // AnalyzeMatrix analyzes one program under every configuration of the
@@ -301,7 +321,7 @@ func AnalyzeMatrixErr(sp *sema.Program, cfgs []Config, workers int) ([]*Result, 
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, invariant(err)
 		}
 	}
 	return out, nil
@@ -330,33 +350,20 @@ func matrixGroups(cfgs []Config) [][]int {
 // analyzeGroup analyzes one group's configurations over irp, a fresh
 // pre-SSA program of its own. The leader, the group's first member,
 // runs exactly as a standalone analysis, building the stage-1 product
-// inside its propagate pass. The other members then run their stages
+// inside its propagate step. The other members then run their stages
 // 2–4 over that product concurrently. A canceled leader abandons the
 // group: the matrix fails anyway.
 func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, out []*Result, errs []error) {
-	lead := NewPropagate(cfgs[members[0]])
-	out[members[0]], errs[members[0]] = runPlan(newPlanWith(lead.cfg, lead), pass.NewContext(irp), lead.cfg)
-	if errs[members[0]] != nil || len(members) == 1 {
+	lead := members[0]
+	var s1 *stage1
+	out[lead], s1, _, errs[lead] = analyze(irp, cfgs[lead], nil, nil)
+	if errs[lead] != nil {
 		return
 	}
-	// A non-Complete plan traces exactly one row: propagate.
-	shared := out[members[0]].Stats.Passes[0]
 	rest := members[1:]
 	par.For(workers, len(rest), func(k int) {
 		i := rest[k]
-		prop := NewPropagate(cfgs[i])
-		prop.s1 = lead.s1
-		res, err := runPlan(newPlanWith(prop.cfg, prop), pass.NewContext(irp), prop.cfg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// The runner sized the program this member found, already in SSA
-		// form; a standalone run would have sized it before the
-		// conversion, as the leader's row did.
-		st := &res.Stats.Passes[0]
-		st.ProcsBefore, st.BlocksBefore, st.InstrsBefore = shared.ProcsBefore, shared.BlocksBefore, shared.InstrsBefore
-		out[i] = res
+		out[i], _, _, errs[i] = analyze(irp, cfgs[i], s1, nil)
 	})
 }
 
@@ -371,6 +378,10 @@ type stage1 struct {
 	prog *ir.Program
 	cg   *callgraph.Graph
 	mods *modref.Summary
+
+	// pre is prog's size before SSA construction: every propagate row
+	// over the product reports it as the size it started from.
+	pre pass.Size
 
 	oracle      ir.ModOracle
 	globalIndex map[*ir.GlobalVar]int
@@ -392,8 +403,7 @@ type stage1 struct {
 
 // newStage1 prepares the stage-1 state for cfg's key; buildSSA and
 // stage1ReturnJFs then fill it. cg and mods are the whole-program
-// caches, normally supplied by the pass Context so repeated
-// propagations over the same program share them; nil means build fresh
+// views an incremental caller already built; nil means build fresh
 // (the callgraph must come from the pre-SSA program, so it is taken
 // before any stage runs). reuse — normally nil — injects stored
 // summaries for unchanged procedures (reuse.go).
@@ -440,8 +450,12 @@ type propagation struct {
 	solverPasses int
 	jfEvals      int
 
-	// cancel is the pass Context's cancellation hook (nil when the run
-	// is uncancellable); the stage-3 solve polls it per work item.
+	// reach is the set of procedures reachable from main, whose call
+	// sites stage 3 propagates along.
+	reach map[*ir.Proc]bool
+
+	// cancel is the trace recorder's cancellation hook (nil when the
+	// run is uncancellable); the stage-3 solve polls it per work item.
 	cancel func() error
 }
 
@@ -679,36 +693,10 @@ func (p *propagation) stage4Record() *Result {
 		Procs:         make(map[string]*ProcResult, len(p.prog.Procs)),
 		SolverPasses:  p.solverPasses,
 		JFEvaluations: p.jfEvals,
-		SiteVals:      make(map[*ir.Instr]*SiteValues, len(p.sites)),
 		JFShape:       p.jfShape,
-	}
-	// Per-site jump-function values under the final VAL sets, for the
-	// cloning extension.
-	reach := p.cg.ReachableFromMain()
-	for _, n := range p.cg.TopDown() {
-		if !reach[n.Proc] {
-			continue
-		}
-		env := procEnv{p: p, at: n.Proc}
-		for _, call := range n.Sites {
-			site := p.sites[call]
-			if site == nil {
-				continue
-			}
-			sv := &SiteValues{
-				Formals: make([]lattice.Value, len(site.Formal)),
-				Globals: make([]lattice.Value, len(site.Global)),
-			}
-			for i, e := range site.Formal {
-				//lint:ignore latticeflow post-fixpoint recording into a freshly allocated result vector, not a live VAL cell
-				sv.Formals[i] = sym.Eval(e, env)
-			}
-			for k, e := range site.Global {
-				//lint:ignore latticeflow post-fixpoint recording into a freshly allocated result vector, not a live VAL cell
-				sv.Globals[k] = sym.Eval(e, env)
-			}
-			res.SiteVals[call] = sv
-		}
+		sites:         p.sites,
+		reach:         p.reach,
+		vals:          p.vals,
 	}
 	for _, proc := range p.prog.Procs {
 		pr := &ProcResult{

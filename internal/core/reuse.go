@@ -5,7 +5,6 @@ import (
 	"ipcp/internal/analysis/modref"
 	"ipcp/internal/core/jump"
 	"ipcp/internal/ir"
-	"ipcp/internal/pass"
 )
 
 // This file is core's half of the incremental re-analysis contract
@@ -45,9 +44,9 @@ type ProcSeed struct {
 }
 
 // Reuse is the seeded-analysis input: the pre-SSA callgraph and
-// mod/ref summaries the caller already built for the program (shared
-// into the pass Context so they are not recomputed), plus the seeds of
-// the program's procedures. Any field may be nil.
+// mod/ref summaries the caller already built for the program (handed
+// to the first propagation so they are not recomputed), plus the seeds
+// of the program's procedures. Any field may be nil.
 type Reuse struct {
 	CG    *callgraph.Graph
 	Mods  *modref.Summary
@@ -77,18 +76,14 @@ type Summaries struct {
 // exactly as they do from scratch. The error is non-nil only when
 // cfg.Cancel reported cancellation mid-run.
 func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summaries, error) {
-	prop := NewPropagate(cfg)
-	prop.seedProg = irp
-	ctx := pass.NewContext(irp)
-	if reuse != nil {
-		prop.seeds = reuse.Procs
-		ctx = pass.NewContextWith(irp, reuse.CG, reuse.Mods)
+	if reuse == nil {
+		reuse = &Reuse{}
 	}
-	res, err := runPlan(newPlanWith(cfg, prop), ctx, cfg)
+	res, _, sums, err := analyze(irp, cfg, nil, reuse)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, invariant(err)
 	}
-	return res, prop.captured, nil
+	return res, sums, nil
 }
 
 // extractSummaries collects the per-procedure summaries of a finished

@@ -37,17 +37,20 @@ import (
 type vals struct {
 	formals map[*ir.Proc][]lattice.Value
 	globals map[*ir.Proc][]lattice.Value // parallel Program.ScalarGlobals
+
+	// globalIndex maps a scalar global to its slot in globals.
+	globalIndex map[*ir.GlobalVar]int
 }
 
 // procEnv adapts one procedure's VAL set to sym.Env for jump-function
 // evaluation.
 type procEnv struct {
-	p  *propagation
+	v  *vals
 	at *ir.Proc
 }
 
 func (e procEnv) FormalValue(i int) lattice.Value {
-	f := e.p.vals.formals[e.at]
+	f := e.v.formals[e.at]
 	if i < 0 || i >= len(f) {
 		return lattice.Bottom
 	}
@@ -55,11 +58,11 @@ func (e procEnv) FormalValue(i int) lattice.Value {
 }
 
 func (e procEnv) GlobalValue(g *ir.GlobalVar) lattice.Value {
-	gi, ok := e.p.globalIndex[g]
+	gi, ok := e.v.globalIndex[g]
 	if !ok {
 		return lattice.Bottom
 	}
-	return e.p.vals.globals[e.at][gi]
+	return e.v.globals[e.at][gi]
 }
 
 // cellRef names one VAL cell: a formal, or a scalar-global slot, of
@@ -121,7 +124,7 @@ func (p *propagation) stage3Solve() error {
 		s.work = s.work[1:]
 		p.solverPasses++
 
-		env := procEnv{p: p, at: it.proc}
+		env := procEnv{v: p.vals, at: it.proc}
 		// A call site's instances share their callee, so its VAL
 		// vectors are looked up once per site, not per instance.
 		var callee *ir.Proc
@@ -170,9 +173,9 @@ func (p *propagation) newSolver() *solver {
 		s.items = make([]item, 0, len(p.prog.Procs))
 		s.procItem = make(map[*ir.Proc]int, len(p.prog.Procs))
 	}
-	reach := p.cg.ReachableFromMain()
+	p.reach = p.cg.ReachableFromMain()
 	for _, proc := range p.prog.Procs {
-		if !reach[proc] {
+		if !p.reach[proc] {
 			continue
 		}
 		lo := len(s.insts)
@@ -250,8 +253,9 @@ func (p *propagation) evalJF(jf sym.Expr, env sym.Env) lattice.Value {
 // formals (they carry no constants) and main's globals, which are ⊥.
 func (p *propagation) initVals() {
 	p.vals = &vals{
-		formals: make(map[*ir.Proc][]lattice.Value, len(p.prog.Procs)),
-		globals: make(map[*ir.Proc][]lattice.Value, len(p.prog.Procs)),
+		formals:     make(map[*ir.Proc][]lattice.Value, len(p.prog.Procs)),
+		globals:     make(map[*ir.Proc][]lattice.Value, len(p.prog.Procs)),
+		globalIndex: p.globalIndex,
 	}
 	for _, proc := range p.prog.Procs {
 		fv := make([]lattice.Value, len(proc.Formals))

@@ -114,9 +114,6 @@ func NewEngine(store summary.Store) *Engine {
 	return &Engine{store: store}
 }
 
-// Store returns the engine's summary store.
-func (e *Engine) Store() summary.Store { return e.store }
-
 // ConfigKey fingerprints the configuration bits stored flavor records
 // depend on — the jump-function flavor, the return-JF and MOD toggles
 // — plus the codec version. Workers, Debug, the solver choice, and
@@ -166,7 +163,7 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 
 	// Lower once and take the whole-program views while the IR is still
 	// pre-SSA; they feed both the invalidation decision and — through
-	// core.Reuse — the pass Context, so nothing is computed twice.
+	// core.Reuse — the first propagation, so nothing is computed twice.
 	irp := irbuild.Build(sp)
 	cg := callgraph.Build(irp)
 	mods := modref.Compute(irp, cg)

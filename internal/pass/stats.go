@@ -8,56 +8,61 @@ import (
 	"ipcp/internal/ir"
 )
 
-// Stat is one trace entry: a single execution of a leaf pass, or the
-// summary line of a Fixpoint. Every field except Nanos is a pure
-// function of the program and the pass composition — the determinism
-// suite compares whole traces with Nanos normalized to zero.
+// Stat is one trace entry: a single step, or the summary line of a
+// loop. Every field except Nanos is a pure function of the program and
+// the configuration — the determinism suite compares whole traces with
+// Nanos normalized to zero.
 type Stat struct {
-	// Pass is the pass (or fixpoint) name.
+	// Pass is the step (or loop) name.
 	Pass string
 
-	// Round is the 1-based fixpoint round this execution ran in, 0 for
-	// executions outside any fixpoint (a Fixpoint summary records the
-	// round of its enclosing fixpoint, if any).
+	// Round is the 1-based loop round this step ran in, 0 for steps
+	// outside any loop and for a loop's summary row.
 	Round int
 
-	// Changed reports whether the execution transformed the program.
+	// Changed reports whether the step transformed the program.
 	Changed bool
 
-	// Fixpoint marks a summary entry for a whole Fixpoint run; Rounds
-	// is then the number of rounds whose body reported a change.
+	// Fixpoint marks the summary entry of a whole loop; Rounds is then
+	// the number of rounds whose transform changed the program.
 	Fixpoint bool
 	Rounds   int
 
-	// IR size before and after the execution.
+	// IR size before and after the step.
 	ProcsBefore, BlocksBefore, InstrsBefore int
 	Procs, Blocks, Instrs                   int
 
 	// Nanos is wall-clock time — the one nondeterministic field,
 	// excluded from determinism comparisons.
 	Nanos int64
-
-	start time.Time
 }
 
-// countIR sizes a program for trace deltas.
-func countIR(p *ir.Program) (procs, blocks, instrs int) {
+// Size is a program's IR size as a trace row records it. Instrs counts
+// the phis a seeded procedure's skipped SSA conversion would have
+// inserted (Proc.ElidedPhis), so seeded and scratch rows agree.
+type Size struct {
+	Procs, Blocks, Instrs int
+}
+
+// SizeOf sizes a program (the zero Size for nil).
+func SizeOf(p *ir.Program) Size {
+	var s Size
 	if p == nil {
-		return 0, 0, 0
+		return s
 	}
-	procs = len(p.Procs)
+	s.Procs = len(p.Procs)
 	for _, proc := range p.Procs {
-		blocks += len(proc.Blocks)
-		instrs += proc.ElidedPhis
+		s.Blocks += len(proc.Blocks)
+		s.Instrs += proc.ElidedPhis
 		for _, b := range proc.Blocks {
-			instrs += len(b.Instrs)
+			s.Instrs += len(b.Instrs)
 		}
 	}
-	return procs, blocks, instrs
+	return s
 }
 
-// FormatStats renders a trace as an aligned per-pass table: one row
-// per pass name in first-execution order, aggregating runs, changed
+// FormatStats renders a trace as an aligned per-step table: one row
+// per step name in first-execution order, aggregating runs, changed
 // rounds, IR deltas, and wall time.
 func FormatStats(stats []Stat) string {
 	type agg struct {
@@ -83,7 +88,7 @@ func FormatStats(stats []Stat) string {
 		if st.Changed {
 			a.changed++
 		}
-		// A fixpoint's summary row spans its members' rows, so columns
+		// A loop's summary row spans its steps' rows, so columns
 		// are per-row facts, not a summable breakdown.
 		a.dInstrs += st.Instrs - st.InstrsBefore
 		a.dBlocks += st.Blocks - st.BlocksBefore

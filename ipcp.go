@@ -35,8 +35,11 @@ import (
 	"sort"
 	"sync"
 
+	"ipcp/internal/analysis/callgraph"
+	"ipcp/internal/analysis/modref"
 	"ipcp/internal/core"
 	"ipcp/internal/core/jump"
+	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/ast"
 	"ipcp/internal/mf/parser"
@@ -130,8 +133,8 @@ type Config struct {
 	// "Concurrency model".
 	Workers int
 
-	// Debug makes the pass runner verify the IR after every pass and
-	// fail fast naming the pass that corrupted it. Analysis results are
+	// Debug verifies the IR after every traced step and fails fast
+	// naming the step that corrupted it. Analysis results are
 	// unaffected; only the verification cost is added.
 	Debug bool
 }
@@ -148,12 +151,12 @@ func (c Config) internal() core.Config {
 	}
 }
 
-// PassStat is one entry of a Report's pass trace — a single execution
-// of a pass, or the summary line of a fixpoint. Every field except the
+// PassStat is one entry of a Report's pass trace — a single step of
+// the analysis, or the summary line of a loop. Every field except the
 // wall-clock Nanos is deterministic.
 type PassStat = pass.Stat
 
-// DescribePipeline renders, as one line, the pass composition a
+// DescribePipeline renders, as one line, the schedule of steps a
 // configuration would execute, without running anything.
 func DescribePipeline(cfg Config) string {
 	return core.PipelineDescription(cfg.internal())
@@ -169,20 +172,21 @@ func DescribePipeline(cfg Config) string {
 type Program struct {
 	sp *sema.Program
 
-	// xformCtx lazily caches a pass Context over one lowering of the
-	// program — TransformedSource reuses its callgraph/modref instead
-	// of recomputing them per call. The Context's lazy getters are
-	// mutex-guarded, so concurrent TransformedSource calls are safe.
+	// xformIR and xformMods are one lowering of the program and its
+	// MOD summary, built on the first TransformedSource call and only
+	// read after that, so concurrent calls share them safely.
 	xformOnce sync.Once
-	xformCtx  *pass.Context
+	xformIR   *ir.Program
+	xformMods *modref.Summary
 }
 
-// transformContext returns the Program's cached transformation Context.
-func (p *Program) transformContext() *pass.Context {
+// transformFacts returns the Program's cached lowering and MOD summary.
+func (p *Program) transformFacts() (*ir.Program, *modref.Summary) {
 	p.xformOnce.Do(func() {
-		p.xformCtx = pass.NewContext(irbuild.Build(p.sp))
+		p.xformIR = irbuild.Build(p.sp)
+		p.xformMods = modref.Compute(p.xformIR, callgraph.Build(p.xformIR))
 	})
-	return p.xformCtx
+	return p.xformIR, p.xformMods
 }
 
 // Load parses and semantically analyzes MiniFortran source text.
@@ -278,8 +282,8 @@ type Report struct {
 	// complex polynomial jump functions are rare in practice.
 	JumpFunctionShape JumpFunctionShape
 
-	// Passes is the pass-manager trace of the run: one entry per pass
-	// execution plus one summary per fixpoint, in completion order.
+	// Passes is the trace of the run: one entry per step plus one
+	// summary per loop, in completion order.
 	// Everything but the Nanos fields is deterministic (the determinism
 	// suite compares whole traces with Nanos normalized).
 	Passes []PassStat
@@ -292,7 +296,7 @@ type Report struct {
 	Incremental *IncrementalStats
 }
 
-// PassTrace renders the pass trace as an aligned per-pass table (name,
+// PassTrace renders the pass trace as an aligned per-step table (name,
 // runs, rounds, changed, IR delta, wall time).
 func (r *Report) PassTrace() string { return pass.FormatStats(r.Passes) }
 
@@ -347,7 +351,7 @@ func (p *Program) Analyze(cfg Config) *Report {
 var ErrCanceled = core.ErrCanceled
 
 // cancelHook adapts a context to the analysis pipeline's cancellation
-// hook: polled between passes and inside the interprocedural solver's
+// hook: polled before every traced step and inside the interprocedural solver's
 // worklist loop, so a canceled analysis stops within one work item.
 func cancelHook(ctx context.Context) func() error {
 	return func() error {

@@ -25,9 +25,11 @@
 #   5b. go vet + go test in perfbench, the benchmark's own module: the
 #      root ./... pattern skips nested modules, so without this a core
 #      change that breaks the benchmark's use of the library would pass
-#   6. a CLI smoke run of the pass-manager instrumentation
-#      (-trace-passes on a complete-propagation analysis), then one of
-#      goal-directed cloning: trfd must get a clone and a clone row
+#   6. a CLI smoke run of the pass trace (-trace-passes on a
+#      complete-propagation analysis), a check of the schedule -passes
+#      prints for a plain and a complete configuration, then a smoke
+#      run of goal-directed cloning: trfd must get a clone and a clone
+#      row
 #   7. an incremental smoke run: analyze ocean twice through a disk
 #      cache; the second run must reuse every summary (100% hit rate)
 #      and print the same stage-3 effort (solver passes and
@@ -109,6 +111,14 @@ echo "==> pass-trace smoke (ipcp -suite ocean -complete -trace-passes)"
 trace=$(go run ./cmd/ipcp -suite ocean -complete -trace-passes)
 echo "$trace" | grep -q '^propagate' \
     || { echo "pass trace missing propagate row" >&2; exit 1; }
+
+echo "==> schedule check (ipcp -passes, ipcp -passes -complete)"
+plan=$(go run ./cmd/ipcp -passes)
+[ "$plan" = "propagate" ] \
+    || { echo "ipcp -passes printed: $plan" >&2; exit 1; }
+plan=$(go run ./cmd/ipcp -passes -complete)
+[ "$plan" = "fixpoint complete[<=10 rounds]{dce-round(propagate if stale -> dce)}" ] \
+    || { echo "ipcp -passes -complete printed: $plan" >&2; exit 1; }
 
 echo "==> clone smoke (ipcp -suite trfd -clone -trace-passes)"
 cloned=$(go run ./cmd/ipcp -suite trfd -clone -trace-passes)

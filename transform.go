@@ -23,8 +23,8 @@ import (
 // Report.TotalSubstituted, which works at the IR level, also counts the
 // references before the reassignment.)
 //
-// The mod/ref facts come from the Program's cached pass Context — the
-// source is reparsed only to obtain a private AST copy to mutate, never
+// The mod/ref facts come from the Program's cached lowering and MOD
+// summary — the source is reparsed only to obtain a private AST copy to mutate, never
 // reanalyzed. Name-based matching is sound because a MiniFortran unit
 // has a single flat namespace: within one unit, a bare name denotes one
 // symbol, and array symbols never enter the substitution map.
@@ -43,9 +43,7 @@ func (p *Program) TransformedSource(rep *Report) (string, int, error) {
 		byName[u.Name] = u
 	}
 
-	ctx := p.transformContext()
-	irp := ctx.Program()
-	mods := ctx.ModRef()
+	irp, mods := p.transformFacts()
 
 	total := 0
 	for _, u := range p.sp.Units {
