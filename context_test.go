@@ -133,12 +133,12 @@ func (c *pollContext) Err() error {
 	return nil
 }
 
-// TestAnalyzeMatrixContextMidRun cancels a grouped matrix at polls
-// spread over the run after the first shared stage 1: two (MOD, return
-// JFs) groups of four flavors each, on two workers. Each group leader
-// polls twice before building its group's stage 1 and once right after,
-// so by the fifth poll at least one group has built it. Every run must
-// fail with ErrCanceled and no reports, and leave no goroutine behind.
+// TestAnalyzeMatrixContextMidRun cancels a matrix at polls spread over
+// the run after the first shared stage 1: two (MOD, return JFs) keys of
+// four flavors each, on two workers. Each member polls when its
+// propagate row opens and again once it holds its key's stage 1, so by
+// the fifth poll at least one stage 1 is built. Every run must fail
+// with ErrCanceled and no reports, and leave no goroutine behind.
 func TestAnalyzeMatrixContextMidRun(t *testing.T) {
 	prog := contextTestProgram(t)
 	var cfgs []ipcp.Config

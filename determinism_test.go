@@ -207,12 +207,17 @@ func TestDeterminismCloning(t *testing.T) {
 }
 
 // adversarialMatrix is a grid built to trip the matrix runner's
-// stage-1 sharing: interleaved stage-1 keys, a duplicated
-// configuration, a Complete configuration sharing a group's key, two
-// dependence-solver members, Debug on one non-leader member only, and
-// mixed worker counts.
+// sharing: a Complete configuration first in its key, whose first round
+// builds the SSA program and stage-1 product the later members of its
+// key read; interleaved stage-1 keys, with return JFs alternating
+// within each MOD setting, so the two products over one SSA program
+// are built at the same time; a duplicated configuration, a second
+// Complete configuration joining a product another member built, two
+// dependence-solver members, Debug on one member only (on one worker
+// it builds nothing), and mixed worker counts.
 func adversarialMatrix() []ipcp.Config {
 	return []ipcp.Config{
+		{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true, Complete: true, Workers: 1},
 		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Workers: 1},
 		{Jump: ipcp.Polynomial, MOD: true, Workers: 2},
 		{Jump: ipcp.Literal, ReturnJumpFunctions: true, MOD: true, Workers: 8, Debug: true},
@@ -223,14 +228,15 @@ func adversarialMatrix() []ipcp.Config {
 		{Jump: ipcp.Intraprocedural, ReturnJumpFunctions: true, Workers: 3},
 		{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true, DependenceSolver: true},
 		{Jump: ipcp.Intraprocedural, Workers: 2},
+		{Jump: ipcp.Literal, ReturnJumpFunctions: true, Workers: 2},
 	}
 }
 
 // TestAnalyzeMatrixMatchesAnalyze checks the matrix runner — one IR
-// clone, one SSA conversion and one stage 1 per (MOD, return JFs)
-// group — against per-configuration lowering on the realistic corpus
-// programs (COMMON blocks, arrays, GOTOs — everything CloneProgram must
-// reproduce faithfully). Every report must match positionally, pass
+// copy and SSA conversion per MOD setting, one stage 1 per (MOD, return
+// JFs) pair — against per-configuration lowering on the realistic
+// corpus programs (COMMON blocks, arrays, GOTOs — everything
+// CloneProgram must reproduce faithfully). Every report must match positionally, pass
 // trace included; only the trace's wall-clock Nanos are normalized.
 func TestAnalyzeMatrixMatchesAnalyze(t *testing.T) {
 	for _, path := range corpusFiles(t) {
@@ -252,6 +258,59 @@ func TestAnalyzeMatrixMatchesAnalyze(t *testing.T) {
 						t.Fatalf("%s config %d %+v, %d matrix workers: matrix report diverges from direct Analyze\ndirect: %+v\nmatrix: %+v",
 							path, i, cfgs[i], workers, direct[i], matrix[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestAnalyzeMatrixWithBaseline checks the combined call Table 3 makes:
+// on every suite program and every corpus file, its baseline equals
+// AnalyzeIntraprocedural's, which lowers and converts the program on
+// its own, and its reports equal AnalyzeMatrix's. The grids are Table
+// 3's columns, a grid without MOD, where the baseline converts the
+// program itself, and no configuration at all.
+func TestAnalyzeMatrixWithBaseline(t *testing.T) {
+	type named struct {
+		name string
+		prog *ipcp.Program
+	}
+	var progs []named
+	for _, name := range suite.Names() {
+		progs = append(progs, named{name, ipcp.MustLoad(suite.Generate(name, suite.DefaultScale).Source)})
+	}
+	for _, path := range corpusFiles(t) {
+		prog, err := ipcp.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, named{path, prog})
+	}
+	grids := [][]ipcp.Config{
+		{
+			{Jump: ipcp.Polynomial, ReturnJumpFunctions: true},
+			{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true},
+			{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Complete: true},
+		},
+		{
+			{Jump: ipcp.PassThrough},
+			{Jump: ipcp.Literal, ReturnJumpFunctions: true, Complete: true},
+		},
+		nil,
+	}
+	for _, p := range progs {
+		want := p.prog.AnalyzeIntraprocedural()
+		for g, cfgs := range grids {
+			for _, workers := range []int{1, 4} {
+				reps, intra := p.prog.AnalyzeMatrixWithBaseline(cfgs, workers)
+				if !reflect.DeepEqual(intra, want) {
+					t.Fatalf("%s grid %d, %d workers: baseline %+v, AnalyzeIntraprocedural %+v", p.name, g, workers, intra, want)
+				}
+				direct := p.prog.AnalyzeMatrix(cfgs, workers)
+				normalizeReports(reps)
+				normalizeReports(direct)
+				if !reflect.DeepEqual(reps, direct) {
+					t.Fatalf("%s grid %d, %d workers: reports diverge from AnalyzeMatrix", p.name, g, workers)
 				}
 			}
 		}

@@ -62,6 +62,30 @@ type Options struct {
 // Transform returns a fresh pre-SSA copy of proc with dead code removed.
 // res must come from sccp.Run on proc.
 func Transform(proc *ir.Proc, res *sccp.Result, opts *Options) (*ir.Proc, Stats) {
+	return Find(proc, res, opts).Remove()
+}
+
+// Dead is the dead code of one procedure in SSA form: what Transform
+// removes, found without copying anything. A caller that rebuilds a
+// program only when some procedure changes asks Changes first and
+// calls Remove only then.
+type Dead struct {
+	proc *ir.Proc
+	res  *sccp.Result
+	live map[*ir.Instr]bool
+
+	// folded maps each reachable conditional branch whose condition
+	// folded to the index of the successor it takes.
+	folded map[*ir.Instr]int
+
+	// removed counts the non-phi, non-terminator instructions the copy
+	// drops.
+	removed int
+}
+
+// Find marks proc's dead code under res, which must come from sccp.Run
+// on proc. It only reads proc.
+func Find(proc *ir.Proc, res *sccp.Result, opts *Options) *Dead {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -69,50 +93,77 @@ func Transform(proc *ir.Proc, res *sccp.Result, opts *Options) (*ir.Proc, Stats)
 	if refs == nil {
 		refs = worstCaseRef{}
 	}
-	live := markLive(proc, res, refs, opts.SweepUseless)
-
-	// Record which conditional branches fold, by instruction identity.
-	folded := make(map[*ir.Instr]int)
+	d := &Dead{
+		proc:   proc,
+		res:    res,
+		live:   markLive(proc, res, refs, opts.SweepUseless),
+		folded: make(map[*ir.Instr]int),
+	}
 	for _, b := range proc.Blocks {
 		if !res.Reachable[b.ID] {
 			continue
 		}
 		if t := b.Terminator(); t != nil && t.Op == ir.OpBr {
 			if taken, ok := res.BranchDecision(t); ok {
-				folded[t] = taken
+				d.folded[t] = taken
 			}
 		}
 	}
-
-	var stats Stats
-	kept := 0
-	total := 0
 	for _, b := range proc.Blocks {
 		for _, i := range b.Instrs {
 			if i.Op == ir.OpPhi || i.Op.IsTerminator() {
 				continue
 			}
-			total++
-			if live[i] && res.Reachable[b.ID] {
-				kept++
+			if !d.keep(i) {
+				d.removed++
 			}
 		}
 	}
-	stats.InstrsRemoved = total - kept
+	return d
+}
 
-	np := proc.CloneStripSSA(nil, func(i *ir.Instr) bool {
-		return live[i] && res.Reachable[i.Block.ID]
-	})
+// keep reports whether the copy keeps instruction i.
+func (d *Dead) keep(i *ir.Instr) bool {
+	return d.live[i] && d.res.Reachable[i.Block.ID]
+}
+
+// Changes reports whether Remove would change the procedure, as its
+// Stats.Changed says. When no instruction goes and no branch folds, the
+// copy keeps the procedure's control-flow graph, so it changes only if
+// that graph has a block the entry cannot reach (BuildSSA's order
+// leaves it out) or a jump that MergeTrivialJumps collapses.
+func (d *Dead) Changes() bool {
+	if d.removed > 0 || len(d.folded) > 0 {
+		return true
+	}
+	if len(d.proc.ReversePostorder()) != len(d.proc.Blocks) {
+		return true
+	}
+	for _, b := range d.proc.Blocks {
+		if t := b.Terminator(); t != nil && t.Op == ir.OpJmp {
+			if c := b.Succs[0]; c != b && len(c.Preds) == 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Remove returns a fresh pre-SSA copy of the procedure without its dead
+// code, and what it removed.
+func (d *Dead) Remove() (*ir.Proc, Stats) {
+	stats := Stats{InstrsRemoved: d.removed}
+	np := d.proc.CloneStripSSA(nil, d.keep)
 
 	// Rewrite folded branches on the clone (IDs survive cloning, so
 	// match by block position: clone blocks parallel original blocks).
-	for bi, b := range proc.Blocks {
+	for bi, b := range d.proc.Blocks {
 		nb := np.Blocks[bi]
 		t := b.Terminator()
 		if t == nil {
 			continue
 		}
-		taken, ok := folded[t]
+		taken, ok := d.folded[t]
 		if !ok {
 			continue
 		}

@@ -83,8 +83,7 @@ func (a *analyzer) run() {
 		}
 	}
 
-	rpo := p.ComputeRPO()
-	for _, b := range rpo {
+	for _, b := range p.ReversePostorder() {
 		for _, i := range b.Instrs {
 			a.visit(i)
 		}
@@ -92,7 +91,9 @@ func (a *analyzer) run() {
 }
 
 // Analyze value-numbers a procedure in SSA form. re may be nil (every
-// call-modified binding becomes unknown).
+// call-modified binding becomes unknown). It only reads the procedure,
+// visiting the blocks in the order BuildSSA computed, so products with
+// different re can value-number one SSA program concurrently.
 func Analyze(p *ir.Proc, re ReturnEval) *Result {
 	a := &analyzer{
 		proc:  p,

@@ -28,7 +28,7 @@ func benchSema(b *testing.B, name string, scale int) *sema.Program {
 // solver benchmarks measure propagation alone.
 func prepared(b *testing.B, sp *sema.Program, cfg Config) *propagation {
 	b.Helper()
-	s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+	s1 := newStage1(newSSAForm(irbuild.Build(sp), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 	s1.buildSSA(cfg.Workers)
 	s1.stage1ReturnJFs(cfg.Workers)
 	pipe := newPropagation(s1, cfg)
@@ -65,7 +65,7 @@ func BenchmarkStage1ReturnJFs(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+		s1 := newStage1(newSSAForm(irbuild.Build(sp), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 		s1.buildSSA(cfg.Workers)
 		b.StartTimer()
 		s1.stage1ReturnJFs(cfg.Workers)
@@ -113,8 +113,8 @@ func fullMatrix(pipelineWorkers int) []Config {
 
 // BenchmarkAnalyzeMatrix compares the sequential 16-configuration sweep
 // (one worker everywhere) against the parallel matrix runner (fan-out
-// over the four stage-1 groups and their members, parallel
-// per-procedure stages inside each pipeline). The speedup scales with
+// over the members, which share two SSA programs and four stage-1
+// products, parallel per-procedure stages inside each pipeline). The speedup scales with
 // cores; on one core the two are expected to tie, which bounds the
 // orchestration overhead.
 func BenchmarkAnalyzeMatrix(b *testing.B) {
@@ -142,7 +142,7 @@ func BenchmarkStage2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+		s1 := newStage1(newSSAForm(irbuild.Build(sp), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 		s1.buildSSA(1)
 		s1.stage1ReturnJFs(1)
 		pipe := newPropagation(s1, cfg)
@@ -161,7 +161,7 @@ func BenchmarkStage1(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+				s1 := newStage1(newSSAForm(irbuild.Build(sp), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 				s1.buildSSA(workers)
 				b.StartTimer()
 				s1.stage1ReturnJFs(workers)

@@ -61,8 +61,8 @@ type group struct {
 
 // Apply performs one round of cloning over the analyzed program in res.
 // It returns a fresh pre-SSA program with clones added and call sites
-// retargeted, plus statistics. When nothing is profitable the returned
-// program is an unchanged copy and the stats are zero.
+// retargeted, plus statistics. When nothing is profitable it copies
+// nothing: it returns res.Prog itself and zero stats.
 func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 	opts.fill()
 	var stats Stats
@@ -117,6 +117,9 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 			continue
 		}
 		cloneTargets = append(cloneTargets, callee)
+	}
+	if len(cloneTargets) == 0 {
+		return res.Prog, stats
 	}
 	sort.Slice(cloneTargets, func(i, j int) bool { return cloneTargets[i].Name < cloneTargets[j].Name })
 

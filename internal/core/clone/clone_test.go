@@ -119,9 +119,12 @@ END
 	if v, ok := constOf(base, "K", "N"); !ok || v != 7 {
 		t.Fatalf("K.N should already be 7")
 	}
-	_, stats := Apply(base, Options{})
+	np, stats := Apply(base, Options{})
 	if stats.ClonesCreated != 0 {
 		t.Fatalf("uniform sites must not clone, got %d", stats.ClonesCreated)
+	}
+	if np != base.Prog {
+		t.Fatal("Apply copied a program it left unchanged")
 	}
 }
 

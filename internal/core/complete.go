@@ -25,74 +25,75 @@ var ErrNoFixpoint = errors.New("fixpoint not reached")
 // prove that a Debug run fails naming the step that caused it.
 var dceFault func(prog *ir.Program)
 
-// analyze runs cfg over prog, a pre-SSA program, tracing every step:
-// one propagation, or in complete mode the paper's loop (Table 3,
-// column 3). Each round propagates, then removes the code the
-// constants prove dead; a round that removed code resets every VAL
-// cell to ⊤ by propagating the rebuilt program from scratch in the next
-// round, and the round that removes nothing ends the loop without a
-// further propagation. The trace reads propagate and dce per round and
-// closes with a "complete" row that summarizes the loop.
+// analyze runs cfg over prog, tracing every step: one propagation, or
+// in complete mode the paper's loop (Table 3, column 3). Each round
+// propagates, then removes the code the constants prove dead; a round
+// that removed code resets every VAL cell to ⊤ by propagating the
+// rebuilt program from scratch in the next round, and the round that
+// removes nothing ends the loop without a further propagation. The
+// trace reads propagate and dce per round and closes with a "complete"
+// row that summarizes the loop.
 //
-// s1 and reuse feed the first propagation only (see propagate): later
-// rounds run over programs that no stored summary describes. analyze
-// returns the result, the stage-1 product of the last propagation (the
-// members of a matrix group share their leader's) and, when reuse is
-// non-nil, the summaries of the first propagation. Its error is a
-// cancellation, ErrNoFixpoint, or under Debug an IR verification
-// failure naming the step.
-func analyze(prog *ir.Program, cfg Config, s1 *stage1, reuse *Reuse) (*Result, *stage1, *Summaries, error) {
+// m and reuse feed the first propagation only (see propagate): later
+// rounds run over programs of their own, which no matrix member shares
+// and no stored summary describes. Dead-code elimination only reads the
+// program it cleans, so a matrix member's first round may share its
+// key's product. analyze returns the result and, when reuse is non-nil,
+// the summaries of the first propagation. Its error is a cancellation,
+// ErrNoFixpoint, or under Debug an IR verification failure naming the
+// step.
+func analyze(prog *ir.Program, cfg Config, m *member, reuse *Reuse) (*Result, *Summaries, error) {
 	rec := &pass.Recorder{Debug: cfg.Debug, Cancel: cfg.Cancel}
 	if !cfg.Complete {
-		res, p, err := propagate(rec, 0, prog, cfg, s1, reuse)
+		res, p, err := propagate(rec, 0, prog, cfg, m, reuse)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		var sums *Summaries
 		if reuse != nil {
 			sums = p.extractSummaries()
 		}
 		res.Stats.Passes = rec.Stats()
-		return res, p.stage1, sums, nil
+		return res, sums, nil
 	}
-	loop, err := rec.Begin("complete", 0, pass.SizeOf(prog))
+	loop, err := rec.Begin("complete", 0, m.startSize(prog))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	loop.Fixpoint = true
 	var sums *Summaries
 	for round := 1; round <= maxDCERounds; round++ {
-		res, p, err := propagate(rec, round, prog, cfg, s1, reuse)
+		res, p, err := propagate(rec, round, prog, cfg, m, reuse)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if reuse != nil {
 			sums = p.extractSummaries()
 		}
-		s1, reuse = nil, nil
+		m, reuse = nil, nil
 		row, err := rec.Begin("dce", round, pass.SizeOf(res.Prog))
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		np, changed := eliminateDeadCode(res)
 		if dceFault != nil {
 			dceFault(np)
 		}
 		if err := rec.End(row, np, changed); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if !changed {
 			res.DCERounds = round - 1
 			loop.Rounds = res.DCERounds
 			if err := rec.End(loop, np, res.DCERounds > 0); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			res.Stats.Passes = rec.Stats()
-			return res, p.stage1, sums, nil
+			return res, sums, nil
 		}
 		prog = np
 	}
-	return nil, nil, nil, fmt.Errorf("complete propagation: dce still removes code after %d rounds: %w", maxDCERounds, ErrNoFixpoint)
+	return nil, nil, fmt.Errorf("complete propagation: dce still removes code after %d rounds: %w", maxDCERounds, ErrNoFixpoint)
 }
 
 // PipelineDescription renders, as one line, the schedule of steps a
@@ -106,41 +107,29 @@ func PipelineDescription(cfg Config) string {
 
 // eliminateDeadCode performs one round of the paper's complete
 // propagation (Table 3, column 3): seed each procedure's SCCP with its
-// CONSTANTS(p) set, remove the code the constants prove dead, and return
-// a fresh pre-SSA program. changed reports whether any procedure lost
-// code; the caller then re-propagates from scratch (all values reset to
-// ⊤). When nothing was removed it returns res.Prog itself.
+// CONSTANTS(p) set, find the code the constants prove dead, and, when
+// some procedure loses code, return a fresh pre-SSA program without it.
+// changed reports whether any procedure lost code; the caller then
+// re-propagates from scratch (all values reset to ⊤). It only reads
+// res.Prog, and when nothing is removed it copies nothing and returns
+// res.Prog itself.
 func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 	prog := res.Prog
-	np := ir.NewProgram()
-	np.Globals = prog.Globals
-	np.ScalarGlobals = prog.ScalarGlobals
-
+	dead := make([]*dce.Dead, len(prog.Procs))
 	changed := false
-	for _, proc := range prog.Procs {
-		pr := res.Procs[proc.Name]
-		seed := make(map[*ir.Value]lattice.Value)
-		for i, f := range proc.Formals {
-			if c, ok := pr.FormalVals[i].IntConst(); ok {
-				if ev := proc.EntryValues[f.ID]; ev != nil {
-					seed[ev] = lattice.OfInt(c)
-				}
-			}
-		}
-		for k, gvar := range proc.GlobalVars {
-			if c, ok := pr.GlobalVals[k].IntConst(); ok {
-				if ev := proc.EntryValues[gvar.ID]; ev != nil {
-					seed[ev] = lattice.OfInt(c)
-				}
-			}
-		}
-		sres := sccp.Run(proc, seed, nil)
-		nproc, stats := dce.Transform(proc, sres, nil)
-		changed = changed || stats.Changed
-		np.AddProc(nproc)
+	for k, proc := range prog.Procs {
+		dead[k] = dce.Find(proc, sccp.Run(proc, constantsSeed(proc, res.Procs[proc.Name]), nil), nil)
+		changed = changed || dead[k].Changes()
 	}
 	if !changed {
 		return prog, false
+	}
+	np := ir.NewProgram()
+	np.Globals = prog.Globals
+	np.ScalarGlobals = prog.ScalarGlobals
+	for _, d := range dead {
+		nproc, _ := d.Remove()
+		np.AddProc(nproc)
 	}
 	// Repoint call targets into the new program.
 	for _, proc := range np.Procs {
@@ -153,4 +142,25 @@ func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 		}
 	}
 	return np, true
+}
+
+// constantsSeed pins the entry value of every member of CONSTANTS(p)
+// for proc's SCCP.
+func constantsSeed(proc *ir.Proc, pr *ProcResult) map[*ir.Value]lattice.Value {
+	seed := make(map[*ir.Value]lattice.Value)
+	for i, f := range proc.Formals {
+		if c, ok := pr.FormalVals[i].IntConst(); ok {
+			if ev := proc.EntryValues[f.ID]; ev != nil {
+				seed[ev] = lattice.OfInt(c)
+			}
+		}
+	}
+	for k, gvar := range proc.GlobalVars {
+		if c, ok := pr.GlobalVals[k].IntConst(); ok {
+			if ev := proc.EntryValues[gvar.ID]; ev != nil {
+				seed[ev] = lattice.OfInt(c)
+			}
+		}
+	}
+	return seed
 }

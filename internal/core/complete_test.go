@@ -2,19 +2,24 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"ipcp/internal/analysis/dce"
+	"ipcp/internal/analysis/sccp"
 	"ipcp/internal/core/jump"
 	"ipcp/internal/ir"
 	"ipcp/internal/ir/irbuild"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/suite"
 )
 
 // runAnalyze runs the unexported entry point, which returns the errors
 // the public ones turn into panics.
 func runAnalyze(sp *sema.Program, cfg Config) (*Result, error) {
-	res, _, _, err := analyze(irbuild.Build(sp), cfg, nil, nil)
+	res, _, err := analyze(irbuild.Build(sp), cfg, nil, nil)
 	return res, err
 }
 
@@ -158,4 +163,80 @@ END
 	if sv := res.EvalSite(callIn("DEAD")); sv != nil {
 		t.Errorf("unreachable caller's site evaluated to %+v, want nil", sv)
 	}
+}
+
+// TestDeadCodeDecidedBeforeCopy checks that eliminateDeadCode's
+// decision, made before it copies anything, is exactly the one
+// dce.Transform's copy reports: per procedure, dce.Dead.Changes equals
+// Transform's Stats.Changed, over every round of complete propagation
+// on the suite, random programs and the corpus. Some procedures change
+// only because a jump chain merges, the case Changes reads from the
+// control-flow graph, and the test requires that it occurs.
+func TestDeadCodeDecidedBeforeCopy(t *testing.T) {
+	var srcs []string
+	for _, name := range suite.Names() {
+		srcs = append(srcs, suite.Generate(name, 1).Source)
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		srcs = append(srcs, suite.Random(seed, 4).Source)
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.f"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus files: %v", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(data))
+	}
+	srcs = append(srcs, twoRoundSrc, noDeadCodeSrc)
+	var changed, unchanged, mergeOnly int
+	for _, src := range srcs {
+		sp := mustSema(t, src)
+		for _, mod := range []bool{false, true} {
+			cfg := Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: mod}
+			prog := irbuild.Build(sp)
+			for round := 1; ; round++ {
+				res, _, err := analyze(prog, cfg, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				some := false
+				for _, proc := range res.Prog.Procs {
+					sres := sccp.Run(proc, constantsSeed(proc, res.Procs[proc.Name]), nil)
+					_, st := dce.Transform(proc, sres, nil)
+					if got := dce.Find(proc, sres, nil).Changes(); got != st.Changed {
+						t.Fatalf("round %d, %s: Changes() = %t, Transform says %+v", round, proc.Name, got, st)
+					}
+					switch {
+					case !st.Changed:
+						unchanged++
+					case st.InstrsRemoved == 0 && st.BranchesFolded == 0:
+						mergeOnly++
+						fallthrough
+					default:
+						changed++
+					}
+					some = some || st.Changed
+				}
+				np, ch := eliminateDeadCode(res)
+				if ch != some || (np == res.Prog) == ch {
+					t.Fatalf("round %d: eliminateDeadCode changed = %t, same program = %t; procedures changed: %t", round, ch, np == res.Prog, some)
+				}
+				if !ch {
+					break
+				}
+				if round == maxDCERounds {
+					t.Fatal("complete propagation did not converge")
+				}
+				prog = np
+			}
+		}
+	}
+	if changed == 0 || unchanged == 0 || mergeOnly == 0 {
+		t.Fatalf("procedures changed %d (by a merge alone %d), unchanged %d: every case must occur", changed, mergeOnly, unchanged)
+	}
+	t.Logf("procedures changed %d (by a merge alone %d), unchanged %d", changed, mergeOnly, unchanged)
 }

@@ -113,8 +113,9 @@ type Result struct {
 	Config Config
 
 	// Prog is the analyzed IR (the DCE-transformed program for complete
-	// propagation). The members of one AnalyzeMatrix stage-1 group share
-	// it, so it must be treated as read-only.
+	// propagation). The AnalyzeMatrix configurations with one MOD
+	// setting share it, a Complete one too when its dead-code
+	// elimination removed nothing, so it must be treated as read-only.
 	Prog *ir.Program
 
 	// Procs maps procedure names to their results.
@@ -240,7 +241,7 @@ func Analyze(sp *sema.Program, cfg Config) *Result {
 // propagation, or for complete propagation the loop of DCE rounds that
 // re-propagates after each round that rebuilt the program.
 func AnalyzeErr(sp *sema.Program, cfg Config) (*Result, error) {
-	res, _, _, err := analyze(irbuild.Build(sp), cfg, nil, nil)
+	res, _, err := analyze(irbuild.Build(sp), cfg, nil, nil)
 	if err != nil {
 		return nil, invariant(err)
 	}
@@ -249,10 +250,13 @@ func AnalyzeErr(sp *sema.Program, cfg Config) (*Result, error) {
 
 // Stage1Key is the part of a Config that SSA construction and stage 1
 // read: MOD picks the side-effect oracle, and ReturnJFs decides whether
-// return jump functions exist at all. The forward jump-function flavor
-// first enters in stage 2 (jump.Filter), so configurations with equal
-// keys share one stage-1 product (AnalyzeMatrix), and the summary store
-// keys its flavor-free records by the same pair (incr.SharedConfigKey).
+// return jump functions exist at all. SSA construction reads only the
+// MOD half, so AnalyzeMatrix converts a program once per MOD setting
+// and builds the products of both ReturnJFs settings over that one SSA
+// program. The forward jump-function flavor first enters in stage 2
+// (jump.Filter), so configurations with equal keys share one stage-1
+// product (AnalyzeMatrix), and the summary store keys its flavor-free
+// records by the same pair (incr.SharedConfigKey).
 type Stage1Key struct {
 	MOD       bool
 	ReturnJFs bool
@@ -275,120 +279,23 @@ func invariant(err error) error {
 	return err
 }
 
-// AnalyzeMatrix analyzes one program under every configuration of the
-// matrix, fanning the work out over a bounded worker pool (workers <= 0
-// means one per CPU). The source program is lowered once. Configurations
-// that are not Complete are grouped by Stage1Key, in order of first
-// appearance; each group runs on its own copy of the lowering (the last
-// group takes the original, the others deep clones), converts it to SSA
-// form and runs stage 1 once, and then fans its members' stages 2–4 out
-// over that read-only product. A Complete configuration rewrites its
-// program every round, so it keeps a copy of its own. Results arrive in
-// configuration order and are identical to running Analyze per
-// configuration, pass traces included apart from their wall-clock
-// Nanos: only the group leader's propagate row carries the shared stage
-// time. The determinism tests assert it across the full config matrix.
-func AnalyzeMatrix(sp *sema.Program, cfgs []Config, workers int) []*Result {
-	out, err := AnalyzeMatrixErr(sp, cfgs, workers)
-	if err != nil {
-		panic("core: AnalyzeMatrix with a Cancel hook: " + err.Error())
-	}
-	return out
-}
-
-// AnalyzeMatrixErr is AnalyzeMatrix for cancellable runs: if any
-// configuration's Cancel hook fires, the whole matrix is abandoned and
-// the lowest-indexed error is returned (results are nil). With nil
-// Cancel hooks it never fails.
-func AnalyzeMatrixErr(sp *sema.Program, cfgs []Config, workers int) ([]*Result, error) {
-	if len(cfgs) == 0 {
-		return nil, nil
-	}
-	groups := matrixGroups(cfgs)
-	base := irbuild.Build(sp)
-	out := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	// BuildSSA mutates the IR in place, so every group but the last
-	// gets its own copy of the lowering, made before any group starts,
-	// and the last takes the original.
-	progs := make([]*ir.Program, len(groups))
-	progs[len(groups)-1] = base
-	par.For(workers, len(groups)-1, func(g int) {
-		progs[g] = ir.CloneProgram(base, nil, nil)
-	})
-	par.For(workers, len(groups), func(g int) {
-		analyzeGroup(progs[g], cfgs, groups[g], workers, out, errs)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, invariant(err)
-		}
-	}
-	return out, nil
-}
-
-// matrixGroups partitions the configuration indices into the groups
-// that share a stage-1 product: every Complete configuration on its
-// own, the others by Stage1Key. Groups come out in order of their first
-// member, and members in configuration order.
-func matrixGroups(cfgs []Config) [][]int {
-	var groups [][]int
-	byKey := make(map[Stage1Key]int)
-	for i, cfg := range cfgs {
-		if !cfg.Complete {
-			if g, ok := byKey[cfg.Stage1Key()]; ok {
-				groups[g] = append(groups[g], i)
-				continue
-			}
-			byKey[cfg.Stage1Key()] = len(groups)
-		}
-		groups = append(groups, []int{i})
-	}
-	return groups
-}
-
-// analyzeGroup analyzes one group's configurations over irp, a fresh
-// pre-SSA program of its own. The leader, the group's first member,
-// runs exactly as a standalone analysis, building the stage-1 product
-// inside its propagate step. The other members then run their stages
-// 2–4 over that product concurrently. A canceled leader abandons the
-// group: the matrix fails anyway.
-func analyzeGroup(irp *ir.Program, cfgs []Config, members []int, workers int, out []*Result, errs []error) {
-	lead := members[0]
-	var s1 *stage1
-	out[lead], s1, _, errs[lead] = analyze(irp, cfgs[lead], nil, nil)
-	if errs[lead] != nil {
-		return
-	}
-	rest := members[1:]
-	par.For(workers, len(rest), func(k int) {
-		i := rest[k]
-		out[i], _, _, errs[i] = analyze(irp, cfgs[i], s1, nil)
-	})
-}
-
-// stage1 is the configuration-invariant half of a propagation: the
-// program in SSA form, the substitution tallies and value numbering of
-// every procedure, and the return jump functions, all derived under one
-// Stage1Key. Once built it is read-only, so every configuration with
-// that key can run its stages 2–4 over the same product, concurrently
-// in a matrix group.
-type stage1 struct {
-	key  Stage1Key
+// ssaForm is the MOD-keyed half of stage 1: the program in SSA form
+// under one MOD oracle, its callgraph (taken from the pre-SSA program)
+// and every procedure's substitution tallies. SSA construction and
+// collectUses read only the oracle, so the stage-1 products of one MOD
+// setting, with return jump functions and without, can share one form
+// (AnalyzeMatrix). Once built it is read-only.
+type ssaForm struct {
+	mod  bool
 	prog *ir.Program
 	cg   *callgraph.Graph
-	mods *modref.Summary
-
-	// pre is prog's size before SSA construction: every propagate row
-	// over the product reports it as the size it started from.
-	pre pass.Size
 
 	oracle      ir.ModOracle
 	globalIndex map[*ir.GlobalVar]int
 
 	// reuse maps procedures whose stage-1/stage-2 outputs are injected
 	// from stored summaries instead of derived (nil outside incremental
-	// runs). The seeds carry flavor-dependent sites, so a seeded product
+	// runs). The seeds carry flavor-dependent sites, so a seeded form
 	// serves only the configuration it was seeded for. See reuse.go.
 	reuse map[*ir.Proc]*ProcSeed
 
@@ -396,41 +303,74 @@ type stage1 struct {
 	// dead-code elimination runs SCCP over every procedure.
 	ssaAll bool
 
-	uses   map[*ir.Proc]*ProcUses
+	uses map[*ir.Proc]*ProcUses
+}
+
+// newSSAForm prepares the SSA form of irp, a pre-SSA program, under
+// the MOD setting mod; buildSSA then converts it. cg and mods are the
+// whole-program views an incremental caller already built; nil means
+// build fresh (both must come from the pre-SSA program, so they are
+// taken before any conversion, and the MOD summary only when mod needs
+// it). reuse — normally nil — injects stored summaries for unchanged
+// procedures (reuse.go), and ssaAll converts those procedures anyway.
+func newSSAForm(irp *ir.Program, mod bool, cg *callgraph.Graph, mods *modref.Summary, reuse map[*ir.Proc]*ProcSeed, ssaAll bool) *ssaForm {
+	if cg == nil {
+		cg = callgraph.Build(irp)
+	}
+	f := &ssaForm{
+		mod:         mod,
+		prog:        irp,
+		cg:          cg,
+		oracle:      ir.WorstCase,
+		reuse:       reuse,
+		ssaAll:      ssaAll,
+		globalIndex: make(map[*ir.GlobalVar]int, len(irp.ScalarGlobals)),
+	}
+	for i, g := range irp.ScalarGlobals {
+		f.globalIndex[g] = i
+	}
+	if mod {
+		if mods == nil {
+			mods = modref.Compute(irp, cg)
+		}
+		f.oracle = mods.Oracle()
+	}
+	return f
+}
+
+// stage1 is the configuration-invariant half of a propagation: an SSA
+// form plus the value numbering of every procedure and the return jump
+// functions, all derived under one Stage1Key. Once built it is
+// read-only, so every configuration with that key can run its stages
+// 2–4 over the same product, concurrently in a matrix.
+type stage1 struct {
+	*ssaForm
+	key    Stage1Key
 	retJFs *jump.Store
 	vns    map[*ir.Proc]*valnum.Result
 }
 
-// newStage1 prepares the stage-1 state for cfg's key; buildSSA and
-// stage1ReturnJFs then fill it. cg and mods are the whole-program
-// views an incremental caller already built; nil means build fresh
-// (the callgraph must come from the pre-SSA program, so it is taken
-// before any stage runs). reuse — normally nil — injects stored
-// summaries for unchanged procedures (reuse.go).
-func newStage1(irp *ir.Program, cfg Config, cg *callgraph.Graph, mods *modref.Summary, reuse map[*ir.Proc]*ProcSeed) *stage1 {
-	if cg == nil {
-		cg = callgraph.Build(irp)
+// newStage1 prepares the stage-1 product of a built form with return
+// jump functions on or off; stage1ReturnJFs then fills it.
+func newStage1(f *ssaForm, returnJFs bool) *stage1 {
+	return &stage1{
+		ssaForm: f,
+		key:     Stage1Key{MOD: f.mod, ReturnJFs: returnJFs},
+		vns:     make(map[*ir.Proc]*valnum.Result, len(f.prog.Procs)),
 	}
-	if mods == nil {
-		mods = modref.Compute(irp, cg)
+}
+
+// buildStage1 converts prog, a pre-SSA program, to SSA form and builds
+// cfg's stage-1 product over it, injecting the seeds of reuse (nil
+// outside incremental runs).
+func buildStage1(prog *ir.Program, cfg Config, reuse *Reuse) *stage1 {
+	if reuse == nil {
+		reuse = &Reuse{}
 	}
-	s := &stage1{
-		key:         cfg.Stage1Key(),
-		prog:        irp,
-		cg:          cg,
-		mods:        mods,
-		reuse:       reuse,
-		ssaAll:      cfg.Complete,
-		globalIndex: make(map[*ir.GlobalVar]int, len(irp.ScalarGlobals)),
-		vns:         make(map[*ir.Proc]*valnum.Result, len(irp.Procs)),
-	}
-	for i, g := range irp.ScalarGlobals {
-		s.globalIndex[g] = i
-	}
-	s.oracle = ir.WorstCase
-	if s.key.MOD {
-		s.oracle = s.mods.Oracle()
-	}
+	f := newSSAForm(prog, cfg.MOD, reuse.CG, reuse.Mods, reuse.Procs, cfg.Complete)
+	f.buildSSA(cfg.Workers)
+	s := newStage1(f, cfg.ReturnJFs)
+	s.stage1ReturnJFs(cfg.Workers)
 	return s
 }
 
@@ -479,22 +419,22 @@ func newPropagation(s1 *stage1, cfg Config) *propagation {
 // downstream reads their SSA state — except complete mode, whose
 // dead-code elimination runs SCCP over every procedure's entry values,
 // so there everyone is converted and tallied.
-func (s *stage1) buildSSA(workers int) {
-	procs := s.prog.Procs
+func (f *ssaForm) buildSSA(workers int) {
+	procs := f.prog.Procs
 	uses := make([]*ProcUses, len(procs))
 	par.For(workers, len(procs), func(i int) {
 		proc := procs[i]
-		if seed := s.reuse[proc]; seed != nil && !s.ssaAll {
+		if seed := f.reuse[proc]; seed != nil && !f.ssaAll {
 			proc.ElidedPhis = seed.Uses.Phis
 			uses[i] = seed.Uses
 			return
 		}
-		proc.BuildSSA(s.oracle)
-		uses[i] = collectUses(proc, s.oracle)
+		proc.BuildSSA(f.oracle)
+		uses[i] = collectUses(proc, f.oracle)
 	})
-	s.uses = make(map[*ir.Proc]*ProcUses, len(procs))
+	f.uses = make(map[*ir.Proc]*ProcUses, len(procs))
 	for i, proc := range procs {
-		s.uses[proc] = uses[i]
+		f.uses[proc] = uses[i]
 	}
 }
 

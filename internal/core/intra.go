@@ -40,6 +40,14 @@ func AnalyzeIntraproceduralIR(irp *ir.Program) *IntraResult {
 	for _, proc := range irp.Procs {
 		proc.BuildSSA(oracle)
 	}
+	return intraprocedural(irp, oracle)
+}
+
+// intraprocedural counts the baseline over irp, whose procedures are in
+// SSA form under oracle, the MOD oracle. SCCP only reads the program,
+// so the count can share an SSA program with the matrix configurations
+// that enable MOD (AnalyzeMatrixWithBaseline).
+func intraprocedural(irp *ir.Program, oracle ir.ModOracle) *IntraResult {
 	res := &IntraResult{Substituted: make(map[string]int, len(irp.Procs))}
 	for _, proc := range irp.Procs {
 		n := countIntraSubstitutions(proc, sccp.Run(proc, nil, nil), oracle)

@@ -34,14 +34,15 @@ import "ipcp/internal/analysis/callgraph"
 //     what makes the solver-effort counters (SolverPasses,
 //     JFEvaluations) reproducible run to run.
 //
-// The matrix level (AnalyzeMatrix) fans out on top of this: each
-// stage-1 group (configurations with one Stage1Key) and each Complete
-// configuration gets its own copy of the IR, all cloned before any
-// group starts mutating one. Inside a group, the
-// leader's run builds the SSA form, value numbering and return jump
-// functions; only then do the other members start, and their stages
-// 2–4 read that product without writing it, so members share nothing
-// mutable.
+// The matrix level (AnalyzeMatrix, matrix.go) fans out on top of this:
+// each MOD setting gets its own copy of the IR, cloned before either
+// is converted, and one SSA conversion. Each Stage1Key's product is
+// built over its setting's SSA program by the first configuration that
+// needs it, while the others wait; SSA construction is the last write
+// to that program, so the two products of one setting (return jump
+// functions on and off) value-number it concurrently, and the members'
+// stages 2–4 and complete propagation's dead-code elimination read
+// the products without writing them. Members share nothing mutable.
 
 // sccWaves partitions the call graph's bottom-up order into waves that
 // respect the condensation DAG: wave k contains exactly the procedures

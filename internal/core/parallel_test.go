@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -124,24 +126,98 @@ END
 }
 
 // TestAnalyzeMatrixSharesStage1 pins the matrix runner's sharing: the
-// 16-configuration sweep converts a program to SSA form and runs stage
-// 1 once per (MOD, return JFs) group, four times in all, and every
-// member of a group reports its group's program. A Complete
-// configuration rewrites its program, so it keeps one of its own.
+// 16-configuration sweep converts a program to SSA form once per MOD
+// setting, so every configuration reports its MOD setting's program,
+// two in all. A Complete configuration, here the first of its key,
+// joins that key's stage-1 product: when its dead-code elimination
+// removes nothing it reports its key's program too, and when DCE
+// rewrites the program, the rewrite is its own.
 func TestAnalyzeMatrixSharesStage1(t *testing.T) {
-	sp := mustSema(t, suite.Generate("ocean", 2).Source)
-	cfgs := append(fullMatrix(1), Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true, Complete: true})
-	keyOf := make(map[*ir.Program]Stage1Key)
-	for i, r := range AnalyzeMatrix(sp, cfgs, 2) {
-		k, seen := keyOf[r.Prog]
-		if seen && (cfgs[i].Complete || k != cfgs[i].Stage1Key()) {
-			t.Fatalf("configuration %d %+v shares the program of key %+v", i, cfgs[i], k)
+	complete := Config{Jump: jump.Polynomial, ReturnJFs: true, MOD: true, Complete: true}
+	cfgs := append([]Config{complete}, fullMatrix(1)...)
+	for _, c := range []struct {
+		name, src string
+		rounds    int
+	}{
+		{"no dead code", noDeadCodeSrc, 0},
+		{"two dce rounds", twoRoundSrc, 2},
+	} {
+		for _, workers := range []int{1, 2} {
+			res := AnalyzeMatrix(mustSema(t, c.src), cfgs, workers)
+			byMOD := make(map[bool]*ir.Program)
+			for i, r := range res[1:] {
+				if p, seen := byMOD[cfgs[i+1].MOD]; seen && p != r.Prog {
+					t.Fatalf("%s, %d workers: configuration %d %+v does not report the program of MOD=%t",
+						c.name, workers, i+1, cfgs[i+1], cfgs[i+1].MOD)
+				}
+				byMOD[cfgs[i+1].MOD] = r.Prog
+			}
+			if byMOD[false] == byMOD[true] {
+				t.Fatalf("%s, %d workers: both MOD settings report one program", c.name, workers)
+			}
+			if got := res[0].DCERounds; got != c.rounds {
+				t.Fatalf("%s, %d workers: DCERounds = %d, want %d", c.name, workers, got, c.rounds)
+			}
+			if shares := res[0].Prog == byMOD[true]; shares != (c.rounds == 0) {
+				t.Fatalf("%s, %d workers: the complete configuration shares its key's program: %t, want %t",
+					c.name, workers, shares, c.rounds == 0)
+			}
 		}
-		keyOf[r.Prog] = cfgs[i].Stage1Key()
 	}
-	if len(keyOf) != 5 {
-		t.Fatalf("%d distinct programs, want 5: one per stage-1 group and one for the complete configuration", len(keyOf))
+}
+
+// TestStage1ProductsShareSSA builds the two stage-1 products of one
+// MOD setting, return jump functions on and off, at the same time over
+// one SSA program, as a matrix does. Under -race it catches any write
+// value numbering makes to the program it shares, such as renumbering
+// the blocks' RPO; under either build, each product must equal the one
+// built over a program of its own.
+func TestStage1ProductsShareSSA(t *testing.T) {
+	sp := mustSema(t, suite.Generate("ocean", 2).Source)
+	f := newSSAForm(irbuild.Build(sp), true, nil, nil, nil, false)
+	f.buildSSA(2)
+	var products [2]*stage1
+	var wg sync.WaitGroup
+	for k, ret := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			products[k] = newStage1(f, ret)
+			products[k].stage1ReturnJFs(2)
+		}()
 	}
+	wg.Wait()
+	for k, ret := range []bool{false, true} {
+		alone := buildStage1(irbuild.Build(sp), Config{MOD: true, ReturnJFs: ret, Workers: 1}, nil)
+		if got, want := renderStage1(products[k]), renderStage1(alone); got != want {
+			t.Fatalf("return JFs %t: the product built beside the other differs from one built alone:\n%s\nwant\n%s", ret, got, want)
+		}
+	}
+}
+
+// renderStage1 prints a stage-1 product: every procedure's value
+// numbers in program order, then its return jump functions.
+func renderStage1(s *stage1) string {
+	var sb strings.Builder
+	for _, proc := range s.prog.Procs {
+		fmt.Fprintf(&sb, "%s:", proc.Name)
+		vn := s.vns[proc]
+		for _, b := range proc.Blocks {
+			for _, i := range b.Instrs {
+				if i.Dst != nil {
+					fmt.Fprintf(&sb, " %v", vn.ExprOf(i.Dst))
+				}
+			}
+		}
+		if r := s.retJFs.Get(proc); r != nil {
+			fmt.Fprintf(&sb, " | result %v formals %v globals", r.Result, r.Formal)
+			for _, g := range s.prog.ScalarGlobals {
+				fmt.Fprintf(&sb, " %v", r.Global[g])
+			}
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }
 
 // TestParallelFor covers stage 1's fan-out across worker counts,
@@ -154,7 +230,7 @@ func TestParallelFor(t *testing.T) {
 	src := suite.Generate("ocean", 2).Source
 	cfg := Config{Jump: jump.Polynomial, MOD: true, ReturnJFs: true}
 	for _, workers := range []int{-4, 0, 1, 2, 3, 8, 64} {
-		s := newStage1(irbuild.Build(mustSema(t, src)), cfg, nil, nil, nil)
+		s := newStage1(newSSAForm(irbuild.Build(mustSema(t, src)), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 		s.buildSSA(workers)
 		s.stage1ReturnJFs(workers)
 		for _, proc := range s.prog.Procs {

@@ -6,37 +6,31 @@ import (
 )
 
 // propagate is the four-stage interprocedural constant propagation
-// (§4.1) over prog, a pre-SSA program, recorded as one "propagate" row
-// of rec's trace in the given round: return jump functions bottom-up,
-// forward jump functions via value numbering, VAL-set propagation,
-// CONSTANTS recording. SSA construction rewrites prog in place, so the
-// result's Prog is prog itself.
+// (§4.1) over prog, recorded as one "propagate" row of rec's trace in
+// the given round: return jump functions bottom-up, forward jump
+// functions via value numbering, VAL-set propagation, CONSTANTS
+// recording. The result's Prog is prog, in SSA form.
 //
-// s1, when non-nil, is the stage-1 product of a matrix group's leader:
-// prog is its program, already in SSA form, so only stages 2–4 run,
-// and the row reports the size the leader's row saw before the
-// conversion, as a standalone run would. Otherwise reuse (nil outside
-// incremental runs) supplies the pre-SSA callgraph and MOD summary and
-// the seeds of unchanged procedures (reuse.go). The returned
-// propagation holds the stage-1 product and the jump functions a
-// seeded run extracts its summaries from.
-func propagate(rec *pass.Recorder, round int, prog *ir.Program, cfg Config, s1 *stage1, reuse *Reuse) (*Result, *propagation, error) {
-	pre := pass.SizeOf(prog)
-	if s1 != nil {
-		pre = s1.pre
-	}
-	row, err := rec.Begin("propagate", round, pre)
+// m, when non-nil, is a matrix member's share: prog is the SSA program
+// of its MOD setting, and the stage-1 product of its key is built by
+// the first member that needs it, inside that member's row, while the
+// others wait for it; the row reports the size of the lowering before
+// SSA construction, as a standalone run's does. Otherwise prog is a
+// pre-SSA program that the row converts in place, and reuse (nil
+// outside incremental runs) supplies the pre-SSA callgraph and MOD
+// summary and the seeds of unchanged procedures (reuse.go). The
+// returned propagation holds the stage-1 product and the jump functions
+// a seeded run extracts its summaries from.
+func propagate(rec *pass.Recorder, round int, prog *ir.Program, cfg Config, m *member, reuse *Reuse) (*Result, *propagation, error) {
+	row, err := rec.Begin("propagate", round, m.startSize(prog))
 	if err != nil {
 		return nil, nil, err
 	}
-	if s1 == nil {
-		if reuse == nil {
-			reuse = &Reuse{}
-		}
-		s1 = newStage1(prog, cfg, reuse.CG, reuse.Mods, reuse.Procs)
-		s1.pre = pre
-		s1.buildSSA(cfg.Workers)
-		s1.stage1ReturnJFs(cfg.Workers)
+	var s1 *stage1
+	if m != nil {
+		s1 = m.product.get(cfg.Workers)
+	} else {
+		s1 = buildStage1(prog, cfg, reuse)
 	}
 	if err := rec.Canceled(); err != nil {
 		return nil, nil, err

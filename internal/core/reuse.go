@@ -79,7 +79,7 @@ func AnalyzeSeeded(irp *ir.Program, cfg Config, reuse *Reuse) (*Result, *Summari
 	if reuse == nil {
 		reuse = &Reuse{}
 	}
-	res, _, sums, err := analyze(irp, cfg, nil, reuse)
+	res, sums, err := analyze(irp, cfg, nil, reuse)
 	if err != nil {
 		return nil, nil, invariant(err)
 	}

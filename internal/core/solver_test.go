@@ -107,7 +107,7 @@ END
 // instances the engine built.
 func evaluationBound(t *testing.T, sp *sema.Program, cfg Config) (evals, bound int) {
 	t.Helper()
-	s1 := newStage1(irbuild.Build(sp), cfg, nil, nil, nil)
+	s1 := newStage1(newSSAForm(irbuild.Build(sp), cfg.MOD, nil, nil, nil, false), cfg.ReturnJFs)
 	s1.buildSSA(1)
 	s1.stage1ReturnJFs(1)
 	p := newPropagation(s1, cfg)

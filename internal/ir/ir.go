@@ -131,9 +131,11 @@ type Proc struct {
 	// scalar formals, then the scalar globals (Prog.ScalarGlobals order).
 	RetVars []*Var
 
-	// SSA state, filled by BuildSSA.
+	// SSA state, filled by BuildSSA. rpo lists the blocks reachable
+	// from the entry in reverse postorder.
 	ssaBuilt  bool
 	nextValID int
+	rpo       []*Block
 
 	// EntryValues holds, indexed by Var.ID, each SSA-tracked variable's
 	// value at procedure entry (EntryDef for formals and globals,
@@ -557,3 +559,10 @@ func (b *Block) Append(i *Instr) *Instr {
 // Value.ID of the procedure is below it, so analyses can index per-value
 // state by ID.
 func (p *Proc) NumValues() int { return p.nextValID }
+
+// ReversePostorder returns the blocks reachable from the entry in
+// reverse postorder, as BuildSSA numbered them (nil before BuildSSA).
+// Unlike ComputeRPO it writes nothing, so analyses that share one SSA
+// program can walk it concurrently. The caller must not modify the
+// slice.
+func (p *Proc) ReversePostorder() []*Block { return p.rpo }

@@ -39,6 +39,7 @@ func (p *Proc) BuildSSA(oracle ModOracle) {
 	}
 	p.ssaBuilt = true
 	rpo := p.ComputeDominators()
+	p.rpo = rpo
 
 	// --- Phi placement -----------------------------------------------------
 	// Every tracked variable is also implicitly defined at entry (EntryDef

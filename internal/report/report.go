@@ -141,16 +141,34 @@ func Table1(progs []*Loaded) *Table {
 	return t
 }
 
-// analyzeColumns runs one program's table columns as a single
-// configuration matrix: the parse + sema + IR lowering are shared and
-// the configurations fan out over the worker pool, replacing the old
-// one-Analyze-per-cell sequential loop. Column order follows cfgs.
-func analyzeColumns(l *Loaded, cfgs []ipcp.Config) []string {
-	cells := make([]string, len(cfgs))
-	for i, rep := range l.prog.AnalyzeMatrix(cfgs, 0) {
+// columns renders one program's table cells from the reports of a
+// single configuration matrix, in configuration order: the parse +
+// sema + IR lowering are shared and the configurations fan out over
+// the worker pool.
+func columns(reps []*ipcp.Report) []string {
+	cells := make([]string, len(reps))
+	for i, rep := range reps {
 		cells[i] = fmt.Sprintf("%d", rep.TotalSubstituted)
 	}
 	return cells
+}
+
+// table2Configs are Table 2's columns, in order.
+var table2Configs = []ipcp.Config{
+	{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true},
+	{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true},
+	{Jump: ipcp.Intraprocedural, ReturnJumpFunctions: true, MOD: true},
+	{Jump: ipcp.Literal, ReturnJumpFunctions: true, MOD: true},
+	{Jump: ipcp.Polynomial, MOD: true},
+	{Jump: ipcp.PassThrough, MOD: true},
+}
+
+// table3Configs are Table 3's interprocedural columns; the fourth, the
+// intraprocedural baseline, comes with them from one call.
+var table3Configs = []ipcp.Config{
+	{Jump: ipcp.Polynomial, ReturnJumpFunctions: true},
+	{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true},
+	{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Complete: true},
 }
 
 // Table2 regenerates "Constants found through use of jump functions":
@@ -164,16 +182,8 @@ func Table2(progs []*Loaded) *Table {
 			"Poly (no RJF)", "Pass (no RJF)"},
 		Note: "First four columns use return jump functions; last two do not.",
 	}
-	cfgs := []ipcp.Config{
-		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true},
-		{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true},
-		{Jump: ipcp.Intraprocedural, ReturnJumpFunctions: true, MOD: true},
-		{Jump: ipcp.Literal, ReturnJumpFunctions: true, MOD: true},
-		{Jump: ipcp.Polynomial, MOD: true},
-		{Jump: ipcp.PassThrough, MOD: true},
-	}
 	t.Rows = rows(progs, func(l *Loaded) []string {
-		return append([]string{l.meta.Name}, analyzeColumns(l, cfgs)...)
+		return append([]string{l.meta.Name}, columns(l.prog.AnalyzeMatrix(table2Configs, 0))...)
 	})
 	return t
 }
@@ -187,14 +197,10 @@ func Table3(progs []*Loaded) *Table {
 			"Poly w/o MOD", "Poly w/ MOD", "Complete", "Intraproc only"},
 		Note: "Complete = polynomial propagation iterated with dead-code elimination.",
 	}
-	cfgs := []ipcp.Config{
-		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true},
-		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true},
-		{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Complete: true},
-	}
 	t.Rows = rows(progs, func(l *Loaded) []string {
-		return append(append([]string{l.meta.Name}, analyzeColumns(l, cfgs)...),
-			fmt.Sprintf("%d", l.prog.AnalyzeIntraprocedural().TotalSubstituted))
+		reps, intra := l.prog.AnalyzeMatrixWithBaseline(table3Configs, 0)
+		return append(append([]string{l.meta.Name}, columns(reps)...),
+			fmt.Sprintf("%d", intra.TotalSubstituted))
 	})
 	return t
 }

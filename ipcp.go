@@ -429,7 +429,11 @@ type IntraproceduralReport struct {
 
 // AnalyzeIntraprocedural runs the strictly intraprocedural baseline.
 func (p *Program) AnalyzeIntraprocedural() *IntraproceduralReport {
-	res := core.AnalyzeIntraprocedural(p.sp)
+	return intraReport(core.AnalyzeIntraprocedural(p.sp))
+}
+
+// intraReport converts a core baseline result to the public form.
+func intraReport(res *core.IntraResult) *IntraproceduralReport {
 	return &IntraproceduralReport{
 		Substituted:      res.Substituted,
 		TotalSubstituted: res.TotalSubstituted,

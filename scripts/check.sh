@@ -13,6 +13,9 @@
 #                      which turns the concurrency regression tests and
 #                      the determinism differential suite into a
 #                      shared-state audit of the parallel pipeline
+#   4b. the allocation golden of Tables 2 and 3 (TestTableAllocGolden)
+#      without -race: the race detector changes what a run allocates,
+#      so the -race run above excludes the file
 #   5. the determinism suite and the matrix differential tests a
 #      second time (-count=2 disables test caching), so
 #      schedule-dependent flakiness — in the matrix runner's shared
@@ -91,6 +94,9 @@ go build ./...
 
 echo "==> go test -race $short ./..."
 go test -race $short ./...
+
+echo "==> go test -run TestTableAllocGolden -count=1 ./internal/report (without -race)"
+go test -run TestTableAllocGolden -count=1 ./internal/report
 
 echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
 go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
