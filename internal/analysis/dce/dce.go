@@ -153,7 +153,7 @@ func (d *Dead) Changes() bool {
 // code, and what it removed.
 func (d *Dead) Remove() (*ir.Proc, Stats) {
 	stats := Stats{InstrsRemoved: d.removed}
-	np := d.proc.CloneStripSSA(nil, d.keep)
+	np := d.proc.CloneStripSSA(d.keep)
 
 	// Rewrite folded branches on the clone (IDs survive cloning, so
 	// match by block position: clone blocks parallel original blocks).

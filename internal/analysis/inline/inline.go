@@ -66,7 +66,7 @@ func Program(prog *ir.Program, opts *Options) (*ir.Program, Stats) {
 	opts.fill()
 
 	// Work on a private pre-SSA copy.
-	np := ir.CloneProgram(prog, nil, nil)
+	np := ir.CloneProgram(prog)
 	var stats Stats
 
 	for pass := 0; pass < opts.MaxPasses; pass++ {

@@ -18,6 +18,7 @@ package clone
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ipcp/internal/core"
 	"ipcp/internal/core/lattice"
@@ -140,11 +141,11 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 	}
 
 	// Build the new program: the base version of every procedure...
-	np := ir.NewProgram()
-	np.Globals = res.Prog.Globals
-	np.ScalarGlobals = res.Prog.ScalarGlobals
+	procs := make([]*ir.Proc, 0, len(res.Prog.Procs))
+	taken := make(map[string]bool, len(res.Prog.Procs))
 	for _, proc := range res.Prog.Procs {
-		np.AddProc(proc.CloneStripSSA(nil, nil))
+		procs = append(procs, proc.CloneStripSSA(nil))
+		taken[proc.Name] = true
 	}
 
 	// ...plus the extra versions. Group 0 keeps the original name.
@@ -157,10 +158,11 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 	for _, callee := range cloneTargets {
 		stats.ProceduresCloned++
 		for gi, g := range plans[callee][1:] {
-			name := cloneName(np, callee.Name, gi+1)
-			nproc := callee.CloneStripSSA(nil, nil)
+			name := cloneName(taken, callee.Name, gi+1)
+			taken[name] = true
+			nproc := callee.CloneStripSSA(nil)
 			nproc.Name = name
-			np.AddProc(nproc)
+			procs = append(procs, nproc)
 			stats.ClonesCreated++
 			for _, site := range g.sites {
 				retargets = append(retargets, retarget{site: site, caller: callerOf[site], newName: name})
@@ -169,15 +171,7 @@ func Apply(res *core.Result, opts Options) (*ir.Program, Stats) {
 	}
 
 	// Repoint every call into the new program, then apply retargets.
-	for _, proc := range np.Procs {
-		for _, b := range proc.Blocks {
-			for _, i := range b.Instrs {
-				if i.Op == ir.OpCall {
-					i.Callee = np.ProcByName[i.Callee.Name]
-				}
-			}
-		}
-	}
+	np := ir.Assemble(res.Prog, procs)
 	for _, rt := range retargets {
 		if rt.caller == nil {
 			continue
@@ -234,23 +228,25 @@ func profitable(res *core.Result, callee *ir.Proc, groups []*group) bool {
 
 // signature renders a site's incoming vector as a grouping key.
 func signature(sv *core.SiteValues) string {
-	s := ""
+	var b strings.Builder
 	for _, v := range sv.Formals {
-		s += v.String() + ","
+		b.WriteString(v.String())
+		b.WriteByte(',')
 	}
-	s += "|"
+	b.WriteByte('|')
 	for _, v := range sv.Globals {
-		s += v.String() + ","
+		b.WriteString(v.String())
+		b.WriteByte(',')
 	}
-	return s
+	return b.String()
 }
 
-// cloneName picks an unused name derived from base.
-func cloneName(p *ir.Program, base string, n int) string {
+// cloneName picks a name derived from base that is not taken.
+func cloneName(taken map[string]bool, base string, n int) string {
 	//lint:ignore cancelpoll n strictly increases past the finite set of taken names, so the probe terminates
 	for {
 		name := fmt.Sprintf("%s_C%d", base, n)
-		if _, taken := p.ProcByName[name]; !taken {
+		if !taken[name] {
 			return name
 		}
 		n++

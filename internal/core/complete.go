@@ -124,24 +124,11 @@ func eliminateDeadCode(res *Result) (*ir.Program, bool) {
 	if !changed {
 		return prog, false
 	}
-	np := ir.NewProgram()
-	np.Globals = prog.Globals
-	np.ScalarGlobals = prog.ScalarGlobals
-	for _, d := range dead {
-		nproc, _ := d.Remove()
-		np.AddProc(nproc)
+	procs := make([]*ir.Proc, len(dead))
+	for k, d := range dead {
+		procs[k], _ = d.Remove()
 	}
-	// Repoint call targets into the new program.
-	for _, proc := range np.Procs {
-		for _, b := range proc.Blocks {
-			for _, i := range b.Instrs {
-				if i.Op == ir.OpCall {
-					i.Callee = np.ProcByName[i.Callee.Name]
-				}
-			}
-		}
-	}
-	return np, true
+	return ir.Assemble(prog, procs), true
 }
 
 // constantsSeed pins the entry value of every member of CONSTANTS(p)

@@ -90,7 +90,7 @@ func analyzeMatrix(sp *sema.Program, cfgs []Config, workers int, baseline bool) 
 	for k, mod := range mods {
 		prog := base
 		if k < len(mods)-1 {
-			prog = ir.CloneProgram(base, nil, nil)
+			prog = ir.CloneProgram(base)
 		}
 		progs[mod] = prog
 		forms[mod] = &shared[*ssaForm]{build: func(workers int) *ssaForm {

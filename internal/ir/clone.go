@@ -69,27 +69,21 @@ func (p *Proc) MergeTrivialJumps() {
 	}
 }
 
-// RewriteFunc maps an operand during cloning; it receives the original
-// instruction and the operand (with SSA values intact) and returns the
-// operand to place in the clone. The default keeps the operand as a
-// pre-SSA use.
-type RewriteFunc func(instr *Instr, argIndex int, op Operand) Operand
-
 // CloneStripSSA produces a fresh pre-SSA copy of the procedure suitable
 // for re-analysis: phi instructions vanish (the named variables carry
-// the merges, exactly as before SSA construction), SSA values and call
-// definitions are dropped, and each operand is passed through rewrite
-// (when non-nil) so callers can substitute constants.
+// the merges, exactly as before SSA construction), and SSA values and
+// call definitions are dropped. Calls still point at the original
+// program's procedures until Assemble repoints them.
 //
 // keepInstr (when non-nil) filters instructions: returning false drops
 // the instruction. Terminators are always kept. Dead-code elimination
-// uses both hooks.
+// uses it.
 //
 // Variables and blocks keep their IDs, so the clone looks them up by ID.
 // Its variables, blocks, instructions, operands and edge lists are each
 // carved from one allocation per procedure; every carved slice is capped
 // at its own length, so appending to one reallocates it.
-func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *Proc {
+func (p *Proc) CloneStripSSA(keepInstr func(*Instr) bool) *Proc {
 	np := &Proc{
 		Name:     p.Name,
 		Kind:     p.Kind,
@@ -182,11 +176,7 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 			}
 			ni.Args = args[:len(i.Args):len(i.Args)]
 			args = args[len(i.Args):]
-			for a := range i.Args {
-				op := i.Args[a]
-				if rewrite != nil {
-					op = rewrite(i, a, op)
-				}
+			for a, op := range i.Args {
 				op.Val = nil
 				op.Var = mapVar(op.Var)
 				ni.Args[a] = op
@@ -203,25 +193,26 @@ func (p *Proc) CloneStripSSA(rewrite RewriteFunc, keepInstr func(*Instr) bool) *
 }
 
 // CloneProgram clones every procedure of a program into a fresh pre-SSA
-// program. rewrite and keepInstr are consulted per procedure (keyed by
-// the original *Proc) and may be nil.
-func CloneProgram(p *Program, rewrite func(*Proc) RewriteFunc, keepInstr func(*Proc) func(*Instr) bool) *Program {
-	np := NewProgram()
-	np.Globals = p.Globals
-	np.ScalarGlobals = p.ScalarGlobals
-	for _, proc := range p.Procs {
-		var rw RewriteFunc
-		if rewrite != nil {
-			rw = rewrite(proc)
-		}
-		var keep func(*Instr) bool
-		if keepInstr != nil {
-			keep = keepInstr(proc)
-		}
-		nproc := proc.CloneStripSSA(rw, keep)
-		np.AddProc(nproc)
+// program.
+func CloneProgram(p *Program) *Program {
+	procs := make([]*Proc, len(p.Procs))
+	for k, proc := range p.Procs {
+		procs[k] = proc.CloneStripSSA(nil)
 	}
-	// Callee pointers still reference the old program; repoint them.
+	return Assemble(p, procs)
+}
+
+// Assemble returns a program over base's globals that holds procs, in
+// order, with every call repointed by callee name into the new program.
+// The procedures are pre-SSA copies (CloneStripSSA) whose calls still
+// point into base or another program.
+func Assemble(base *Program, procs []*Proc) *Program {
+	np := NewProgram()
+	np.Globals = base.Globals
+	np.ScalarGlobals = base.ScalarGlobals
+	for _, proc := range procs {
+		np.AddProc(proc)
+	}
 	for _, proc := range np.Procs {
 		for _, b := range proc.Blocks {
 			for _, i := range b.Instrs {

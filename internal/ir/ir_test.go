@@ -109,7 +109,7 @@ func TestPrintArrayOps(t *testing.T) {
 func TestCloneStripSSA(t *testing.T) {
 	p, _, _ := buildCounterProc()
 	p.BuildSSA(WorstCase)
-	np := p.CloneStripSSA(nil, nil)
+	np := p.CloneStripSSA(nil)
 
 	// No phis, no SSA values; same block structure.
 	if len(np.Blocks) != len(p.Blocks) {
@@ -138,26 +138,10 @@ func TestCloneStripSSA(t *testing.T) {
 	np.BuildSSA(WorstCase)
 }
 
-func TestCloneRewriteHook(t *testing.T) {
-	p, n, _ := buildCounterProc()
-	p.BuildSSA(WorstCase)
-	entryN := p.EntryValues[n.ID]
-	np := p.CloneStripSSA(func(_ *Instr, _ int, op Operand) Operand {
-		if op.Val == entryN {
-			return ConstOperand(IntConst(42))
-		}
-		return op
-	}, nil)
-	out := np.String()
-	if !strings.Contains(out, "lt I, 42") {
-		t.Errorf("rewrite did not substitute:\n%s", out)
-	}
-}
-
 func TestCloneKeepFilter(t *testing.T) {
 	p, _, _ := buildCounterProc()
 	p.BuildSSA(WorstCase)
-	np := p.CloneStripSSA(nil, func(i *Instr) bool { return i.Op != OpAdd })
+	np := p.CloneStripSSA(func(i *Instr) bool { return i.Op != OpAdd })
 	if strings.Contains(np.String(), "add") {
 		t.Errorf("filtered instruction survived:\n%s", np)
 	}
@@ -287,7 +271,7 @@ func TestCloneProgramRepointsCallees(t *testing.T) {
 	b.Append(&Instr{Op: OpCall, Callee: callee, NumActuals: 0})
 	b.Append(&Instr{Op: OpRet})
 
-	np := CloneProgram(prog, nil, nil)
+	np := CloneProgram(prog)
 	if np.Main == nil || np.Main.Name != "TOP" {
 		t.Fatal("main lost")
 	}
