@@ -33,9 +33,9 @@
 //	-baseline old.f    analyze old.f first to warm the cache, then analyze
 //	                   the input incrementally against it
 //
-// With -all the four flavors run through one shared cache, so flavors
-// 2–4 reuse the stage-1 summaries (return jump functions, MOD/REF,
-// use counts) flavor 1 wrote — the table's s1-hits column shows it.
+// With -all the four flavors run through one shared cache; the table's
+// hits column shows each flavor's reuse of what an earlier sweep over
+// the same -cache-dir stored.
 package main
 
 import (
@@ -178,16 +178,15 @@ func main() {
 				Workers:             *workers,
 			})
 		}
-		// The four flavors run sequentially through one shared cache:
-		// the first flavor writes the flavor-split stage-1 records, and
-		// the s1-hits column shows the later flavors reusing them.
+		// The four flavors run sequentially through one shared cache,
+		// each under its own keys; the hits column shows the records an
+		// earlier sweep over the same cache left for each flavor.
 		cache := openCache(*cacheDir, *remoteCache, *walOn)
-		fmt.Printf("%-16s  %12s  %10s  %8s  %6s\n", "jump function", "substituted", "constants", "s1-hits", "hits")
+		fmt.Printf("%-16s  %12s  %10s  %6s\n", "jump function", "substituted", "constants", "hits")
 		for _, cfg := range cfgs {
 			rep, _ := prog.AnalyzeIncremental(cfg, nil, cache)
-			st := rep.Incremental
-			fmt.Printf("%-16s  %12d  %10d  %8d  %6d\n",
-				cfg.Jump, rep.TotalSubstituted, rep.TotalConstants, st.Stage1Hits, st.CacheHits)
+			fmt.Printf("%-16s  %12d  %10d  %6d\n",
+				cfg.Jump, rep.TotalSubstituted, rep.TotalConstants, rep.Incremental.CacheHits)
 		}
 		closeCache(cache)
 		if *tracePasses {
@@ -280,8 +279,8 @@ func printSummary(name string, cfg ipcp.Config, rep *ipcp.Report) {
 	fmt.Printf("  solver passes:             %d (%d jump-function evaluations)\n",
 		rep.SolverPasses, rep.JFEvaluations)
 	if st := rep.Incremental; st != nil {
-		fmt.Printf("  incremental: %d/%d procedures re-analyzed, %d hits, %d misses (%.1f%% hit rate), %d stage-1 hits\n",
-			st.Reanalyzed, st.TotalProcedures, st.CacheHits, st.CacheMisses, 100*st.HitRate(), st.Stage1Hits)
+		fmt.Printf("  incremental: %d/%d procedures re-analyzed, %d hits, %d misses (%.1f%% hit rate)\n",
+			st.Reanalyzed, st.TotalProcedures, st.CacheHits, st.CacheMisses, 100*st.HitRate())
 	}
 }
 
@@ -353,9 +352,8 @@ func closeCache(cache *ipcp.SummaryCache) {
 // cache the flags describe, seed it from the previous on-disk snapshot
 // and/or an in-process baseline analysis, analyze the program
 // incrementally, and persist the new snapshot. The snapshot file is
-// named by the configuration's full (flavor) cache key, so runs under
-// different flags never cross-contaminate — stage-1 sharing across
-// flavors happens inside the cache, not through snapshots.
+// named by the configuration's cache key, so runs under different flags
+// never cross-contaminate.
 func analyzeIncremental(prog *ipcp.Program, cfg ipcp.Config, cacheDir, remoteURL, baseline string, walOn bool) (*ipcp.Report, *ipcp.SummaryCache) {
 	cache := openCache(cacheDir, remoteURL, walOn)
 

@@ -105,8 +105,8 @@ func FuzzIncrementalEditChain(f *testing.F) {
 // Run with `go test -fuzz FuzzSummaryCodec -fuzztime 1m .` for a session.
 func FuzzSummaryCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(summary.EncodeShared(&summary.SharedSummary{Name: "P", SourceHash: "h"}))
-	f.Add(summary.EncodeShared(&summary.SharedSummary{
+	f.Add(summary.EncodeProc(&summary.ProcSummary{Name: "P", SourceHash: "h"}))
+	f.Add(summary.EncodeProc(&summary.ProcSummary{
 		Name:       "Q",
 		SourceHash: "h2",
 		Callees:    []string{"P"},
@@ -120,33 +120,28 @@ func FuzzSummaryCodec(f *testing.F) {
 		ModGlobals: []int{0},
 		RefGlobals: []int{0, 1},
 	}))
-	f.Add(summary.EncodeFlavor(&summary.FlavorSummary{
+	f.Add(summary.EncodeProc(&summary.ProcSummary{
 		Name:       "Q",
 		SourceHash: "h2",
+		Callees:    []string{"P"},
 		Sites:      []*summary.SiteSummary{{Callee: "P", Formal: []summary.Expr{&summary.Const{Val: 1}}}},
 	}))
 	f.Add(summary.EncodeSnapshot(&summary.Snapshot{
 		ConfigKey:   "ck",
 		GlobalsHash: "gh",
 		Procs: map[string]summary.ProcStamp{
-			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P"), SharedKey: summary.KeyOf("proc-shared", "P")},
-			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q"), SharedKey: summary.KeyOf("proc-shared", "Q")},
+			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P")},
+			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q")},
 		},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		if s, err := summary.DecodeShared(data); err == nil {
-			s2, err := summary.DecodeShared(summary.EncodeShared(s))
+		if s, err := summary.DecodeProc(data); err == nil {
+			s2, err := summary.DecodeProc(summary.EncodeProc(s))
 			if err != nil || !reflect.DeepEqual(s, s2) {
-				t.Fatalf("shared round trip broken on %x: %v", data, err)
-			}
-		}
-		if s, err := summary.DecodeFlavor(data); err == nil {
-			s2, err := summary.DecodeFlavor(summary.EncodeFlavor(s))
-			if err != nil || !reflect.DeepEqual(s, s2) {
-				t.Fatalf("flavor round trip broken on %x: %v", data, err)
+				t.Fatalf("procedure round trip broken on %x: %v", data, err)
 			}
 		}
 		if s, err := summary.DecodeSnapshot(data); err == nil {
@@ -171,7 +166,7 @@ func FuzzSnapshotDelta(f *testing.F) {
 		ConfigKey:   "ck",
 		GlobalsHash: "gh",
 		Procs: map[string]summary.ProcStamp{
-			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P"), SharedKey: summary.KeyOf("proc-shared", "P")},
+			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P")},
 		},
 	}
 	f.Add([]byte{})
@@ -181,14 +176,14 @@ func FuzzSnapshotDelta(f *testing.F) {
 		GlobalsHash: "gh2",
 		Parent:      summary.SnapshotContentKey(parent),
 		Updated: map[string]summary.ProcStamp{
-			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q"), SharedKey: summary.KeyOf("proc-shared", "Q")},
+			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q")},
 		},
 		Removed: []string{"P"},
 	}))
-	// Cross-kind confusion seeds: a full snapshot and a shared record
+	// Cross-kind confusion seeds: a full snapshot and a procedure record
 	// must not decode as deltas.
 	f.Add(summary.EncodeSnapshot(parent))
-	f.Add(summary.EncodeShared(&summary.SharedSummary{Name: "P", SourceHash: "h"}))
+	f.Add(summary.EncodeProc(&summary.ProcSummary{Name: "P", SourceHash: "h"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return

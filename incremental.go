@@ -206,18 +206,9 @@ func CacheGC(dir string, budgetBytes int64, live ...*Snapshot) (CacheGCStats, er
 // depend on (jump-function flavor, return JFs, MOD, codec version) —
 // useful for naming snapshot files per configuration, as cmd/ipcp
 // does. Two configs with equal FlavorCacheKey store and hit identical
-// entries at both cache layers.
+// entries.
 func FlavorCacheKey(cfg Config) string {
 	return incr.ConfigKey(cfg.internal())
-}
-
-// SharedCacheKey is FlavorCacheKey with the jump-function flavor left
-// out: the key prefix of the stage-1 (shared) cache layer. Two configs
-// that differ only in JumpFunctions have equal SharedCacheKey and
-// share their stage-1 summaries — return jump functions, MOD/REF sets,
-// call edges, use counts — through one cache.
-func SharedCacheKey(cfg Config) string {
-	return incr.SharedConfigKey(cfg.internal())
 }
 
 // IncrementalStats describes how an incremental run split the program.
@@ -228,25 +219,15 @@ type IncrementalStats struct {
 	Reanalyzed      int
 	Reused          int
 
-	// CacheHits and CacheMisses count this run's full-record cache
-	// lookups — one per candidate procedure: every procedure the
-	// invalidation analysis kept when a comparable snapshot exists, or
-	// every procedure at all on a first run (content-addressed keys
-	// make hits from any prior run sound, so a fresh run against a
-	// warm shared cache starts at full reuse). A hit means both the
-	// stage-1 and the flavor record were present and bound, and the
-	// procedure ran on them.
+	// CacheHits and CacheMisses count this run's cache lookups — one
+	// per candidate procedure: every procedure the invalidation
+	// analysis kept when a comparable snapshot exists, or every
+	// procedure at all on a first run (content-addressed keys make hits
+	// from any prior run sound, so a fresh run against a warm shared
+	// cache starts at full reuse). A hit means the procedure's record
+	// was present and bound, and the procedure ran on it.
 	CacheHits   int
 	CacheMisses int
-
-	// Stage1Hits and Stage1Misses count the same lookups at the shared
-	// stage-1 layer, whose keys leave the jump-function flavor out. A
-	// stage-1 hit without a full hit means another flavor's run wrote
-	// the shared record: the procedure still re-analyzes, but its
-	// return JFs/MOD/REF half is never re-stored. Stage1Hits ≥
-	// CacheHits always; the gap is the cross-flavor sharing at work.
-	Stage1Hits   int
-	Stage1Misses int
 
 	// WorklistVisited counts the work items the stage-3 solve visited.
 	// Stage 3 solves every run from the initial VAL sets, so it equals
@@ -321,8 +302,6 @@ func (p *Program) analyzeIncremental(icfg core.Config, cfg Config, prev *Snapsho
 		Reused:          st.Reused,
 		CacheHits:       st.Hits,
 		CacheMisses:     st.Misses,
-		Stage1Hits:      st.SharedHits,
-		Stage1Misses:    st.SharedMisses,
 		WorklistVisited: st.WorklistVisited,
 	}
 	return rep, &Snapshot{snap: snap, cache: cache}, nil

@@ -255,8 +255,7 @@ func AnalyzeErr(sp *sema.Program, cfg Config) (*Result, error) {
 // and builds the products of both ReturnJFs settings over that one SSA
 // program. The forward jump-function flavor first enters in stage 2
 // (jump.Filter), so configurations with equal keys share one stage-1
-// product (AnalyzeMatrix), and the summary store keys its flavor-free
-// records by the same pair (incr.SharedConfigKey).
+// product (AnalyzeMatrix).
 type Stage1Key struct {
 	MOD       bool
 	ReturnJFs bool

@@ -22,25 +22,18 @@ import (
 // validating every stored record against the current program where it
 // reads the bytes. Core injects the seeds it is handed as they are.
 
-// SharedSeed is the stage-1 (flavor-invariant) half of a seed: the
-// procedure's return jump functions (nil when none were built) and its
-// substitution tallies, which let stage 4 count without the procedure
-// ever being converted to SSA form. It mirrors summary.SharedSummary —
-// nothing in it depends on the forward jump-function flavor.
-type SharedSeed struct {
+// ProcSeed is everything stage 1 and stage 2 would compute for one
+// unchanged procedure: its return jump functions (nil when none were
+// built), its substitution tallies, which let stage 4 count without the
+// procedure ever being converted to SSA form, and the jump functions of
+// each call site, one per entry of the procedure's call-graph Sites and
+// in that order, with Call set and vector lengths those of a fresh
+// derivation (one entry per callee formal and one per scalar global,
+// nil = ⊥). It mirrors summary.ProcSummary.
+type ProcSeed struct {
 	Returns *jump.Returns
 	Uses    *ProcUses
-}
-
-// ProcSeed is everything stage 1 and stage 2 would compute for one
-// unchanged procedure: the shared stage-1 half plus the
-// flavor-dependent jump functions of each call site, one per entry of
-// the procedure's call-graph Sites and in that order, with Call set and
-// vector lengths those of a fresh derivation (one entry per callee
-// formal and one per scalar global, nil = ⊥).
-type ProcSeed struct {
-	SharedSeed
-	Sites []*jump.Site
+	Sites   []*jump.Site
 }
 
 // Reuse is the seeded-analysis input: the pre-SSA callgraph and

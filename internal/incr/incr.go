@@ -27,16 +27,9 @@
 // divergent edit histories (snapshot branching) and across processes:
 // a stale entry is simply never asked for again.
 //
-// Each procedure has *two* keys, one per stored blob. The flavor key
-// folds the full configuration (ConfigKey) into the cone and addresses
-// the FlavorSummary — the stage-2 forward jump functions, which the
-// jump-function flavor shapes directly. The shared key folds in only
-// the flavor-free SharedConfigKey and addresses the SharedSummary —
-// return jump functions, MOD/REF, call edges, use vectors — which are
-// identical under every flavor because Config.Jump is consulted
-// nowhere before stage 2's filter. A polynomial run therefore hits the
-// shared entries a pass-through run wrote, re-deriving only the
-// flavor half.
+// The configuration key folded into the cone is the full ConfigKey, so
+// each procedure has one key per configuration and one stored record,
+// the summary.ProcSummary, under it.
 //
 // # Invalidation and lookup rule
 //
@@ -50,13 +43,14 @@
 // all (a first run under this configuration), *every* procedure is
 // looked up instead: the keys are complete content addresses and
 // binding re-validates against the fresh program, so a hit written by
-// another run — a different process, lineage, or flavor — is sound to
-// reuse, and that is exactly what makes a shared or remote store pay
-// off without any snapshot handoff.
+// another run — a different process or lineage — is sound to reuse,
+// and that is exactly what makes a shared or remote store pay off
+// without any snapshot handoff.
 package incr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -80,22 +74,14 @@ type Stats struct {
 	Reanalyzed int
 	Reused     int
 
-	// Hits and Misses count this run's full-record lookups: one per
+	// Hits and Misses count this run's record lookups: one per
 	// candidate procedure (every procedure the invalidation rule kept
 	// — all of them when no comparable snapshot exists), a hit when
-	// both blobs were present and bound cleanly, so the procedure ran
+	// the record was present and bound cleanly, so the procedure ran
 	// on its seed. (With a comparable snapshot, invalidated procedures
 	// are known stale and never looked up.)
 	Hits   int
 	Misses int
-
-	// SharedHits and SharedMisses count the same lookups at the
-	// stage-1 layer: a shared hit means the flavor-free blob was
-	// present and bound — possibly written by a run under a different
-	// jump-function flavor — even when the flavor blob was not.
-	// SharedHits ≥ Hits always; the gap is the cross-flavor sharing.
-	SharedHits   int
-	SharedMisses int
 
 	// WorklistVisited counts the stage-3 work items the solve visited.
 	// Stage 3 always solves from the initial VAL sets, so it equals the
@@ -114,14 +100,14 @@ func NewEngine(store summary.Store) *Engine {
 	return &Engine{store: store}
 }
 
-// ConfigKey fingerprints the configuration bits stored flavor records
-// depend on — the jump-function flavor, the return-JF and MOD toggles
-// — plus the codec version. Workers, Debug, the solver choice, and
-// Complete deliberately stay out: none of them change what stages 1–2
-// compute for a procedure (complete-mode re-propagations run on DCE'd
-// programs and never touch the store). Snapshots carry this full key:
-// a snapshot stamps each procedure with its flavor-record key, which
-// the cache GC pins, so every flavor keeps its own snapshot.
+// ConfigKey fingerprints the configuration bits stored records depend
+// on — the jump-function flavor, the return-JF and MOD toggles — plus
+// the codec version. Workers, Debug, the solver choice, and Complete
+// deliberately stay out: none of them change what stages 1–2 compute
+// for a procedure (complete-mode re-propagations run on DCE'd programs
+// and never touch the store). Snapshots carry this key: a snapshot
+// stamps each procedure with its record key, which the cache GC pins,
+// so every flavor keeps its own snapshot.
 func ConfigKey(cfg core.Config) string {
 	return summary.KeyOf(
 		"config",
@@ -129,23 +115,6 @@ func ConfigKey(cfg core.Config) string {
 		fmt.Sprintf("jump=%d", int(cfg.Jump)),
 		fmt.Sprintf("ret=%t", cfg.ReturnJFs),
 		fmt.Sprintf("mod=%t", cfg.MOD),
-	).String()
-}
-
-// SharedConfigKey is ConfigKey with the jump-function flavor left out
-// — the key prefix of the stage-1 shared records. It spells out
-// core.Stage1Key, the pair the matrix runner shares stage 1 by: the
-// flavor is consulted exactly once, by jump.Filter inside stage 2's
-// forward-JF construction, so return jump functions, MOD/REF sets, call
-// edges, use vectors, and the SSA phi count coincide bit-for-bit across
-// flavors under fixed ReturnJFs/MOD toggles.
-func SharedConfigKey(cfg core.Config) string {
-	k := cfg.Stage1Key()
-	return summary.KeyOf(
-		"config-shared",
-		fmt.Sprintf("codec=%d", summary.Version),
-		fmt.Sprintf("ret=%t", k.ReturnJFs),
-		fmt.Sprintf("mod=%t", k.MOD),
 	).String()
 }
 
@@ -159,7 +128,6 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	fps := sp.Fingerprints(cfg.Workers)
 	globalsHash := sp.GlobalsHash()
 	cfgKey := ConfigKey(cfg)
-	sharedCfgKey := SharedConfigKey(cfg)
 
 	// Lower once and take the whole-program views while the IR is still
 	// pre-SSA; they feed both the invalidation decision and — through
@@ -168,42 +136,31 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	cg := callgraph.Build(irp)
 	mods := modref.Compute(irp, cg)
 
-	// Two key families per procedure: the flavor key addresses the
-	// stage-2 record, the shared key the flavor-free stage-1 record.
-	flavorKeys := coneKeys(cg, fps, cfgKey, globalsHash)
-	sharedKeys := coneKeys(cg, fps, sharedCfgKey, globalsHash)
+	keys := coneKeys(cg, fps, cfgKey, globalsHash)
 	invalid := invalidProcs(cg, fps, cfgKey, globalsHash, prev)
 
 	stats := Stats{TotalProcs: len(irp.Procs)}
 	// Fetch and bind candidate summaries over cfg.Workers: binding only
 	// reads the shared program views, and the per-procedure results land
 	// in distinct slots, so the outcome is independent of scheduling.
-	fetched := make([]fetchResult, len(irp.Procs))
+	fetched := make([]*core.ProcSeed, len(irp.Procs))
 	par.For(cfg.Workers, len(irp.Procs), func(i int) {
 		proc := irp.Procs[i]
 		if invalid[proc.Name] {
 			return
 		}
-		fetched[i] = e.fetch(sharedKeys[proc.Name], flavorKeys[proc.Name], proc, irp, cg, mods, fps)
+		fetched[i] = e.fetch(keys[proc.Name], proc, irp, cg, mods, fps)
 	})
 	seeds := make(map[*ir.Proc]*core.ProcSeed)
-	sharedHit := make(map[string]bool)
 	for i, proc := range irp.Procs {
 		if invalid[proc.Name] {
 			continue
 		}
-		f := fetched[i]
-		if f.sharedHit {
-			sharedHit[proc.Name] = true
-			stats.SharedHits++
-		} else {
-			stats.SharedMisses++
-		}
-		if f.seed == nil {
+		if fetched[i] == nil {
 			stats.Misses++
 			continue
 		}
-		seeds[proc] = f.seed
+		seeds[proc] = fetched[i]
 		stats.Hits++
 	}
 	stats.Reused = len(seeds)
@@ -216,11 +173,8 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	stats.WorklistVisited = int64(res.SolverPasses)
 
 	// Stamp the new snapshot with each procedure's source fingerprint
-	// and its two blob keys, and persist the blobs this run had to
-	// rebuild (reused ones are already stored under the same keys). A
-	// procedure whose shared blob hit but whose flavor blob missed
-	// re-persists only the flavor half: that skipped re-encoding is
-	// exactly the byte saving of the key split.
+	// and record key, and persist the records this run had to rebuild
+	// (reused ones are already stored under the same keys).
 	snap := &summary.Snapshot{
 		ConfigKey:   cfgKey,
 		GlobalsHash: globalsHash,
@@ -228,28 +182,13 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	}
 	for _, proc := range irp.Procs {
 		name := proc.Name
-		n := cg.Nodes[proc]
-		snap.Procs[name] = summary.ProcStamp{
-			SourceHash: fps[name],
-			Key:        flavorKeys[name],
-			SharedKey:  sharedKeys[name],
-		}
+		snap.Procs[name] = summary.ProcStamp{SourceHash: fps[name], Key: keys[name]}
 		if seeds[proc] != nil {
 			continue
 		}
-		// A failed Put only costs a future recomputation, and the two
-		// halves persist independently: a flavor blob without its shared
-		// sibling is merely unreachable (lookups probe shared-first),
-		// never wrong.
-		if !sharedHit[name] {
-			if ss, err := encodeShared(proc, n, irp, sums, mods, fps); err == nil {
-				//lint:ignore codecerr cache Put is best-effort here; a failed write only costs a future recomputation (comment above)
-				_ = e.store.Put(sharedKeys[name], summary.EncodeShared(ss))
-			}
-		}
-		if fs, err := encodeFlavor(proc, sums, fps); err == nil {
-			//lint:ignore codecerr cache Put is best-effort here; a failed write only costs a future recomputation (comment above)
-			_ = e.store.Put(flavorKeys[name], summary.EncodeFlavor(fs))
+		if ps, err := encodeProc(proc, cg.Nodes[proc], irp, sums, mods, fps); err == nil {
+			//lint:ignore codecerr cache Put is best-effort here; a failed write only costs a future recomputation
+			_ = e.store.Put(keys[name], summary.EncodeProc(ps))
 		}
 	}
 	return res, snap, stats, nil
@@ -298,8 +237,8 @@ func coneKeys(cg *callgraph.Graph, fps map[string]string, cfgKey, globalsHash st
 // comparable snapshot the set is empty — not full: every procedure
 // becomes a lookup candidate, because the content-addressed keys plus
 // bind's re-validation make any hit sound regardless of which run
-// (process, lineage, or jump-function flavor) wrote it. A fresh run
-// against a warm shared store starts at full reuse instead of zero.
+// (process or lineage) wrote it. A fresh run against a warm shared
+// store starts at full reuse instead of zero.
 func invalidProcs(cg *callgraph.Graph, fps map[string]string, cfgKey, globalsHash string, prev *summary.Snapshot) map[string]bool {
 	invalid := make(map[string]bool)
 	if prev == nil || prev.ConfigKey != cfgKey || prev.GlobalsHash != globalsHash {
@@ -343,60 +282,34 @@ func calleeNames(n *callgraph.Node) []string {
 // ---------------------------------------------------------------------------
 // Binding stored summaries into the current program
 
-// fetchResult is one candidate procedure's lookup outcome: seed is the
-// fully bound two-blob seed (nil when either half was absent or failed
-// to bind), and sharedHit records that the stage-1 blob alone was
-// present and bound — worth knowing even without a full seed, because
-// the run then skips re-persisting the shared half.
-type fetchResult struct {
-	seed      *core.ProcSeed
-	sharedHit bool
+// fetch looks up, decodes, and binds one procedure's stored record. Any
+// failure — absent, corrupt, or structurally incompatible — degrades to
+// re-analysis (a nil seed); dropping a seed is always sound.
+func (e *Engine) fetch(key summary.Key, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, mods *modref.Summary, fps map[string]string) *core.ProcSeed {
+	data, ok := e.store.Get(key)
+	if !ok {
+		return nil
+	}
+	ps, err := summary.DecodeProc(data)
+	if err != nil {
+		return nil
+	}
+	seed, err := bind(ps, proc, prog, cg, mods, fps)
+	if err != nil {
+		return nil
+	}
+	return seed
 }
 
-// fetch looks up, decodes, and binds one procedure's stored record,
-// shared blob first: without a valid stage-1 half the flavor blob is
-// useless (and, since both halves persist together, never present), so
-// a shared miss skips the second probe. Any failure — absent, corrupt,
-// or structurally incompatible — degrades to re-analysis; dropping a
-// seed is always sound.
-func (e *Engine) fetch(sharedKey, flavorKey summary.Key, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, mods *modref.Summary, fps map[string]string) fetchResult {
-	data, ok := e.store.Get(sharedKey)
-	if !ok {
-		return fetchResult{}
-	}
-	ss, err := summary.DecodeShared(data)
-	if err != nil {
-		return fetchResult{}
-	}
-	shared, err := bindShared(ss, proc, prog, cg, mods, fps)
-	if err != nil {
-		return fetchResult{}
-	}
-	res := fetchResult{sharedHit: true}
-	fdata, ok := e.store.Get(flavorKey)
-	if !ok {
-		return res
-	}
-	fs, err := summary.DecodeFlavor(fdata)
-	if err != nil {
-		return res
-	}
-	sites, err := bindFlavor(fs, proc, prog, cg, fps)
-	if err != nil {
-		return res
-	}
-	res.seed = &core.ProcSeed{SharedSeed: *shared, Sites: sites}
-	return res
-}
-
-// bindShared validates a decoded stage-1 record against the current
-// program and rebinds its portable expressions to sym leaves. The
-// MOD/REF sets are cross-checked against the freshly computed summary
-// — side-effect facts always come from the current program, and a
-// stored record that disagrees is rejected rather than trusted. So is
-// a record with return jump functions for a procedure in a call-graph
-// cycle, which a derivation never gives any.
-func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, mods *modref.Summary, fps map[string]string) (*core.SharedSeed, error) {
+// bind validates a decoded record against the current program and
+// rebinds its portable expressions to sym leaves and its site jump
+// functions to the procedure's call sites. The MOD/REF sets are
+// cross-checked against the freshly computed summary — side-effect
+// facts always come from the current program, and a stored record that
+// disagrees is rejected rather than trusted. So is a record with return
+// jump functions for a procedure in a call-graph cycle, which a
+// derivation never gives any.
+func bind(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, mods *modref.Summary, fps map[string]string) (*core.ProcSeed, error) {
 	if ps.Name != proc.Name {
 		return nil, fmt.Errorf("incr: summary names %q, want %q", ps.Name, proc.Name)
 	}
@@ -407,7 +320,7 @@ func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *
 	if n == nil {
 		return nil, fmt.Errorf("incr: %s missing from call graph", proc.Name)
 	}
-	if want := calleeNames(n); !equalStrings(ps.Callees, want) {
+	if !slices.Equal(ps.Callees, calleeNames(n)) {
 		return nil, fmt.Errorf("incr: callee set mismatch for %s", proc.Name)
 	}
 	if err := checkModRef(ps, proc, prog, mods); err != nil {
@@ -416,12 +329,15 @@ func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *
 	if len(ps.FormalUses) != len(proc.Formals) || len(ps.GlobalUses) != len(proc.GlobalVars) {
 		return nil, fmt.Errorf("incr: %s use-vector length mismatch", proc.Name)
 	}
-
-	nformals := len(proc.Formals)
 	if ps.SSAPhis < 0 {
 		return nil, fmt.Errorf("incr: %s has negative phi count", proc.Name)
 	}
-	seed := &core.SharedSeed{Uses: &core.ProcUses{
+	if len(ps.Sites) != len(n.Sites) {
+		return nil, fmt.Errorf("incr: %s has %d sites, summary has %d", proc.Name, len(n.Sites), len(ps.Sites))
+	}
+
+	nformals := len(proc.Formals)
+	seed := &core.ProcSeed{Uses: &core.ProcUses{
 		Formal: make([]core.VarUses, len(ps.FormalUses)),
 		Global: make([]core.VarUses, len(ps.GlobalUses)),
 		Phis:   ps.SSAPhis,
@@ -467,29 +383,8 @@ func bindShared(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, cg *
 		}
 		seed.Returns = r
 	}
-	return seed, nil
-}
-
-// bindFlavor validates a decoded stage-2 record against the current
-// program and rebinds its site jump functions to the procedure's call
-// sites.
-func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *callgraph.Graph, fps map[string]string) ([]*jump.Site, error) {
-	if fs.Name != proc.Name {
-		return nil, fmt.Errorf("incr: flavor summary names %q, want %q", fs.Name, proc.Name)
-	}
-	if fs.SourceHash == "" || fs.SourceHash != fps[proc.Name] {
-		return nil, fmt.Errorf("incr: source hash mismatch for %s", proc.Name)
-	}
-	n := cg.Nodes[proc]
-	if n == nil {
-		return nil, fmt.Errorf("incr: %s missing from call graph", proc.Name)
-	}
-	if len(fs.Sites) != len(n.Sites) {
-		return nil, fmt.Errorf("incr: %s has %d sites, summary has %d", proc.Name, len(n.Sites), len(fs.Sites))
-	}
-	nformals := len(proc.Formals)
-	sites := make([]*jump.Site, len(fs.Sites))
-	for si, ss := range fs.Sites {
+	seed.Sites = make([]*jump.Site, len(ps.Sites))
+	for si, ss := range ps.Sites {
 		call := n.Sites[si]
 		if ss.Callee != call.Callee.Name {
 			return nil, fmt.Errorf("incr: %s site %d calls %s, summary says %s", proc.Name, si, call.Callee.Name, ss.Callee)
@@ -514,14 +409,14 @@ func bindFlavor(fs *summary.FlavorSummary, proc *ir.Proc, prog *ir.Program, cg *
 				return nil, err
 			}
 		}
-		sites[si] = site
+		seed.Sites[si] = site
 	}
-	return sites, nil
+	return seed, nil
 }
 
 // checkModRef verifies the stored MOD/REF sets against the current
 // program's freshly computed summary.
-func checkModRef(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, mods *modref.Summary) error {
+func checkModRef(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, mods *modref.Summary) error {
 	if len(ps.ModFormals) != len(proc.Formals) || len(ps.RefFormals) != len(proc.Formals) {
 		return fmt.Errorf("incr: %s MOD/REF formal arity mismatch", proc.Name)
 	}
@@ -539,7 +434,7 @@ func checkModRef(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, mod
 			rg = append(rg, g.ID)
 		}
 	}
-	if !equalInts(ps.ModGlobals, mg) || !equalInts(ps.RefGlobals, rg) {
+	if !slices.Equal(ps.ModGlobals, mg) || !slices.Equal(ps.RefGlobals, rg) {
 		return fmt.Errorf("incr: %s MOD/REF global set mismatch", proc.Name)
 	}
 	return nil
@@ -548,11 +443,11 @@ func checkModRef(ps *summary.SharedSummary, proc *ir.Proc, prog *ir.Program, mod
 // ---------------------------------------------------------------------------
 // Encoding fresh summaries
 
-// encodeShared converts one procedure's extracted stage-1 summaries to
-// portable form. An error (an expression with no portable spelling)
-// means that half is unstorable; the caller skips it and the next run
-// simply recomputes.
-func encodeShared(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core.Summaries, mods *modref.Summary, fps map[string]string) (*summary.SharedSummary, error) {
+// encodeProc converts one procedure's extracted summaries to portable
+// form. An error (an expression with no portable spelling) means the
+// record is unstorable; the caller skips it and the next run simply
+// recomputes.
+func encodeProc(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core.Summaries, mods *modref.Summary, fps map[string]string) (*summary.ProcSummary, error) {
 	name := proc.Name
 	if sums == nil {
 		return nil, fmt.Errorf("incr: no summaries extracted")
@@ -560,7 +455,7 @@ func encodeShared(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core
 	if fps[name] == "" {
 		return nil, fmt.Errorf("incr: %s has no fingerprint", name)
 	}
-	ps := &summary.SharedSummary{
+	ps := &summary.ProcSummary{
 		Name:       name,
 		SourceHash: fps[name],
 		Callees:    calleeNames(n),
@@ -616,23 +511,6 @@ func encodeShared(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core
 		ps.GlobalUses[k] = summary.UseCount{Subs: u.Subs, Control: u.Control}
 	}
 	ps.SSAPhis = uses.Phis
-	return ps, nil
-}
-
-// encodeFlavor converts one procedure's extracted stage-2 site jump
-// functions to portable form, independently of the shared half.
-func encodeFlavor(proc *ir.Proc, sums *core.Summaries, fps map[string]string) (*summary.FlavorSummary, error) {
-	name := proc.Name
-	if sums == nil {
-		return nil, fmt.Errorf("incr: no summaries extracted")
-	}
-	if fps[name] == "" {
-		return nil, fmt.Errorf("incr: %s has no fingerprint", name)
-	}
-	fs := &summary.FlavorSummary{
-		Name:       name,
-		SourceHash: fps[name],
-	}
 	for _, site := range sums.Sites[name] {
 		if site == nil {
 			return nil, fmt.Errorf("incr: %s has an unextracted site", name)
@@ -653,31 +531,7 @@ func encodeFlavor(proc *ir.Proc, sums *core.Summaries, fps map[string]string) (*
 				return nil, err
 			}
 		}
-		fs.Sites = append(fs.Sites, ss)
+		ps.Sites = append(ps.Sites, ss)
 	}
-	return fs, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return ps, nil
 }

@@ -46,7 +46,7 @@ END
 
 // TestRecursiveSummaryWithReturnsRejected: a derivation never gives a
 // procedure in a call-graph cycle return jump functions, so a stored
-// shared summary that does is not what re-deriving would produce.
+// summary that does is not what re-deriving would produce.
 // Binding must reject it, counting a miss and re-deriving FACT, and the
 // result must still be the scratch one.
 func TestRecursiveSummaryWithReturnsRejected(t *testing.T) {
@@ -59,12 +59,12 @@ func TestRecursiveSummaryWithReturnsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	key := snap.Procs["FACT"].SharedKey
+	key := snap.Procs["FACT"].Key
 	data, ok := store.Get(key)
 	if !ok {
-		t.Fatal("FACT's shared summary was not stored")
+		t.Fatal("FACT's summary was not stored")
 	}
-	ss, err := summary.DecodeShared(data)
+	ss, err := summary.DecodeProc(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRecursiveSummaryWithReturnsRejected(t *testing.T) {
 		Result: &summary.Const{Val: 1},
 		Formal: make([]summary.Expr, len(ss.ModFormals)),
 	}
-	if err := store.Put(key, summary.EncodeShared(ss)); err != nil {
+	if err := store.Put(key, summary.EncodeProc(ss)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestRecursiveSummaryWithReturnsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Reanalyzed != 1 || st.Hits != st.TotalProcs-1 || st.SharedHits != st.TotalProcs-1 || st.Misses != 1 {
+	if st.Reanalyzed != 1 || st.Hits != st.TotalProcs-1 || st.Misses != 1 {
 		t.Errorf("stats %+v: want FACT alone re-derived, its lookup a miss", st)
 	}
 	want := core.Analyze(sp, cfg)
@@ -133,5 +133,53 @@ func TestSequentialFetch(t *testing.T) {
 	}
 	if p := store.peak.Load(); p != 1 {
 		t.Errorf("peak lookups in flight = %d with Workers 1, want 1", p)
+	}
+}
+
+// countingStore counts the lookups and writes that reach a store.
+type countingStore struct {
+	summary.Store
+	gets, puts atomic.Int64
+}
+
+func (s *countingStore) Get(k summary.Key) ([]byte, bool) {
+	s.gets.Add(1)
+	return s.Store.Get(k)
+}
+
+func (s *countingStore) Put(k summary.Key, v []byte) error {
+	s.puts.Add(1)
+	return s.Store.Put(k, v)
+}
+
+// TestOneStoreReadPerProcedure: each procedure is one record under one
+// key. A first run writes one record per procedure, and a re-run
+// against its snapshot reads each record once and writes nothing.
+func TestOneStoreReadPerProcedure(t *testing.T) {
+	sp := mustSema(t, suite.Generate("doduc", 4).Source)
+	cfg := core.Config{Jump: jump.PassThrough, ReturnJFs: true, MOD: true, Workers: 1}
+	store := &countingStore{Store: summary.NewMemStore(0)}
+	e := NewEngine(store)
+	_, snap, first, err := e.Analyze(sp, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := store.puts.Load(); p != int64(first.TotalProcs) {
+		t.Errorf("first run made %d Puts for %d procedures, want one each", p, first.TotalProcs)
+	}
+	store.gets.Store(0)
+	store.puts.Store(0)
+	_, _, st, err := e.Analyze(sp, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hits != st.TotalProcs {
+		t.Fatalf("re-run hit %d of %d procedures", st.Hits, st.TotalProcs)
+	}
+	if g := store.gets.Load(); g != int64(st.TotalProcs) {
+		t.Errorf("re-run made %d Gets for %d procedures, want one each", g, st.TotalProcs)
+	}
+	if p := store.puts.Load(); p != 0 {
+		t.Errorf("re-run made %d Puts, want none", p)
 	}
 }

@@ -58,7 +58,7 @@ type Config struct {
 
 	// RemoteCache, when non-empty, layers a shared remote blob tier —
 	// another ipcpd's /v1/blob endpoint — behind the local cache, so
-	// shard-local caches share stage-1 summaries fleet-wide. Remote
+	// shard-local caches share procedure summaries fleet-wide. Remote
 	// faults degrade to misses; queued write-backs are flushed during
 	// graceful shutdown.
 	RemoteCache string

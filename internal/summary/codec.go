@@ -33,16 +33,16 @@ import (
 // (kindDelta): a per-procedure add/update/remove record against a
 // parent snapshot identified by its content key. Version 5 dropped the
 // warm-start fields and the callee list from ProcStamp, leaving
-// SourceHash and the two keys.
-const Version = 5
+// SourceHash and the two keys. Version 6 merged the two procedure blobs
+// back into one record (kindProc) and dropped SharedKey from ProcStamp.
+const Version = 6
 
 const magic = "IPCS"
 
 // Value kinds.
 const (
-	kindShared   = 1
+	kindProc     = 1
 	kindSnapshot = 2
-	kindFlavor   = 3
 	kindDelta    = 4
 )
 
@@ -404,9 +404,8 @@ func open(data []byte, kind byte) (*reader, error) {
 // ---------------------------------------------------------------------------
 // Procedure summaries
 
-// EncodeShared serializes the config-invariant half of one procedure's
-// record.
-func EncodeShared(s *SharedSummary) []byte {
+// EncodeProc serializes one procedure's record.
+func EncodeProc(s *ProcSummary) []byte {
 	w := &writer{}
 	w.str(s.Name)
 	w.str(s.SourceHash)
@@ -429,17 +428,23 @@ func EncodeShared(s *SharedSummary) []byte {
 	w.uses(s.FormalUses)
 	w.uses(s.GlobalUses)
 	w.varint(int64(s.SSAPhis))
-	return w.seal(kindShared)
+	w.count(len(s.Sites))
+	for _, site := range s.Sites {
+		w.str(site.Callee)
+		w.exprs(site.Formal)
+		w.exprs(site.Global)
+	}
+	return w.seal(kindProc)
 }
 
-// DecodeShared is the inverse of EncodeShared. It never panics:
-// corrupted input yields an error wrapping ErrCorrupt.
-func DecodeShared(data []byte) (*SharedSummary, error) {
-	r, err := open(data, kindShared)
+// DecodeProc is the inverse of EncodeProc. It never panics: corrupted
+// input yields an error wrapping ErrCorrupt.
+func DecodeProc(data []byte) (*ProcSummary, error) {
+	r, err := open(data, kindProc)
 	if err != nil {
 		return nil, err
 	}
-	s := &SharedSummary{}
+	s := &ProcSummary{}
 	if s.Name, err = r.str(); err != nil {
 		return nil, err
 	}
@@ -505,41 +510,6 @@ func DecodeShared(data []byte) (*SharedSummary, error) {
 		return nil, err
 	}
 	s.SSAPhis = int(phis)
-	if r.remaining() != 0 {
-		return nil, corrupt("%d trailing bytes", r.remaining())
-	}
-	return s, nil
-}
-
-// EncodeFlavor serializes the flavor-dependent half of one procedure's
-// record.
-func EncodeFlavor(s *FlavorSummary) []byte {
-	w := &writer{}
-	w.str(s.Name)
-	w.str(s.SourceHash)
-	w.count(len(s.Sites))
-	for _, site := range s.Sites {
-		w.str(site.Callee)
-		w.exprs(site.Formal)
-		w.exprs(site.Global)
-	}
-	return w.seal(kindFlavor)
-}
-
-// DecodeFlavor is the inverse of EncodeFlavor; corrupted input yields
-// an error wrapping ErrCorrupt, never a panic.
-func DecodeFlavor(data []byte) (*FlavorSummary, error) {
-	r, err := open(data, kindFlavor)
-	if err != nil {
-		return nil, err
-	}
-	s := &FlavorSummary{}
-	if s.Name, err = r.str(); err != nil {
-		return nil, err
-	}
-	if s.SourceHash, err = r.str(); err != nil {
-		return nil, err
-	}
 	nsites, err := r.count()
 	if err != nil {
 		return nil, err
@@ -571,7 +541,6 @@ func DecodeFlavor(data []byte) (*FlavorSummary, error) {
 func (w *writer) stamp(st ProcStamp) {
 	w.str(st.SourceHash)
 	w.bytes(st.Key[:])
-	w.bytes(st.SharedKey[:])
 }
 
 // stamp is the inverse of writer.stamp.
@@ -590,15 +559,6 @@ func (r *reader) stamp() (ProcStamp, error) {
 	}
 	copy(st.Key[:], r.data[r.pos:])
 	r.pos += klen
-	sklen, err := r.count()
-	if err != nil {
-		return st, err
-	}
-	if sklen != len(st.SharedKey) {
-		return st, corrupt("shared-key length %d, want %d", sklen, len(st.SharedKey))
-	}
-	copy(st.SharedKey[:], r.data[r.pos:])
-	r.pos += sklen
 	return st, nil
 }
 

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// sampleShared exercises every field of the config-invariant record: a
-// full return summary with nested expressions and nil (⊥) slots, and
-// non-empty MOD/REF and use vectors.
-func sampleShared() *SharedSummary {
-	return &SharedSummary{
+// sampleProc exercises every field of the record: a full return
+// summary with nested expressions and nil (⊥) slots, non-empty MOD/REF
+// and use vectors, and multiple sites with nil (⊥) slots and nested
+// expressions.
+func sampleProc() *ProcSummary {
+	return &ProcSummary{
 		Name:       "SOLVE",
 		SourceHash: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 		Callees:    []string{"INIT", "STEP"},
@@ -30,15 +31,6 @@ func sampleShared() *SharedSummary {
 		FormalUses: []UseCount{{Subs: 4, Control: 2}, {Subs: 0, Control: 0}},
 		GlobalUses: []UseCount{{Subs: 1, Control: 1}},
 		SSAPhis:    3,
-	}
-}
-
-// sampleFlavor exercises the flavor-dependent record: multiple sites
-// with nil (⊥) slots and nested expressions.
-func sampleFlavor() *FlavorSummary {
-	return &FlavorSummary{
-		Name:       "SOLVE",
-		SourceHash: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 		Sites: []*SiteSummary{
 			{
 				Callee: "INIT",
@@ -55,40 +47,23 @@ func sampleSnapshot() *Snapshot {
 		ConfigKey:   KeyOf("config", "test").String(),
 		GlobalsHash: "abc123",
 		Procs: map[string]ProcStamp{
-			"SOLVE": {SourceHash: "h1", Key: KeyOf("proc", "1"), SharedKey: KeyOf("proc-shared", "1")},
-			"INIT":  {SourceHash: "h2", Key: KeyOf("proc", "2"), SharedKey: KeyOf("proc-shared", "2")},
-			"STEP":  {SourceHash: "h3", Key: KeyOf("proc", "3"), SharedKey: KeyOf("proc-shared", "3")},
+			"SOLVE": {SourceHash: "h1", Key: KeyOf("proc", "1")},
+			"INIT":  {SourceHash: "h2", Key: KeyOf("proc", "2")},
+			"STEP":  {SourceHash: "h3", Key: KeyOf("proc", "3")},
 		},
 	}
 }
 
-func TestSharedRoundTrip(t *testing.T) {
-	cases := []*SharedSummary{
-		sampleShared(),
+func TestProcRoundTrip(t *testing.T) {
+	cases := []*ProcSummary{
+		sampleProc(),
 		{Name: "EMPTY", SourceHash: "h"},
 		{Name: "LEAF", SourceHash: "h", Returns: &ReturnSummary{Formal: []Expr{nil}}},
-	}
-	for _, s := range cases {
-		enc := EncodeShared(s)
-		got, err := DecodeShared(enc)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", s.Name, err)
-		}
-		if !reflect.DeepEqual(s, got) {
-			t.Fatalf("%s: round trip mismatch\nwant %+v\ngot  %+v", s.Name, s, got)
-		}
-	}
-}
-
-func TestFlavorRoundTrip(t *testing.T) {
-	cases := []*FlavorSummary{
-		sampleFlavor(),
-		{Name: "EMPTY", SourceHash: "h"},
 		{Name: "ONE", SourceHash: "h", Sites: []*SiteSummary{{Callee: "EMPTY"}}},
 	}
 	for _, s := range cases {
-		enc := EncodeFlavor(s)
-		got, err := DecodeFlavor(enc)
+		enc := EncodeProc(s)
+		got, err := DecodeProc(enc)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", s.Name, err)
 		}
@@ -115,11 +90,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // must impose an order.
 func TestEncodeDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		if !bytes.Equal(EncodeShared(sampleShared()), EncodeShared(sampleShared())) {
-			t.Fatal("EncodeShared is not deterministic")
-		}
-		if !bytes.Equal(EncodeFlavor(sampleFlavor()), EncodeFlavor(sampleFlavor())) {
-			t.Fatal("EncodeFlavor is not deterministic")
+		if !bytes.Equal(EncodeProc(sampleProc()), EncodeProc(sampleProc())) {
+			t.Fatal("EncodeProc is not deterministic")
 		}
 		if !bytes.Equal(EncodeSnapshot(sampleSnapshot()), EncodeSnapshot(sampleSnapshot())) {
 			t.Fatal("EncodeSnapshot is not deterministic")
@@ -130,7 +102,7 @@ func TestEncodeDeterministic(t *testing.T) {
 // TestGoldenHeader pins the wire header so accidental format changes
 // without a Version bump are caught.
 func TestGoldenHeader(t *testing.T) {
-	enc := EncodeShared(&SharedSummary{Name: "P", SourceHash: "h"})
+	enc := EncodeProc(&ProcSummary{Name: "P", SourceHash: "h"})
 	if string(enc[:4]) != "IPCS" {
 		t.Fatalf("magic = %q, want IPCS", enc[:4])
 	}
@@ -138,15 +110,11 @@ func TestGoldenHeader(t *testing.T) {
 		t.Fatalf("version = %d, want %d", v, Version)
 	}
 	if enc[6] != 1 {
-		t.Fatalf("kind = %d, want 1 (shared)", enc[6])
+		t.Fatalf("kind = %d, want 1 (procedure)", enc[6])
 	}
 	snap := EncodeSnapshot(&Snapshot{Procs: map[string]ProcStamp{}})
 	if snap[6] != 2 {
 		t.Fatalf("snapshot kind = %d, want 2", snap[6])
-	}
-	flav := EncodeFlavor(&FlavorSummary{Name: "P", SourceHash: "h"})
-	if flav[6] != 3 {
-		t.Fatalf("flavor kind = %d, want 3", flav[6])
 	}
 	delta := EncodeSnapshotDelta(&SnapshotDelta{})
 	if delta[6] != 4 {
@@ -159,24 +127,14 @@ func TestGoldenHeader(t *testing.T) {
 // to the checksum) or return an error wrapping ErrCorrupt — it must
 // never panic and never return silently wrong data.
 func TestDecodeCorrupt(t *testing.T) {
-	enc := EncodeShared(sampleShared())
+	enc := EncodeProc(sampleProc())
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x41
-		if _, err := DecodeShared(mut); err == nil {
+		if _, err := DecodeProc(mut); err == nil {
 			t.Fatalf("byte %d flipped: decode succeeded", i)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("byte %d flipped: error %v does not wrap ErrCorrupt", i, err)
-		}
-	}
-	fenc := EncodeFlavor(sampleFlavor())
-	for i := range fenc {
-		mut := append([]byte(nil), fenc...)
-		mut[i] ^= 0x41
-		if _, err := DecodeFlavor(mut); err == nil {
-			t.Fatalf("flavor byte %d flipped: decode succeeded", i)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flavor byte %d flipped: error %v does not wrap ErrCorrupt", i, err)
 		}
 	}
 	snap := EncodeSnapshot(sampleSnapshot())
@@ -202,36 +160,24 @@ func TestDecodeCorrupt(t *testing.T) {
 // TestDecodeTruncated drops suffixes: every proper prefix must fail
 // cleanly, as must trailing garbage.
 func TestDecodeTruncated(t *testing.T) {
-	enc := EncodeShared(sampleShared())
+	enc := EncodeProc(sampleProc())
 	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeShared(enc[:n]); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeProc(enc[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix of %d bytes: error %v does not wrap ErrCorrupt", n, err)
 		}
 	}
-	fenc := EncodeFlavor(sampleFlavor())
-	for n := 0; n < len(fenc); n++ {
-		if _, err := DecodeFlavor(fenc[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("flavor prefix of %d bytes: error %v does not wrap ErrCorrupt", n, err)
-		}
-	}
-	if _, err := DecodeShared(append(append([]byte(nil), enc...), 0)); err == nil {
+	if _, err := DecodeProc(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, err := DecodeShared(nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeProc(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("nil input must report corruption")
 	}
 	// Kind confusion: every record kind fed to every other decoder.
-	if _, err := DecodeShared(EncodeSnapshot(sampleSnapshot())); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("snapshot bytes accepted as shared record")
-	}
-	if _, err := DecodeShared(fenc); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("flavor bytes accepted as shared record")
-	}
-	if _, err := DecodeFlavor(enc); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("shared bytes accepted as flavor record")
+	if _, err := DecodeProc(EncodeSnapshot(sampleSnapshot())); !errors.Is(err, ErrCorrupt) {
+		t.Fatal("snapshot bytes accepted as procedure record")
 	}
 	if _, err := DecodeSnapshot(enc); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("shared bytes accepted as snapshot")
+		t.Fatal("procedure bytes accepted as snapshot")
 	}
 	denc := EncodeSnapshotDelta(sampleDelta())
 	for n := 0; n < len(denc); n++ {

@@ -19,7 +19,7 @@ func sampleDelta() *SnapshotDelta {
 		Parent:      SnapshotContentKey(base),
 		Updated: map[string]ProcStamp{
 			"SOLVE": base.Procs["SOLVE"],
-			"NEW":   {SourceHash: "h9", Key: KeyOf("proc", "9"), SharedKey: KeyOf("proc-shared", "9")},
+			"NEW":   {SourceHash: "h9", Key: KeyOf("proc", "9")},
 		},
 		Removed: []string{"STEP"},
 	}
@@ -60,7 +60,7 @@ func TestDiffApplyInverse(t *testing.T) {
 	st := child.Procs["SOLVE"]
 	st.SourceHash = "h1-edited"
 	child.Procs["SOLVE"] = st
-	child.Procs["NEW"] = ProcStamp{SourceHash: "hn", Key: KeyOf("proc", "n"), SharedKey: KeyOf("proc-shared", "n")}
+	child.Procs["NEW"] = ProcStamp{SourceHash: "hn", Key: KeyOf("proc", "n")}
 	delete(child.Procs, "STEP")
 	child.GlobalsHash = "changed"
 
@@ -148,7 +148,6 @@ func editN(n int) *Snapshot {
 		s.Procs[name] = ProcStamp{
 			SourceHash: "hash-" + name,
 			Key:        KeyOf("proc", name),
-			SharedKey:  KeyOf("proc-shared", name),
 		}
 	}
 	st := s.Procs["SOLVE"]

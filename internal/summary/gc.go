@@ -51,21 +51,13 @@ func (s GCStats) String() string {
 }
 
 // Keys returns the store keys the snapshot references, in unspecified
-// order — the live set one run contributes to a GC sweep. Each
-// procedure contributes both blob keys: collecting either half would
-// force the whole procedure to re-analyze. A zero key (a stamp written
-// without that half) pins nothing.
+// order — the live set one run contributes to a GC sweep, one key per
+// procedure.
 func (s *Snapshot) Keys() []Key {
-	var zero Key
-	keys := make([]Key, 0, 2*len(s.Procs))
+	keys := make([]Key, 0, len(s.Procs))
 	for _, st := range s.Procs {
-		if st.Key != zero {
-			//lint:ignore mapiter GCDir consumes Keys as an unordered pin set (membership only); the doc comment declares the order unspecified
-			keys = append(keys, st.Key)
-		}
-		if st.SharedKey != zero {
-			keys = append(keys, st.SharedKey)
-		}
+		//lint:ignore mapiter GCDir consumes Keys as an unordered pin set (membership only); the doc comment declares the order unspecified
+		keys = append(keys, st.Key)
 	}
 	return keys
 }

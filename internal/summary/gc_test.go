@@ -64,45 +64,6 @@ func TestGCDirDeletesUnreferenced(t *testing.T) {
 	}
 }
 
-// TestGCDirPinsSharedKeys pins that a stamp's SharedKey is part of the
-// live set: collecting the shared half would force the procedure to
-// re-analyze even though its flavor blob survived.
-func TestGCDirPinsSharedKeys(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kFlavor, kShared, kDead := KeyOf("flavor"), KeyOf("shared"), KeyOf("dead")
-	for _, k := range []Key{kFlavor, kShared, kDead} {
-		if err := store.Put(k, []byte("payload")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := &Snapshot{ConfigKey: "cfg", GlobalsHash: "g", Procs: map[string]ProcStamp{
-		"a": {SourceHash: "h", Key: kFlavor, SharedKey: kShared},
-	}}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-sk.snap"), EncodeSnapshot(s), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := GCDir(dir, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LiveKeys != 2 || st.Unreferenced != 1 {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-	for _, k := range []Key{kFlavor, kShared} {
-		if _, ok := store.Get(k); !ok {
-			t.Errorf("pinned key %s was collected", k)
-		}
-	}
-	if _, ok := store.Get(kDead); ok {
-		t.Error("unreferenced entry survived GC")
-	}
-}
-
 func TestGCDirBudgetEvictsColdestFirst(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDiskStore(dir)

@@ -4,12 +4,11 @@
 // interprocedural summaries. A procedure's record captures everything
 // stage 1 and stage 2 of the propagation compute for it — its return
 // jump functions, the forward jump functions of every call site in its
-// body, its MOD/REF sets, and its outgoing call edges — split into a
-// config-invariant SharedSummary and a flavor-dependent FlavorSummary,
-// in a portable form with no pointers into any particular IR instance,
-// so a summary written by one run can be bound into the freshly
-// lowered program of a later run (internal/incr does the binding and
-// decides validity).
+// body, its MOD/REF sets, and its outgoing call edges — as one
+// ProcSummary, in a portable form with no pointers into any particular
+// IR instance, so a summary written by one run can be bound into the
+// freshly lowered program of a later run (internal/incr does the
+// binding and decides validity).
 package summary
 
 import (
@@ -228,25 +227,11 @@ type SiteSummary struct {
 	Global []Expr
 }
 
-// A procedure's stored record is split into two blobs along the
-// paper's stage boundary, because the two halves depend on different
-// configuration bits. SharedSummary holds the stage-1 outputs — return
-// jump functions, MOD/REF sets, call edges, use vectors — which are
-// identical under every forward jump-function flavor: the flavor knob
-// (Config.Jump) is only ever consulted by stage 2's jump.Filter, after
-// everything in this record has been derived. FlavorSummary holds the
-// stage-2 outputs — the forward jump functions of each call site —
-// which the flavor directly shapes. Keying the two blobs separately
-// (internal/incr computes a flavor-free cone key for the first and a
-// full one for the second) lets a polynomial run reuse the stage-1
-// entries a pass-through run wrote.
-
-// SharedSummary is the config-invariant half of one procedure's
-// record: everything stage 1 computes, plus the substitution-use
-// vectors and SSA phi count that let a reusing run count without
-// re-deriving. It depends on the return-JF and MOD toggles but not on
-// the forward jump-function flavor.
-type SharedSummary struct {
+// ProcSummary is one procedure's stored record: everything stage 1
+// computes for it, the stage-2 forward jump functions of its call
+// sites, and the substitution-use vectors and SSA phi count that let a
+// reusing run count without re-deriving.
+type ProcSummary struct {
 	// Name is the procedure name; SourceHash the normalized-source
 	// fingerprint of the unit the summary was computed from.
 	Name       string
@@ -282,18 +267,6 @@ type SharedSummary struct {
 	// conversion inserts; a run that skips the conversion replays it so
 	// IR-size traces stay identical to a from-scratch run.
 	SSAPhis int
-}
-
-// FlavorSummary is the flavor-dependent half: the stage-2 forward jump
-// functions of every call site in the procedure's body. It is stored
-// under a key that folds in the full configuration (flavor included),
-// so each flavor keeps its own copy while all of them share one
-// SharedSummary.
-type FlavorSummary struct {
-	// Name and SourceHash mirror the shared record; binding
-	// cross-checks both halves against the same fresh program.
-	Name       string
-	SourceHash string
 
 	// Sites holds one entry per call site in body order.
 	Sites []*SiteSummary
@@ -317,12 +290,10 @@ func SortGlobalExprs(gs []GlobalExpr) {
 // Snapshots
 
 // ProcStamp is what a snapshot remembers about one procedure: enough to
-// decide reuse (SourceHash) and to locate the stored summary blobs (Key
-// for the flavor record, SharedKey for the config-invariant one).
+// decide reuse (SourceHash) and to locate the stored record (Key).
 type ProcStamp struct {
 	SourceHash string
-	Key        Key // flavor-record key (full configuration)
-	SharedKey  Key // shared-record key (flavor-free configuration)
+	Key        Key
 }
 
 // Snapshot is the per-run index of the program database: which

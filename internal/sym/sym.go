@@ -62,8 +62,9 @@ func (*GlobalEntry) isExpr() {}
 func (*Unknown) isExpr()     {}
 func (*Op) isExpr()          {}
 
-// Key implementations. The spellings are persisted (jump-function
-// fingerprints hash them), so they must never change.
+// Key implementations. Nothing persists the spellings: the summary
+// codec stores expressions by structure, and binding rebuilds them
+// through MakeOp.
 func (e *Const) Key() string       { return "#" + strconv.FormatInt(e.Val, 10) }
 func (e *Formal) Key() string      { return "f" + strconv.Itoa(e.Index) }
 func (e *GlobalEntry) Key() string { return "g" + strconv.Itoa(e.G.ID) }

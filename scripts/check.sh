@@ -37,8 +37,8 @@
 #      cache; the second run must reuse every summary (100% hit rate)
 #      and print the same stage-3 effort (solver passes and
 #      jump-function evaluations) as the first, then a shared-cache
-#      flavor sweep (ipcp -all): the second flavor must hit the
-#      flavor-invariant stage-1 layer the first one wrote
+#      flavor sweep (ipcp -all) run twice on one directory: every flavor
+#      row of the second sweep must hit all 19 of ocean's procedures
 #   8. an analysis-server smoke run: start ipcpd on an ephemeral port,
 #      analyze ocean through it twice with ipcp -server (the second
 #      run must hit the daemon's resident snapshot), then SIGTERM it
@@ -158,14 +158,15 @@ rerun_passes=$(echo "$rerun" | sed -n 's/^ *solver passes: *//p')
 [ -n "$first_passes" ] && [ "$first_passes" = "$rerun_passes" ] \
     || { echo "cached re-run's solver effort differs from the first run's:" >&2; echo "$first" >&2; echo "$rerun" >&2; exit 1; }
 
-echo "==> shared-cache sweep smoke (ipcp -all -suite ocean, flavor-split stage-1 reuse)"
+echo "==> shared-cache sweep smoke (ipcp -all -suite ocean twice on one cache)"
+go run ./cmd/ipcp -all -suite ocean -cache-dir "$cachedir/sweep" > /dev/null
 sweep=$(go run ./cmd/ipcp -all -suite ocean -cache-dir "$cachedir/sweep")
-# Row 3 is the second flavor; column NF-1 is its s1-hits count, which
-# must be > 0: the stage-1 blobs the first flavor wrote are keyed
-# without the jump-function flavor, so every later flavor reuses them.
-second_hits=$(echo "$sweep" | awk 'NR==3 {print $(NF-1)}')
-[ "${second_hits:-0}" -gt 0 ] 2>/dev/null \
-    || { echo "second flavor of the shared-cache sweep saw no stage-1 hits:" >&2; echo "$sweep" >&2; exit 1; }
+# Rows 2-5 are the four flavors; the last column is the flavor's hits.
+# The first sweep stored every flavor's records under that flavor's
+# keys, so every row of the second sweep must hit all 19 procedures.
+full_rows=$(echo "$sweep" | awk 'NR>1 && $NF == 19' | wc -l)
+[ "$full_rows" -eq 4 ] \
+    || { echo "second shared-cache sweep did not hit all 19 procedures under every flavor:" >&2; echo "$sweep" >&2; exit 1; }
 
 echo "==> analysis-server smoke (ipcpd ephemeral port, remote analyze, graceful drain)"
 go build -o "$cachedir/ipcpd" ./cmd/ipcpd
