@@ -54,14 +54,10 @@ func BenchmarkAnalyzeIncrementalEdit(b *testing.B) {
 
 // BenchmarkCrossFlavorSweep measures the cmd/ipcp -all scenario: the
 // four jump-function flavors analyzed back to back through one shared
-// cache. Beyond ns/op it reports the bytes the shared cache stored
-// versus four isolated caches (shared_cache_bytes /
-// isolated_cache_bytes); each flavor stores its own records, so the two
-// match.
+// cache.
 func BenchmarkCrossFlavorSweep(b *testing.B) {
 	src, _ := benchSources(b)
 	prog := ipcp.MustLoad(src)
-	var sharedBytes, isolatedBytes float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -71,18 +67,7 @@ func BenchmarkCrossFlavorSweep(b *testing.B) {
 			cfg.Jump = j
 			prog.AnalyzeIncremental(cfg, nil, shared)
 		}
-		sharedBytes = float64(shared.Stats().BytesSaved)
 	}
-	b.StopTimer()
-	for _, j := range ipcp.JumpFunctions {
-		cfg := benchCfg
-		cfg.Jump = j
-		iso := ipcp.NewMemoryCache()
-		prog.AnalyzeIncremental(cfg, nil, iso)
-		isolatedBytes += float64(iso.Stats().BytesSaved)
-	}
-	b.ReportMetric(sharedBytes, "shared_cache_bytes")
-	b.ReportMetric(isolatedBytes, "isolated_cache_bytes")
 }
 
 // BenchmarkAnalyzeIncrementalUnchanged is the no-op floor: fingerprint,
