@@ -27,9 +27,8 @@
 // divergent edit histories (snapshot branching) and across processes:
 // a stale entry is simply never asked for again.
 //
-// The configuration key folded into the cone is the full ConfigKey, so
-// each procedure has one key per configuration and one stored record,
-// the summary.ProcSummary, under it.
+// configKey is ConfigKey, so each procedure has one key per
+// configuration, and one summary.ProcSummary is stored under it.
 //
 // # Invalidation and lookup rule
 //
