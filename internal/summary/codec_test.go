@@ -54,13 +54,10 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
-func TestProcRoundTrip(t *testing.T) {
-	cases := []*ProcSummary{
-		sampleProc(),
-		{Name: "EMPTY", SourceHash: "h"},
-		{Name: "LEAF", SourceHash: "h", Returns: &ReturnSummary{Formal: []Expr{nil}}},
-		{Name: "ONE", SourceHash: "h", Sites: []*SiteSummary{{Callee: "EMPTY"}}},
-	}
+// roundTripProcs encodes and decodes each record and requires the
+// decoded record to equal the original.
+func roundTripProcs(t *testing.T, cases []*ProcSummary) {
+	t.Helper()
 	for _, s := range cases {
 		enc := EncodeProc(s)
 		got, err := DecodeProc(enc)
@@ -71,6 +68,38 @@ func TestProcRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch\nwant %+v\ngot  %+v", s.Name, s, got)
 		}
 	}
+}
+
+// TestProcRoundTrip round-trips whole records: procedure-level fields
+// and call sites together.
+func TestProcRoundTrip(t *testing.T) {
+	roundTripProcs(t, []*ProcSummary{
+		sampleProc(),
+		{Name: "EMPTY", SourceHash: "h"},
+	})
+}
+
+// TestSharedRoundTrip round-trips records that carry only the
+// procedure-level fields (return summary, MOD/REF, use vectors, callees)
+// and no call sites.
+func TestSharedRoundTrip(t *testing.T) {
+	full := sampleProc()
+	full.Sites = nil
+	roundTripProcs(t, []*ProcSummary{
+		full,
+		{Name: "LEAF", SourceHash: "h", Returns: &ReturnSummary{Formal: []Expr{nil}}},
+	})
+}
+
+// TestFlavorRoundTrip round-trips records that carry only call sites,
+// with nil (⊥) slots and nested expressions, and no procedure-level
+// fields.
+func TestFlavorRoundTrip(t *testing.T) {
+	full := sampleProc()
+	roundTripProcs(t, []*ProcSummary{
+		{Name: full.Name, SourceHash: full.SourceHash, Sites: full.Sites},
+		{Name: "ONE", SourceHash: "h", Sites: []*SiteSummary{{Callee: "EMPTY"}}},
+	})
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
