@@ -1,69 +1,125 @@
 package ast
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
+	"strconv"
 )
 
-// Fprint writes file back out as MiniFortran source. The output is
+// Format returns file rendered as MiniFortran source. The output is
 // parseable by the parser (round-trippable modulo formatting), which the
 // test suite verifies.
-func Fprint(sb *strings.Builder, file *File) {
-	p := printer{sb: sb}
+func Format(file *File) string {
+	var p printer
 	for i, u := range file.Units {
 		if i > 0 {
-			sb.WriteByte('\n')
+			p.str("\n")
 		}
 		p.unit(u)
 	}
+	return string(p.buf)
 }
 
-// Format returns file rendered as MiniFortran source.
-func Format(file *File) string {
-	var sb strings.Builder
-	Fprint(&sb, file)
-	return sb.String()
-}
-
-// FormatUnit renders a single program unit as source text. The output
-// is the unit exactly as Format would print it inside the whole file —
-// the normalized form the incremental engine fingerprints, so that
-// whitespace and comment differences never invalidate a summary.
-func FormatUnit(u *Unit) string {
-	var sb strings.Builder
-	p := printer{sb: &sb}
+// AppendUnit appends a single program unit, rendered as source text, to
+// dst and returns the extended buffer. The text is the unit exactly as
+// Format prints it inside the whole file: the normalized form the
+// incremental engine fingerprints, so that whitespace and comment
+// differences never invalidate a summary.
+func AppendUnit(dst []byte, u *Unit) []byte {
+	p := printer{buf: dst}
 	p.unit(u)
-	return sb.String()
+	return p.buf
 }
 
 // FormatExpr renders a single expression as source text.
 func FormatExpr(e Expr) string {
 	var p printer
-	var sb strings.Builder
-	p.sb = &sb
 	p.expr(e, 0)
-	return sb.String()
+	return string(p.buf)
 }
 
+// printer writes every line, expression and number straight into one
+// buffer; no part of the output is built as a string of its own.
 type printer struct {
-	sb     *strings.Builder
+	buf    []byte
 	indent int
 }
 
-func (p *printer) linef(format string, args ...any) {
-	p.sb.WriteString(strings.Repeat("  ", p.indent))
-	fmt.Fprintf(p.sb, format, args...)
-	p.sb.WriteByte('\n')
+func (p *printer) str(parts ...string) {
+	for _, s := range parts {
+		p.buf = append(p.buf, s...)
+	}
+}
+
+// sep writes the ", " before the i-th item of a list.
+func (p *printer) sep(i int) {
+	if i > 0 {
+		p.str(", ")
+	}
+}
+
+// open starts a line at the current indentation.
+func (p *printer) open() {
+	for i := 0; i < p.indent; i++ {
+		p.str("  ")
+	}
+}
+
+// line writes one whole line holding s.
+func (p *printer) line(s string) {
+	p.open()
+	p.str(s, "\n")
+}
+
+// begin starts a statement's line: the indentation, then the label and
+// a space if the statement has one.
+func (p *printer) begin(s Stmt) {
+	p.open()
+	if l := s.Label(); l != 0 {
+		p.buf = strconv.AppendInt(p.buf, int64(l), 10)
+		p.str(" ")
+	}
+}
+
+// names writes a parenthesized name list.
+func (p *printer) names(list []string) {
+	p.str("(")
+	for i, n := range list {
+		p.sep(i)
+		p.str(n)
+	}
+	p.str(")")
+}
+
+// exprList writes a comma-separated expression list.
+func (p *printer) exprList(list []Expr) {
+	for i, e := range list {
+		p.sep(i)
+		p.expr(e, 0)
+	}
+}
+
+// typeName spells v's dynamic type as fmt's %T does, for the markers
+// printed in place of node types the printer does not know.
+func typeName(v any) string {
+	if v == nil {
+		return "<nil>"
+	}
+	return reflect.TypeOf(v).String()
 }
 
 func (p *printer) unit(u *Unit) {
+	// A unit header sits in column one.
 	switch u.Kind {
 	case ProgramUnit:
-		p.linef("PROGRAM %s", u.Name)
+		p.str("PROGRAM ", u.Name, "\n")
 	case SubroutineUnit:
-		p.linef("SUBROUTINE %s(%s)", u.Name, strings.Join(u.Params, ", "))
+		p.str("SUBROUTINE ", u.Name)
+		p.names(u.Params)
+		p.str("\n")
 	case FunctionUnit:
-		p.linef("%s FUNCTION %s(%s)", u.ResultType, u.Name, strings.Join(u.Params, ", "))
+		p.str(u.ResultType.String(), " FUNCTION ", u.Name)
+		p.names(u.Params)
+		p.str("\n")
 	}
 	p.indent++
 	for _, d := range u.Decls {
@@ -71,50 +127,55 @@ func (p *printer) unit(u *Unit) {
 	}
 	p.stmts(u.Body)
 	p.indent--
-	p.linef("END")
+	p.line("END")
 }
 
 func (p *printer) decl(d Decl) {
+	p.open()
 	switch d := d.(type) {
 	case *TypeDecl:
-		p.linef("%s %s", d.Type, p.declarators(d.Items))
+		p.str(d.Type.String(), " ")
+		p.declarators(d.Items)
 	case *DimensionDecl:
-		p.linef("DIMENSION %s", p.declarators(d.Items))
+		p.str("DIMENSION ")
+		p.declarators(d.Items)
 	case *CommonDecl:
-		p.linef("COMMON /%s/ %s", d.Block, p.declarators(d.Items))
+		p.str("COMMON /", d.Block, "/ ")
+		p.declarators(d.Items)
 	case *ParameterDecl:
-		parts := make([]string, len(d.Names))
+		p.str("PARAMETER (")
 		for i, n := range d.Names {
-			parts[i] = fmt.Sprintf("%s = %s", n, FormatExpr(d.Values[i]))
+			p.sep(i)
+			p.str(n, " = ")
+			p.expr(d.Values[i], 0)
 		}
-		p.linef("PARAMETER (%s)", strings.Join(parts, ", "))
+		p.str(")")
 	case *ImplicitNoneDecl:
-		p.linef("IMPLICIT NONE")
+		p.str("IMPLICIT NONE")
 	case *DataDecl:
-		parts := make([]string, len(d.Names))
+		p.str("DATA ")
 		for i, n := range d.Names {
-			parts[i] = fmt.Sprintf("%s /%s/", n, FormatExpr(d.Values[i]))
+			p.sep(i)
+			p.str(n, " /")
+			p.expr(d.Values[i], 0)
+			p.str("/")
 		}
-		p.linef("DATA %s", strings.Join(parts, ", "))
 	default:
-		p.linef("! unknown decl %T", d)
+		p.str("! unknown decl ", typeName(d))
 	}
+	p.str("\n")
 }
 
-func (p *printer) declarators(items []*Declarator) string {
-	parts := make([]string, len(items))
+func (p *printer) declarators(items []*Declarator) {
 	for i, it := range items {
-		if len(it.Dims) == 0 {
-			parts[i] = it.Name
-			continue
+		p.sep(i)
+		p.str(it.Name)
+		if len(it.Dims) > 0 {
+			p.str("(")
+			p.exprList(it.Dims)
+			p.str(")")
 		}
-		dims := make([]string, len(it.Dims))
-		for j, d := range it.Dims {
-			dims[j] = FormatExpr(d)
-		}
-		parts[i] = fmt.Sprintf("%s(%s)", it.Name, strings.Join(dims, ", "))
 	}
-	return strings.Join(parts, ", ")
 }
 
 func (p *printer) stmts(list []Stmt) {
@@ -123,102 +184,100 @@ func (p *printer) stmts(list []Stmt) {
 	}
 }
 
-// labelPrefix renders a numeric statement label, if present.
-func labelPrefix(s Stmt) string {
-	if s.Label() != 0 {
-		return fmt.Sprintf("%d ", s.Label())
-	}
-	return ""
+// block prints a statement list one level deeper.
+func (p *printer) block(list []Stmt) {
+	p.indent++
+	p.stmts(list)
+	p.indent--
 }
 
 func (p *printer) stmt(s Stmt) {
-	lp := labelPrefix(s)
 	switch s := s.(type) {
-	case *AssignStmt:
-		p.linef("%s%s = %s", lp, FormatExpr(s.LHS), FormatExpr(s.RHS))
+	case *AssignStmt, *GotoStmt, *ContinueStmt, *CallStmt, *ReturnStmt, *StopStmt:
+		p.begin(s)
+		p.inlineStmt(s)
+		p.str("\n")
 	case *IfStmt:
-		p.linef("%sIF (%s) THEN", lp, FormatExpr(s.Cond))
-		p.indent++
-		p.stmts(s.Then)
-		p.indent--
+		p.begin(s)
+		p.str("IF (")
+		p.expr(s.Cond, 0)
+		p.str(") THEN\n")
+		p.block(s.Then)
 		if len(s.Else) > 0 {
-			p.linef("ELSE")
-			p.indent++
-			p.stmts(s.Else)
-			p.indent--
+			p.line("ELSE")
+			p.block(s.Else)
 		}
-		p.linef("ENDIF")
+		p.line("ENDIF")
 	case *LogicalIfStmt:
-		p.sb.WriteString(strings.Repeat("  ", p.indent))
-		fmt.Fprintf(p.sb, "%sIF (%s) ", lp, FormatExpr(s.Cond))
+		p.begin(s)
+		p.str("IF (")
+		p.expr(s.Cond, 0)
+		p.str(") ")
 		p.inlineStmt(s.Stmt)
-		p.sb.WriteByte('\n')
+		p.str("\n")
 	case *DoStmt:
-		step := ""
+		p.begin(s)
+		p.str("DO ", s.Var, " = ")
+		p.expr(s.Lo, 0)
+		p.str(", ")
+		p.expr(s.Hi, 0)
 		if s.Step != nil {
-			step = ", " + FormatExpr(s.Step)
+			p.str(", ")
+			p.expr(s.Step, 0)
 		}
-		p.linef("%sDO %s = %s, %s%s", lp, s.Var, FormatExpr(s.Lo), FormatExpr(s.Hi), step)
-		p.indent++
-		p.stmts(s.Body)
-		p.indent--
-		p.linef("ENDDO")
+		p.str("\n")
+		p.block(s.Body)
+		p.line("ENDDO")
 	case *DoWhileStmt:
-		p.linef("%sDO WHILE (%s)", lp, FormatExpr(s.Cond))
-		p.indent++
-		p.stmts(s.Body)
-		p.indent--
-		p.linef("ENDDO")
-	case *GotoStmt:
-		p.linef("%sGOTO %d", lp, s.Target)
-	case *ContinueStmt:
-		p.linef("%sCONTINUE", lp)
-	case *CallStmt:
-		p.linef("%sCALL %s(%s)", lp, s.Name, p.exprList(s.Args))
-	case *ReturnStmt:
-		p.linef("%sRETURN", lp)
-	case *StopStmt:
-		p.linef("%sSTOP", lp)
+		p.begin(s)
+		p.str("DO WHILE (")
+		p.expr(s.Cond, 0)
+		p.str(")\n")
+		p.block(s.Body)
+		p.line("ENDDO")
 	case *ReadStmt:
-		targets := make([]string, len(s.Targets))
+		p.begin(s)
+		p.str("READ ")
 		for i, t := range s.Targets {
-			targets[i] = FormatExpr(t)
+			p.sep(i)
+			p.expr(t, 0)
 		}
-		p.linef("%sREAD %s", lp, strings.Join(targets, ", "))
+		p.str("\n")
 	case *WriteStmt:
-		p.linef("%sWRITE(*,*) %s", lp, p.exprList(s.Values))
+		p.begin(s)
+		p.str("WRITE(*,*) ")
+		p.exprList(s.Values)
+		p.str("\n")
 	default:
-		p.linef("! unknown stmt %T", s)
+		p.line("! unknown stmt " + typeName(s))
 	}
 }
 
-// inlineStmt prints the action of a logical IF without indentation or a
-// trailing newline.
+// inlineStmt prints a one-line statement without indentation, label or
+// trailing newline: the action of a logical IF, or the body of a
+// statement line.
 func (p *printer) inlineStmt(s Stmt) {
 	switch s := s.(type) {
 	case *AssignStmt:
-		fmt.Fprintf(p.sb, "%s = %s", FormatExpr(s.LHS), FormatExpr(s.RHS))
+		p.expr(s.LHS, 0)
+		p.str(" = ")
+		p.expr(s.RHS, 0)
 	case *GotoStmt:
-		fmt.Fprintf(p.sb, "GOTO %d", s.Target)
+		p.str("GOTO ")
+		p.buf = strconv.AppendInt(p.buf, int64(s.Target), 10)
 	case *CallStmt:
-		fmt.Fprintf(p.sb, "CALL %s(%s)", s.Name, p.exprList(s.Args))
+		p.str("CALL ", s.Name, "(")
+		p.exprList(s.Args)
+		p.str(")")
 	case *ReturnStmt:
-		p.sb.WriteString("RETURN")
+		p.str("RETURN")
 	case *StopStmt:
-		p.sb.WriteString("STOP")
+		p.str("STOP")
 	case *ContinueStmt:
-		p.sb.WriteString("CONTINUE")
+		p.str("CONTINUE")
 	default:
-		fmt.Fprintf(p.sb, "! unknown inline stmt %T", s)
+		p.str("! unknown inline stmt ", typeName(s))
 	}
-}
-
-func (p *printer) exprList(list []Expr) string {
-	parts := make([]string, len(list))
-	for i, e := range list {
-		parts[i] = FormatExpr(e)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // binding powers for parenthesization during printing.
@@ -248,48 +307,63 @@ func exprPrec(e Expr) int {
 	return 10
 }
 
+// expr prints e in a context of binding power parentPrec, in
+// parentheses when e binds more loosely.
 func (p *printer) expr(e Expr, parentPrec int) {
 	prec := exprPrec(e)
 	if prec < parentPrec {
-		p.sb.WriteByte('(')
-		defer p.sb.WriteByte(')')
+		p.str("(")
+		p.operand(e, prec)
+		p.str(")")
+		return
 	}
+	p.operand(e, prec)
+}
+
+// operand prints e itself; prec is its own binding power.
+func (p *printer) operand(e Expr, prec int) {
 	switch e := e.(type) {
 	case *IntLit:
-		fmt.Fprintf(p.sb, "%d", e.Value)
+		p.buf = strconv.AppendInt(p.buf, e.Value, 10)
 	case *RealLit:
 		if e.Text != "" {
-			p.sb.WriteString(e.Text)
+			p.str(e.Text)
 		} else {
-			fmt.Fprintf(p.sb, "%g", e.Value)
+			p.buf = strconv.AppendFloat(p.buf, e.Value, 'g', -1, 64)
 		}
 	case *StrLit:
 		// Embedded quotes escape by doubling, as in the source form.
-		fmt.Fprintf(p.sb, "'%s'", strings.ReplaceAll(e.Value, "'", "''"))
+		p.str("'")
+		for i := 0; i < len(e.Value); i++ {
+			if e.Value[i] == '\'' {
+				p.str("'")
+			}
+			p.buf = append(p.buf, e.Value[i])
+		}
+		p.str("'")
 	case *LogicalLit:
 		if e.Value {
-			p.sb.WriteString(".TRUE.")
+			p.str(".TRUE.")
 		} else {
-			p.sb.WriteString(".FALSE.")
+			p.str(".FALSE.")
 		}
 	case *VarRef:
-		p.sb.WriteString(e.Name)
+		p.str(e.Name)
 		if len(e.Indexes) > 0 {
-			p.sb.WriteByte('(')
-			p.sb.WriteString(p.exprList(e.Indexes))
-			p.sb.WriteByte(')')
+			p.str("(")
+			p.exprList(e.Indexes)
+			p.str(")")
 		}
 	case *CallExpr:
-		p.sb.WriteString(e.Name)
-		p.sb.WriteByte('(')
-		p.sb.WriteString(p.exprList(e.Args))
-		p.sb.WriteByte(')')
+		p.str(e.Name, "(")
+		p.exprList(e.Args)
+		p.str(")")
 	case *UnaryExpr:
-		p.sb.WriteString(e.Op.String())
+		p.str(e.Op.String())
 		if e.Op == Not {
 			// .NOT. takes a relational operand, or another .NOT.:
 			// .NOT. .NOT. A .EQ. B reparses as written.
-			p.sb.WriteByte(' ')
+			p.str(" ")
 			p.expr(e.X, prec)
 			return
 		}
@@ -305,18 +379,18 @@ func (p *printer) expr(e Expr, parentPrec int) {
 		}
 		p.expr(e.X, leftPrec)
 		if e.Op.IsArithmetic() {
-			p.sb.WriteString(e.Op.String())
+			p.str(e.Op.String())
 		} else {
-			fmt.Fprintf(p.sb, " %s ", e.Op)
+			p.str(" ", e.Op.String(), " ")
 		}
 		// An exponent may carry its own sign: a**-b needs no parens.
 		if u, ok := e.Y.(*UnaryExpr); ok && e.Op == Pow && u.Op == Neg {
-			p.sb.WriteByte('-')
+			p.str("-")
 			p.expr(u.X, prec)
 			return
 		}
 		p.expr(e.Y, rightPrec)
 	default:
-		fmt.Fprintf(p.sb, "?%T?", e)
+		p.str("?", typeName(e), "?")
 	}
 }

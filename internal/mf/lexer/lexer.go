@@ -24,7 +24,9 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lexer scans MiniFortran source text into tokens.
+// Lexer scans MiniFortran source text into tokens, one per Next call:
+// the parser pulls each token when it needs it, so no token list is
+// ever built.
 type Lexer struct {
 	src      string
 	off      int // byte offset of next unread character
@@ -119,17 +121,18 @@ func (lx *Lexer) Next() token.Token {
 	}
 }
 
-// All scans the entire input and returns all tokens including the final
-// EOF. Lexical errors are available via Errors.
-func (lx *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := lx.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
+// ErrorsToEOF returns the lexical errors of the whole source: those
+// found so far and those of the input not yet scanned, which a copy of
+// the lexer scans on to EOF for, so lx itself does not move. The list
+// is capped as Errors is. A parser that pulls tokens one at a time
+// needs it when a syntax error must know the lexical errors that will
+// precede it in the final list.
+func (lx *Lexer) ErrorsToEOF() []*Error {
+	rest := *lx
+	rest.errs = lx.errs[:len(lx.errs):len(lx.errs)] // the copy's appends never write into lx.errs
+	for rest.Next().Kind != token.EOF {
 	}
+	return rest.errs
 }
 
 func (lx *Lexer) scan() token.Token {

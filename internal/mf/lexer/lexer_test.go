@@ -7,11 +7,23 @@ import (
 	"ipcp/internal/mf/token"
 )
 
+// scanAll pulls every token from lx, the final EOF included.
+func scanAll(lx *Lexer) []token.Token {
+	var toks []token.Token
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 // kindsOf scans src and returns the token kinds, excluding the final EOF.
 func kindsOf(t *testing.T, src string) []token.Kind {
 	t.Helper()
 	lx := New(src)
-	toks := lx.All()
+	toks := scanAll(lx)
 	if errs := lx.Errors(); len(errs) > 0 {
 		t.Fatalf("unexpected lexical errors: %v", errs)
 	}
@@ -46,7 +58,7 @@ func TestKeywordsAndIdentifiers(t *testing.T) {
 
 func TestCaseInsensitivity(t *testing.T) {
 	lx := New("Program MyProg")
-	toks := lx.All()
+	toks := scanAll(lx)
 	if toks[0].Kind != token.PROGRAM {
 		t.Fatalf("got %v, want PROGRAM", toks[0])
 	}
@@ -90,7 +102,7 @@ func TestIntegerDotOperatorAmbiguity(t *testing.T) {
 
 func TestRealLiteralValues(t *testing.T) {
 	lx := New("2.5 1D2")
-	toks := lx.All()
+	toks := scanAll(lx)
 	if toks[0].Text != "2.5" {
 		t.Errorf("got %q", toks[0].Text)
 	}
@@ -131,7 +143,7 @@ func TestContinuation(t *testing.T) {
 
 func TestStringLiterals(t *testing.T) {
 	lx := New("WRITE(*,*) 'hello ''world'''")
-	toks := lx.All()
+	toks := scanAll(lx)
 	var str *token.Token
 	for i := range toks {
 		if toks[i].Kind == token.STRLIT {
@@ -149,7 +161,7 @@ func TestStringLiterals(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	lx := New("a = 1\n  b = 2")
-	toks := lx.All()
+	toks := scanAll(lx)
 	if toks[0].Pos != (token.Pos{Line: 1, Col: 1}) {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -161,7 +173,7 @@ func TestPositions(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	lx := New("a = 'unterminated\nb = #")
-	lx.All()
+	scanAll(lx)
 	if len(lx.Errors()) < 2 {
 		t.Fatalf("expected at least 2 errors, got %v", lx.Errors())
 	}
@@ -171,7 +183,7 @@ func TestErrors(t *testing.T) {
 // token.TooManyErrors entry, however many bad characters follow.
 func TestErrorBound(t *testing.T) {
 	lx := New(strings.Repeat("#\n", 20000))
-	lx.All()
+	scanAll(lx)
 	errs := lx.Errors()
 	if len(errs) != token.MaxErrors+1 || errs[token.MaxErrors].Msg != token.TooManyErrors {
 		t.Fatalf("got %d errors ending in %v, want %d ending in %q",
@@ -181,10 +193,41 @@ func TestErrorBound(t *testing.T) {
 
 func TestEOFIsSticky(t *testing.T) {
 	lx := New("a")
-	lx.All()
+	scanAll(lx)
 	for i := 0; i < 3; i++ {
 		if got := lx.Next().Kind; got != token.EOF {
 			t.Fatalf("Next after EOF returned %s", got)
+		}
+	}
+}
+
+// TestErrorsToEOF: the errors of the whole source come from a copy of
+// the lexer, so the lexer itself neither moves nor gains errors, even
+// when its error list has room to grow in place.
+func TestErrorsToEOF(t *testing.T) {
+	lx := New("# a\nb #\n#")
+	lx.errs = make([]*Error, 0, 8)
+	if tok := lx.Next(); tok.Kind != token.ILLEGAL {
+		t.Fatalf("first token %v, want ILLEGAL", tok)
+	}
+	all := lx.ErrorsToEOF()
+	if len(all) != 3 || all[2].Pos != (token.Pos{Line: 3, Col: 1}) {
+		t.Fatalf("ErrorsToEOF = %v, want 3 errors ending at 3:1", all)
+	}
+	if len(lx.Errors()) != 1 {
+		t.Fatalf("the lexer gained errors: %v", lx.Errors())
+	}
+	if tok := lx.Next(); tok.Kind != token.IDENT || tok.Text != "A" {
+		t.Fatalf("next token %v, want IDENT(A): the lexer moved", tok)
+	}
+	want := append([]*Error(nil), all...)
+	scanAll(lx)
+	if len(lx.Errors()) != 3 {
+		t.Fatalf("after scanning on, Errors = %v", lx.Errors())
+	}
+	for i := range want {
+		if all[i] != want[i] {
+			t.Fatalf("the lexer's own appends rewrote entry %d of the returned list", i)
 		}
 	}
 }

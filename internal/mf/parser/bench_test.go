@@ -5,18 +5,21 @@ import (
 
 	"ipcp/internal/mf/lexer"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/mf/token"
 	"ipcp/internal/suite"
 )
 
 var benchSrc = suite.Generate("snasa7", 4).Source
 
-// BenchmarkLex measures the scanner alone.
+// BenchmarkLex measures the scanner alone, pulling every token as the
+// parser does.
 func BenchmarkLex(b *testing.B) {
 	b.SetBytes(int64(len(benchSrc)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		lx := lexer.New(benchSrc)
-		lx.All()
+		for lx.Next().Kind != token.EOF {
+		}
 	}
 }
 

@@ -41,25 +41,56 @@ func (l ErrorList) Error() string {
 // Parse parses a MiniFortran source file. On failure it returns the
 // partial AST together with an ErrorList, lexical errors first; past
 // token.MaxErrors the list ends in one token.TooManyErrors entry.
+//
+// The parser pulls tokens from the lexer through a one-token lookahead
+// and never backtracks, so what it allocates follows the tree it
+// builds, not the token count. The lexical and syntax errors share one
+// error budget, and the lexical errors of the whole source come first:
+// more than token.MaxErrors of them end the list with no syntax errors
+// and an empty file, and otherwise the parse stops at the syntax error
+// that fills what they leave of the budget. So the first syntax error
+// asks the lexer for the errors of the rest of the source
+// (Lexer.ErrorsToEOF), and a halted parse still reports them all.
 func Parse(src string) (*ast.File, error) {
-	lx := lexer.New(src)
-	p := &parser{toks: lx.All()}
-	for _, le := range lx.Errors() {
-		p.errorf(le.Pos, "%s", le.Msg)
-	}
+	p := &parser{lx: lexer.New(src)}
+	p.tok = p.lx.Next()
+	p.ahead = p.lx.Next()
 	file := p.parseFile()
-	if len(p.errs) > 0 {
-		return file, p.errs
+	lexErrs := p.lexErrors()
+	var errs ErrorList
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	if len(lexErrs) > token.MaxErrors {
+		// The lexer's list is full: it ends in its own
+		// TooManyErrors entry, and no syntax error fits.
+		return &ast.File{}, errs
+	}
+	errs = append(errs, p.errs...)
+	if len(errs) > 0 {
+		return file, errs
 	}
 	return file, nil
 }
 
 type parser struct {
-	toks   []token.Token
-	pos    int
-	errs   ErrorList
-	depth  int  // current nesting level; see nest
-	halted bool // past MaxNesting or MaxErrors: the rest of the source is skipped
+	lx      *lexer.Lexer
+	tok     token.Token // the current token
+	ahead   token.Token // the token after it
+	errs    ErrorList   // syntax errors; Parse puts the lexical ones first
+	lexErrs []*lexer.Error
+	lexDone bool // lexErrs holds every lexical error of the source
+	depth   int  // current nesting level; see nest
+	halted  bool // past MaxNesting or MaxErrors: the rest of the source is skipped
+}
+
+// lexErrors returns every lexical error of the source, scanning the
+// input the parser has not reached yet on the first call.
+func (p *parser) lexErrors() []*lexer.Error {
+	if !p.lexDone {
+		p.lexErrs, p.lexDone = p.lx.ErrorsToEOF(), true
+	}
+	return p.lexErrs
 }
 
 // bailout is panicked on unrecoverable per-statement errors; recovery
@@ -89,19 +120,17 @@ func (p *parser) nest() {
 	}
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) kind() token.Kind { return p.toks[p.pos].Kind }
-func (p *parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *parser) cur() token.Token  { return p.tok }
+func (p *parser) kind() token.Kind  { return p.tok.Kind }
+func (p *parser) peek() token.Token { return p.ahead }
 
+// next consumes the current token and pulls the one after the
+// lookahead from the lexer. At EOF it stays there.
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok = p.ahead
+		p.ahead = p.lx.Next()
 	}
 	return t
 }
@@ -116,12 +145,13 @@ func (p *parser) accept(k token.Kind) bool {
 	return false
 }
 
-// errorf records an error. The one past token.MaxErrors is recorded as
+// errorf records a syntax error. The one past token.MaxErrors, counting
+// the lexical errors of the whole source before it, is recorded as
 // token.TooManyErrors and halts the parse.
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 	switch {
 	case p.halted:
-	case len(p.errs) < token.MaxErrors:
+	case len(p.lexErrors())+len(p.errs) < token.MaxErrors:
 		p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	default:
 		p.errs = append(p.errs, &Error{Pos: pos, Msg: token.TooManyErrors})
@@ -140,10 +170,12 @@ func (p *parser) fail(format string, args ...any) {
 }
 
 // halt ends the parse: it skips to EOF, and errorf drops every later
-// error, such as those the enclosing constructs then hit.
+// error, such as those the enclosing constructs then hit. The lexer is
+// left where it is; lexErrors has already scanned the rest.
 func (p *parser) halt() {
 	p.halted = true
-	p.pos = len(p.toks) - 1 // EOF
+	p.tok = token.Token{Kind: token.EOF, Pos: p.tok.Pos}
+	p.ahead = p.tok
 }
 
 func (p *parser) expect(k token.Kind) token.Token {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync"
 
 	"ipcp/internal/mf/ast"
 	"ipcp/internal/par"
@@ -15,16 +16,24 @@ import (
 // procedure's summary may be reused across runs exactly when its
 // fingerprint — and those of the procedures it transitively calls —
 // are unchanged. Fingerprints hash the *normalized* pretty-printed
-// source, so formatting-only edits (whitespace, comments, line breaks)
-// never invalidate a summary.
+// source, so formatting-only edits (whitespace, comments, line breaks,
+// `&` continuations, letter case, `END name`, and parentheses the
+// printer drops as redundant) never invalidate a summary;
+// TestFormattingEditsReanalyzeNothing pins that. Hashing the token
+// stream instead would be cheaper but would not be normalized: the
+// token stream keeps redundant parentheses, so a source the printer
+// rewrote would re-analyze every procedure.
 
-// UnitSource returns the normalized source text of one unit: the unit
-// as the AST printer renders it.
-func UnitSource(u *UnitInfo) string { return ast.FormatUnit(u.Unit) }
+// unitBufs recycles the buffers units are printed into for hashing.
+var unitBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// UnitHash returns the hex SHA-256 of a unit's normalized source.
+// UnitHash returns the hex SHA-256 of a unit's normalized source: the
+// unit as the AST printer renders it, printed into a reused buffer.
 func UnitHash(u *UnitInfo) string {
-	sum := sha256.Sum256([]byte(UnitSource(u)))
+	buf := unitBufs.Get().(*[]byte)
+	*buf = ast.AppendUnit((*buf)[:0], u.Unit)
+	sum := sha256.Sum256(*buf)
+	unitBufs.Put(buf)
 	return hex.EncodeToString(sum[:])
 }
 
