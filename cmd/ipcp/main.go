@@ -35,7 +35,9 @@
 //
 // With -all the four flavors run through one shared cache; the table's
 // hits column shows each flavor's reuse of what an earlier sweep over
-// the same -cache-dir stored.
+// the same -cache-dir stored. Each flavor keeps its own snapshot there,
+// the one a single-flavor run under the same flags loads, so -cache-gc
+// keeps the records of every flavor.
 package main
 
 import (
@@ -180,11 +182,16 @@ func main() {
 		}
 		// The four flavors run sequentially through one shared cache,
 		// each under its own keys; the hits column shows the records an
-		// earlier sweep over the same cache left for each flavor.
+		// earlier sweep over the same cache left for each flavor. With
+		// -cache-dir each flavor also keeps its snapshot, under the
+		// name a single-flavor run uses, so -cache-gc keeps the
+		// records every flavor stored.
 		cache := openCache(*cacheDir, *remoteCache, *walOn)
 		fmt.Printf("%-16s  %12s  %10s  %6s\n", "jump function", "substituted", "constants", "hits")
 		for _, cfg := range cfgs {
-			rep, _ := prog.AnalyzeIncremental(cfg, nil, cache)
+			prev := loadSnapshot(*cacheDir, cfg, cache)
+			rep, snap := prog.AnalyzeIncremental(cfg, prev, cache)
+			saveSnapshot(*cacheDir, cfg, snap)
 			fmt.Printf("%-16s  %12d  %10d  %6d\n",
 				cfg.Jump, rep.TotalSubstituted, rep.TotalConstants, rep.Incremental.CacheHits)
 		}
@@ -351,20 +358,10 @@ func closeCache(cache *ipcp.SummaryCache) {
 // analyzeIncremental runs the program-database path: open the summary
 // cache the flags describe, seed it from the previous on-disk snapshot
 // and/or an in-process baseline analysis, analyze the program
-// incrementally, and persist the new snapshot. The snapshot file is
-// named by the configuration's cache key, so runs under different flags
-// never cross-contaminate.
+// incrementally, and persist the new snapshot.
 func analyzeIncremental(prog *ipcp.Program, cfg ipcp.Config, cacheDir, remoteURL, baseline string, walOn bool) (*ipcp.Report, *ipcp.SummaryCache) {
 	cache := openCache(cacheDir, remoteURL, walOn)
-
-	var prev *ipcp.Snapshot
-	snapPath := ""
-	if cacheDir != "" {
-		snapPath = filepath.Join(cacheDir, "snapshot-"+ipcp.FlavorCacheKey(cfg)[:16]+".snap")
-		if s, err := ipcp.LoadSnapshot(snapPath, cache); err == nil {
-			prev = s
-		}
-	}
+	prev := loadSnapshot(cacheDir, cfg, cache)
 	if baseline != "" {
 		base, err := ipcp.LoadFile(baseline)
 		if err != nil {
@@ -374,15 +371,41 @@ func analyzeIncremental(prog *ipcp.Program, cfg ipcp.Config, cacheDir, remoteURL
 	}
 
 	rep, snap := prog.AnalyzeIncremental(cfg, prev, cache)
-	if snapPath != "" {
-		// A delta chain: an edit appends the changed stamps instead of
-		// rewriting the whole index.
-		if _, err := snap.SaveChain(snapPath); err != nil {
-			cli.Fatal("ipcp", err)
-		}
-	}
+	saveSnapshot(cacheDir, cfg, snap)
 	closeCache(cache)
 	return rep, cache
+}
+
+// snapshotPath names cfg's snapshot file in cacheDir by the
+// configuration's cache key, so runs under different flags never
+// cross-contaminate.
+func snapshotPath(cacheDir string, cfg ipcp.Config) string {
+	return filepath.Join(cacheDir, "snapshot-"+ipcp.FlavorCacheKey(cfg)[:16]+".snap")
+}
+
+// loadSnapshot returns cfg's previous snapshot in cacheDir, or nil
+// without a cache directory or a readable snapshot.
+func loadSnapshot(cacheDir string, cfg ipcp.Config, cache *ipcp.SummaryCache) *ipcp.Snapshot {
+	if cacheDir == "" {
+		return nil
+	}
+	s, err := ipcp.LoadSnapshot(snapshotPath(cacheDir, cfg), cache)
+	if err != nil {
+		return nil
+	}
+	return s
+}
+
+// saveSnapshot persists cfg's new snapshot in cacheDir, if there is
+// one, as a delta chain: an edit appends the changed stamps instead of
+// rewriting the whole index.
+func saveSnapshot(cacheDir string, cfg ipcp.Config, snap *ipcp.Snapshot) {
+	if cacheDir == "" {
+		return
+	}
+	if _, err := snap.SaveChain(snapshotPath(cacheDir, cfg)); err != nil {
+		cli.Fatal("ipcp", err)
+	}
 }
 
 // verifyAgainstExecution runs the differential oracle over three input

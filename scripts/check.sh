@@ -14,8 +14,9 @@
 #                      the determinism differential suite into a
 #                      shared-state audit of the parallel pipeline
 #   4b. the allocation golden of Tables 2 and 3 (TestTableAllocGolden)
+#      and the front end's allocation bound (TestParseAllocBound)
 #      without -race: the race detector changes what a run allocates,
-#      so the -race run above excludes the file
+#      so the -race run above excludes both files
 #   5. the determinism suite and the matrix differential tests a
 #      second time (-count=2 disables test caching), so
 #      schedule-dependent flakiness — in the matrix runner's shared
@@ -37,8 +38,11 @@
 #      cache; the second run must reuse every summary (100% hit rate)
 #      and print the same stage-3 effort (solver passes and
 #      jump-function evaluations) as the first, then a shared-cache
-#      flavor sweep (ipcp -all) run twice on one directory: every flavor
-#      row of the second sweep must hit all 19 of ocean's procedures
+#      flavor sweep (ipcp -all) run twice on one directory with an
+#      ipcp -cache-gc between them: the first sweep saved every
+#      flavor's snapshot, so the collection deletes nothing and every
+#      flavor row of the second sweep must hit all 19 of ocean's
+#      procedures
 #   8. an analysis-server smoke run: start ipcpd on an ephemeral port,
 #      analyze ocean through it twice with ipcp -server (the second
 #      run must hit the daemon's resident snapshot), then SIGTERM it
@@ -97,6 +101,9 @@ go test -race $short ./...
 
 echo "==> go test -run TestTableAllocGolden -count=1 ./internal/report (without -race)"
 go test -run TestTableAllocGolden -count=1 ./internal/report
+
+echo "==> go test -run TestParseAllocBound -count=1 ./internal/mf/parser (without -race)"
+go test -run TestParseAllocBound -count=1 ./internal/mf/parser
 
 echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
 go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
@@ -158,12 +165,15 @@ rerun_passes=$(echo "$rerun" | sed -n 's/^ *solver passes: *//p')
 [ -n "$first_passes" ] && [ "$first_passes" = "$rerun_passes" ] \
     || { echo "cached re-run's solver effort differs from the first run's:" >&2; echo "$first" >&2; echo "$rerun" >&2; exit 1; }
 
-echo "==> shared-cache sweep smoke (ipcp -all -suite ocean twice on one cache)"
+echo "==> shared-cache sweep smoke (ipcp -all -suite ocean twice on one cache, -cache-gc between)"
 go run ./cmd/ipcp -all -suite ocean -cache-dir "$cachedir/sweep" > /dev/null
+go run ./cmd/ipcp -cache-gc -cache-dir "$cachedir/sweep" > /dev/null
 sweep=$(go run ./cmd/ipcp -all -suite ocean -cache-dir "$cachedir/sweep")
 # Rows 2-5 are the four flavors; the last column is the flavor's hits.
 # The first sweep stored every flavor's records under that flavor's
-# keys, so every row of the second sweep must hit all 19 procedures.
+# keys and saved each flavor's snapshot, which pins those records
+# through the collection, so every row of the second sweep must hit
+# all 19 procedures.
 full_rows=$(echo "$sweep" | awk 'NR>1 && $NF == 19' | wc -l)
 [ "$full_rows" -eq 4 ] \
     || { echo "second shared-cache sweep did not hit all 19 procedures under every flavor:" >&2; echo "$sweep" >&2; exit 1; }
