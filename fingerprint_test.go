@@ -134,7 +134,7 @@ SUBROUTINE WORK(P, Q, R)
 END
 `
 
-const formatEditSource = `! The driver.
+const formatEditSource = `! The main program.
 program main
       integer n, m, k
       common /g/ ga, gb
