@@ -397,13 +397,13 @@ func loadSnapshot(cacheDir string, cfg ipcp.Config, cache *ipcp.SummaryCache) *i
 }
 
 // saveSnapshot persists cfg's new snapshot in cacheDir, if there is
-// one, as a delta chain: an edit appends the changed stamps instead of
-// rewriting the whole index.
+// one, replacing the previous run's file (Snapshot.Save skips the write
+// when nothing changed).
 func saveSnapshot(cacheDir string, cfg ipcp.Config, snap *ipcp.Snapshot) {
 	if cacheDir == "" {
 		return
 	}
-	if _, err := snap.SaveChain(snapshotPath(cacheDir, cfg)); err != nil {
+	if err := snap.Save(snapshotPath(cacheDir, cfg)); err != nil {
 		cli.Fatal("ipcp", err)
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // This file is the public surface of crash durability: a disk-backed
 // cache whose accepted writes survive SIGKILL via a write-ahead
-// journal, and snapshot persistence that appends small deltas instead
-// of rewriting the full index on every edit. See DESIGN.md, "Crash
-// durability".
+// journal. Snapshot files are replaced atomically by Snapshot.Save. See
+// DESIGN.md, "Crash durability".
 
 // DurableCacheOptions configures NewDurableCache.
 type DurableCacheOptions struct {
@@ -110,18 +109,16 @@ func (c *SummaryCache) Close() error {
 	return nil
 }
 
-// SnapshotChainStats reports one SaveChain write: how many frames the
-// chain file now has, whether this save rewrote it from scratch, and
-// the delta-versus-full byte sizes.
+// SnapshotChainStats reports one SaveChain write: the bytes it wrote
+// (AppendedBytes, 0 when the file already held the snapshot) and the
+// size of the snapshot's encoding (FullBytes).
+//
+// Deprecated: use Snapshot.Save.
 type SnapshotChainStats = summary.ChainStats
 
-// SaveChain persists the snapshot to a delta chain at path: when the
-// file already holds a snapshot of the same configuration lineage,
-// only the stamps this run changed are appended (a frame typically a
-// few percent of the full encoding for a one-procedure edit); a full
-// rewrite happens on the first save, after enough accumulated deltas,
-// or when the delta would not be worth it. LoadSnapshot reads either
-// form. Save remains the single-frame legacy writer.
+// SaveChain is Save plus the sizes it wrote.
+//
+// Deprecated: use Save, which writes the same file.
 func (s *Snapshot) SaveChain(path string) (SnapshotChainStats, error) {
 	st, err := summary.SaveSnapshotChain(path, s.snap, summary.DeltaPolicy{})
 	if err != nil {

@@ -152,58 +152,3 @@ func FuzzSummaryCodec(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSnapshotDelta throws arbitrary bytes at the snapshot-delta
-// decoder: no panics, any delta that decodes round-trips, and applying
-// a decoded delta to an arbitrary parent never panics — it either
-// produces a snapshot or rejects with an error (the chain loader's
-// torn-tail tolerance depends on that). V3-era frames and the other
-// record kinds must be rejected, never misread as deltas.
-//
-// Run with `go test -fuzz FuzzSnapshotDelta -fuzztime 1m .` for a session.
-func FuzzSnapshotDelta(f *testing.F) {
-	parent := &summary.Snapshot{
-		ConfigKey:   "ck",
-		GlobalsHash: "gh",
-		Procs: map[string]summary.ProcStamp{
-			"P": {SourceHash: "h", Key: summary.KeyOf("proc", "P")},
-		},
-	}
-	f.Add([]byte{})
-	f.Add(summary.EncodeSnapshotDelta(&summary.SnapshotDelta{ConfigKey: "ck", GlobalsHash: "gh"}))
-	f.Add(summary.EncodeSnapshotDelta(&summary.SnapshotDelta{
-		ConfigKey:   "ck",
-		GlobalsHash: "gh2",
-		Parent:      summary.SnapshotContentKey(parent),
-		Updated: map[string]summary.ProcStamp{
-			"Q": {SourceHash: "h2", Key: summary.KeyOf("proc", "Q")},
-		},
-		Removed: []string{"P"},
-	}))
-	// Cross-kind confusion seeds: a full snapshot and a procedure record
-	// must not decode as deltas.
-	f.Add(summary.EncodeSnapshot(parent))
-	f.Add(summary.EncodeProc(&summary.ProcSummary{Name: "P", SourceHash: "h"}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
-			return
-		}
-		d, err := summary.DecodeSnapshotDelta(data)
-		if err != nil {
-			return
-		}
-		d2, err := summary.DecodeSnapshotDelta(summary.EncodeSnapshotDelta(d))
-		if err != nil || !reflect.DeepEqual(d, d2) {
-			t.Fatalf("delta round trip broken on %x: %v", data, err)
-		}
-		// Applying any decoded delta must never panic, whatever parent.
-		if out, err := summary.ApplySnapshotDelta(parent, d); err == nil {
-			if out == nil {
-				t.Fatal("ApplySnapshotDelta returned nil snapshot without error")
-			}
-		}
-		if _, err := summary.ApplySnapshotDelta(nil, d); err == nil {
-			t.Fatal("ApplySnapshotDelta accepted a nil parent")
-		}
-	})
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
-	"os"
 
 	"ipcp/internal/core"
 	"ipcp/internal/incr"
@@ -163,15 +162,21 @@ type Snapshot struct {
 func (s *Snapshot) Procedures() int { return len(s.snap.Procs) }
 
 // Save writes the snapshot to a file (the companion of a disk cache).
+// It leaves the file untouched when it already holds this snapshot, and
+// otherwise replaces it atomically (a synced temporary file renamed
+// over it), so a crash leaves the old snapshot or the new one.
 func (s *Snapshot) Save(path string) error {
-	if err := os.WriteFile(path, summary.EncodeSnapshot(s.snap), 0o644); err != nil {
+	if err := summary.SaveSnapshotFile(path, s.snap); err != nil {
 		return fmt.Errorf("ipcp: %w", err)
 	}
 	return nil
 }
 
-// LoadSnapshot reads a snapshot written by Save or SaveChain — either
-// on-disk form — and attaches it to the cache holding its summaries.
+// LoadSnapshot reads a snapshot written by Save and attaches it to the
+// cache holding its summaries. A file that does not decode as one
+// snapshot, such as a delta chain an older release wrote, is an error;
+// a run without a snapshot still hits every stored summary by its
+// content key, and its Save replaces the file.
 func LoadSnapshot(path string, cache *SummaryCache) (*Snapshot, error) {
 	snap, err := summary.LoadSnapshotFile(path)
 	if err != nil {

@@ -336,7 +336,7 @@ func TestIncrementalDiskCache(t *testing.T) {
 		t.Fatal("no editable literal")
 	}
 	prog2 := ipcp.MustLoad(edited)
-	rep, _ := prog2.AnalyzeIncremental(cfg, loaded, cache2)
+	rep, snap2 := prog2.AnalyzeIncremental(cfg, loaded, cache2)
 	scratch := prog2.Analyze(cfg)
 	normalizeIncrementalReports(scratch, rep)
 	if !reflect.DeepEqual(scratch, rep) {
@@ -344,6 +344,23 @@ func TestIncrementalDiskCache(t *testing.T) {
 	}
 	if s := cache2.Stats(); s.Hits == 0 {
 		t.Fatalf("disk cache recorded no hits: %+v", s)
+	}
+
+	// The post-edit snapshot replaces the file; reloaded, it proves the
+	// edited program unchanged.
+	if err := snap2.Save(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := ipcp.LoadSnapshot(snapPath, cache2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded.Procedures() != snap2.Procedures() {
+		t.Fatalf("post-edit snapshot round-trip lost procedures: %d != %d", reloaded.Procedures(), snap2.Procedures())
+	}
+	again, _ := prog2.AnalyzeIncremental(cfg, reloaded, cache2)
+	if st := again.Incremental; st.Reanalyzed != 0 || st.HitRate() != 1.0 {
+		t.Fatalf("re-run against the saved post-edit snapshot expected full reuse, got %+v", st)
 	}
 }
 

@@ -30,11 +30,13 @@ import (
 // procedure record into a config-invariant shared blob and a flavor
 // blob (kindShared / kindFlavor replacing the old kindProc) and added
 // SharedKey to ProcStamp. Version 4 added delta-encoded snapshots
-// (kindDelta): a per-procedure add/update/remove record against a
-// parent snapshot identified by its content key. Version 5 dropped the
-// warm-start fields and the callee list from ProcStamp, leaving
-// SourceHash and the two keys. Version 6 merged the two procedure blobs
-// back into one record (kindProc) and dropped SharedKey from ProcStamp.
+// (kindDelta, value kind 4), which lived only inside snapshot chain
+// files. Version 5 dropped the warm-start fields and the callee list
+// from ProcStamp, leaving SourceHash and the two keys. Version 6 merged
+// the two procedure blobs back into one record (kindProc) and dropped
+// SharedKey from ProcStamp. kindDelta and the chain files were removed
+// later without a bump: no record or snapshot encoding changed, so
+// every stored key stays valid.
 const Version = 6
 
 const magic = "IPCS"
@@ -43,7 +45,6 @@ const magic = "IPCS"
 const (
 	kindProc     = 1
 	kindSnapshot = 2
-	kindDelta    = 4
 )
 
 const (
@@ -536,8 +537,8 @@ func DecodeProc(data []byte) (*ProcSummary, error) {
 // ---------------------------------------------------------------------------
 // Snapshots
 
-// stamp writes one procedure's ProcStamp — the per-procedure body
-// shared by full snapshots and snapshot deltas.
+// stamp writes one procedure's ProcStamp, a snapshot's per-procedure
+// body.
 func (w *writer) stamp(st ProcStamp) {
 	w.str(st.SourceHash)
 	w.bytes(st.Key[:])
@@ -563,8 +564,8 @@ func (r *reader) stamp() (ProcStamp, error) {
 }
 
 // EncodeSnapshot serializes a snapshot, procedures sorted by name so
-// equal snapshots encode to equal bytes — content keys and delta
-// diffing both rely on the encoding being canonical.
+// equal snapshots encode to equal bytes — SaveSnapshotFile skips the
+// write of an unchanged snapshot by comparing them.
 func EncodeSnapshot(s *Snapshot) []byte {
 	w := &writer{}
 	w.str(s.ConfigKey)
@@ -618,77 +619,4 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, corrupt("%d trailing bytes", r.remaining())
 	}
 	return s, nil
-}
-
-// EncodeSnapshotDelta serializes a snapshot delta, updated procedures
-// and removals sorted by name so equal deltas encode to equal bytes.
-func EncodeSnapshotDelta(d *SnapshotDelta) []byte {
-	w := &writer{}
-	w.str(d.ConfigKey)
-	w.str(d.GlobalsHash)
-	w.bytes(d.Parent[:])
-	names := make([]string, 0, len(d.Updated))
-	for name := range d.Updated {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.count(len(names))
-	for _, name := range names {
-		w.str(name)
-		w.stamp(d.Updated[name])
-	}
-	removed := append([]string(nil), d.Removed...)
-	sort.Strings(removed)
-	w.strs(removed)
-	return w.seal(kindDelta)
-}
-
-// DecodeSnapshotDelta is the inverse of EncodeSnapshotDelta; corrupted
-// input yields an error wrapping ErrCorrupt, never a panic.
-func DecodeSnapshotDelta(data []byte) (*SnapshotDelta, error) {
-	r, err := open(data, kindDelta)
-	if err != nil {
-		return nil, err
-	}
-	d := &SnapshotDelta{Updated: make(map[string]ProcStamp)}
-	if d.ConfigKey, err = r.str(); err != nil {
-		return nil, err
-	}
-	if d.GlobalsHash, err = r.str(); err != nil {
-		return nil, err
-	}
-	plen, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if plen != len(d.Parent) {
-		return nil, corrupt("parent key length %d, want %d", plen, len(d.Parent))
-	}
-	copy(d.Parent[:], r.data[r.pos:])
-	r.pos += plen
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		st, err := r.stamp()
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := d.Updated[name]; dup {
-			return nil, corrupt("duplicate updated procedure %q", name)
-		}
-		d.Updated[name] = st
-	}
-	if d.Removed, err = r.strs(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, corrupt("%d trailing bytes", r.remaining())
-	}
-	return d, nil
 }

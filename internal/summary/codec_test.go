@@ -145,10 +145,6 @@ func TestGoldenHeader(t *testing.T) {
 	if snap[6] != 2 {
 		t.Fatalf("snapshot kind = %d, want 2", snap[6])
 	}
-	delta := EncodeSnapshotDelta(&SnapshotDelta{})
-	if delta[6] != 4 {
-		t.Fatalf("delta kind = %d, want 4", delta[6])
-	}
 }
 
 // TestDecodeCorrupt flips every byte of valid encodings one at a time:
@@ -174,16 +170,6 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Fatalf("snapshot byte %d flipped: decode succeeded", i)
 		}
 	}
-	denc := EncodeSnapshotDelta(sampleDelta())
-	for i := range denc {
-		mut := append([]byte(nil), denc...)
-		mut[i] ^= 0x41
-		if _, err := DecodeSnapshotDelta(mut); err == nil {
-			t.Fatalf("delta byte %d flipped: decode succeeded", i)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("delta byte %d flipped: error %v does not wrap ErrCorrupt", i, err)
-		}
-	}
 }
 
 // TestDecodeTruncated drops suffixes: every proper prefix must fail
@@ -207,18 +193,6 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("procedure bytes accepted as snapshot")
-	}
-	denc := EncodeSnapshotDelta(sampleDelta())
-	for n := 0; n < len(denc); n++ {
-		if _, err := DecodeSnapshotDelta(denc[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("delta prefix of %d bytes: error %v does not wrap ErrCorrupt", n, err)
-		}
-	}
-	if _, err := DecodeSnapshotDelta(EncodeSnapshot(sampleSnapshot())); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("snapshot bytes accepted as delta")
-	}
-	if _, err := DecodeSnapshot(denc); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("delta bytes accepted as snapshot")
 	}
 }
 

@@ -93,11 +93,11 @@ func GCDir(dir string, extraLive []Key, budgetBytes int64) (GCStats, error) {
 		path := filepath.Join(dir, name)
 		switch {
 		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap"):
-			// Either on-disk form pins its keys: a delta chain or a
-			// single full encoding.
 			snap, err := LoadSnapshotFile(path)
 			if err != nil {
-				continue // corrupt snapshots pin nothing
+				// Corrupt snapshots pin nothing, nor do delta chains
+				// from before snapshot files held one encoding.
+				continue
 			}
 			st.Snapshots++
 			for _, k := range snap.Keys() {

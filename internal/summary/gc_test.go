@@ -147,7 +147,7 @@ func TestGCDirIgnoresForeignFiles(t *testing.T) {
 		"README",                   // no extension at all
 		"not-hex-at-all.ipcs",      // .ipcs but not a key of ours
 		"abcd.ipcs",                // valid hex, wrong length
-		".chain-tmp123",            // an in-flight chain rewrite temp
+		".snap-tmp123",             // an in-flight snapshot save's temp
 	}
 	for _, name := range foreign {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("foreign"), 0o644); err != nil {
@@ -173,10 +173,9 @@ func TestGCDirIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-// TestGCDirPinsChainSnapshots checks a delta-chain snapshot file pins
-// the keys of its folded (latest) state just like a legacy full
-// encoding does.
-func TestGCDirPinsChainSnapshots(t *testing.T) {
+// TestGCDirPinsLastSavedSnapshot checks that a snapshot file saved
+// twice pins only the second save's keys: each save replaces the file.
+func TestGCDirPinsLastSavedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDiskStore(dir)
 	if err != nil {
@@ -188,17 +187,17 @@ func TestGCDirPinsChainSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, "snapshot-chain.snap")
-	parent := &Snapshot{ConfigKey: "cfg", GlobalsHash: "g", Procs: map[string]ProcStamp{
+	path := filepath.Join(dir, "snapshot-x.snap")
+	first := &Snapshot{ConfigKey: "cfg", GlobalsHash: "g", Procs: map[string]ProcStamp{
 		"a": {SourceHash: "h1", Key: kOld},
 	}}
-	if _, err := SaveSnapshotChain(path, parent, DeltaPolicy{}); err != nil {
+	if err := SaveSnapshotFile(path, first); err != nil {
 		t.Fatal(err)
 	}
-	child := &Snapshot{ConfigKey: "cfg", GlobalsHash: "g", Procs: map[string]ProcStamp{
+	second := &Snapshot{ConfigKey: "cfg", GlobalsHash: "g", Procs: map[string]ProcStamp{
 		"a": {SourceHash: "h2", Key: kNew},
 	}}
-	if _, err := SaveSnapshotChain(path, child, DeltaPolicy{MaxDeltas: 8, MaxRatio: 1.0}); err != nil {
+	if err := SaveSnapshotFile(path, second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,11 +206,11 @@ func TestGCDirPinsChainSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Snapshots != 1 {
-		t.Fatalf("chain snapshot not consulted: %+v", st)
+		t.Fatalf("saved snapshot not consulted: %+v", st)
 	}
-	// The chain folds to the child: kNew is live, kOld and kDead are not.
+	// Only the second save's key is live: kOld and kDead are not.
 	if _, ok := store.Get(kNew); !ok {
-		t.Error("chain-referenced key was collected")
+		t.Error("key of the last saved snapshot was collected")
 	}
 	for _, k := range []Key{kOld, kDead} {
 		if _, ok := store.Get(k); ok {

@@ -13,45 +13,8 @@ import (
 	"ipcp/internal/wal"
 )
 
-// Durability benchmarks: what the delta chain saves over rewriting the
-// full snapshot on a one-procedure edit, and what a boot-time journal
-// replay costs at a real program's cache scale.
-
-// BenchmarkSnapshotDeltaChain measures persisting a LEAF0 edit of
-// doduc as a chain delta. Beyond ns/op it reports the appended delta's
-// size against the full snapshot encoding (delta_bytes / full_bytes) —
-// the acceptance bar is the delta staying a small fraction of the
-// full rewrite it replaces.
-func BenchmarkSnapshotDeltaChain(b *testing.B) {
-	src := suite.Generate("doduc", suite.DefaultScale).Source
-	edited, ok := editProgramIn(b, src, "LEAF0", 1)
-	if !ok {
-		b.Fatal("LEAF0 has no editable literals")
-	}
-	cache := ipcp.NewMemoryCache()
-	_, base := ipcp.MustLoad(src).AnalyzeIncremental(benchCfg, nil, cache)
-	_, next := ipcp.MustLoad(edited).AnalyzeIncremental(benchCfg, base, cache)
-
-	var deltaBytes, fullBytes float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		path := filepath.Join(b.TempDir(), "snapshot.snap")
-		if _, err := base.SaveChain(path); err != nil {
-			b.Fatal(err)
-		}
-		st, err := next.SaveChain(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.WroteFull {
-			b.Fatal("one-procedure edit forced a full rewrite")
-		}
-		deltaBytes = float64(st.DeltaBytes)
-		fullBytes = float64(st.FullBytes)
-	}
-	b.ReportMetric(deltaBytes, "delta_bytes")
-	b.ReportMetric(fullBytes, "full_bytes")
-}
+// Durability benchmark: what a boot-time journal replay costs at a
+// real program's cache scale.
 
 // BenchmarkWALReplay measures boot-time recovery: a journal holding
 // every summary blob a doduc analysis produced, opened and replayed
