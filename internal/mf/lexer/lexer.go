@@ -39,7 +39,7 @@ type Lexer struct {
 
 // New returns a Lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1, atBOL: true}
+	return &Lexer{src: src, line: 1, col: 1, atBOL: true, lastKind: token.NEWLINE}
 }
 
 // Errors returns the lexical errors encountered so far; past
@@ -113,8 +113,8 @@ func (lx *Lexer) skipCommentLine() bool {
 func (lx *Lexer) Next() token.Token {
 	for {
 		t := lx.scan()
-		if t.Kind == token.NEWLINE && (lx.lastKind == token.NEWLINE || lx.lastKind == token.ILLEGAL) {
-			continue // collapse blank lines; ILLEGAL is the "nothing yet" state
+		if t.Kind == token.NEWLINE && lx.lastKind == token.NEWLINE {
+			continue // collapse blank lines; New starts in the NEWLINE state
 		}
 		lx.lastKind = t.Kind
 		return t

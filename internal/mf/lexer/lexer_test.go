@@ -122,6 +122,26 @@ func TestLeadingBlankLinesSuppressed(t *testing.T) {
 	expectKinds(t, "\n\na = 1", token.IDENT, token.ASSIGN, token.INTLIT)
 }
 
+// TestNewlineAfterIllegal: a line that ends in an ILLEGAL token still
+// ends in a NEWLINE, so the next line is a statement of its own.
+func TestNewlineAfterIllegal(t *testing.T) {
+	lx := New("X = 99999999999999999999\nY = 1")
+	toks := scanAll(lx)
+	want := []token.Kind{token.IDENT, token.ASSIGN, token.ILLEGAL, token.NEWLINE,
+		token.IDENT, token.ASSIGN, token.INTLIT, token.EOF}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens %v, want %v", len(toks), toks, want)
+	}
+	for i, tok := range toks {
+		if tok.Kind != want[i] {
+			t.Fatalf("token %d: got %s, want %s (full: %v)", i, tok.Kind, want[i], toks)
+		}
+	}
+	if len(lx.Errors()) != 1 {
+		t.Fatalf("errors = %v, want the one out-of-range literal", lx.Errors())
+	}
+}
+
 func TestComments(t *testing.T) {
 	expectKinds(t, "a = 1 ! set a\nb = 2",
 		token.IDENT, token.ASSIGN, token.INTLIT, token.NEWLINE,
