@@ -37,12 +37,17 @@
 #   7. an incremental smoke run: analyze ocean twice through a disk
 #      cache; the second run must reuse every summary (100% hit rate)
 #      and print the same stage-3 effort (solver passes and
-#      jump-function evaluations) as the first, then a shared-cache
-#      flavor sweep (ipcp -all) run twice on one directory with an
-#      ipcp -cache-gc between them: the first sweep saved every
-#      flavor's snapshot, so the collection deletes nothing and every
-#      flavor row of the second sweep must hit all 19 of ocean's
-#      procedures
+#      jump-function evaluations) as the first, then an edited re-run:
+#      analyze a two-procedure program through a disk cache, edit one
+#      literal of its main program, and require the re-run to redo
+#      that procedure alone and hit the other without a miss, which
+#      only the saved snapshot read back allows (without it the run
+#      looks up both procedures and misses the edited one), then a
+#      shared-cache flavor sweep (ipcp -all) run twice on one
+#      directory with an ipcp -cache-gc between them: the first sweep
+#      saved every flavor's snapshot, so the collection deletes nothing
+#      and every flavor row of the second sweep must hit all 19 of
+#      ocean's procedures
 #   8. an analysis-server smoke run: start ipcpd on an ephemeral port,
 #      analyze ocean through it twice with ipcp -server (the second
 #      run must hit the daemon's resident snapshot), then SIGTERM it
@@ -165,6 +170,35 @@ rerun_passes=$(echo "$rerun" | sed -n 's/^ *solver passes: *//p')
 [ -n "$first_passes" ] && [ "$first_passes" = "$rerun_passes" ] \
     || { echo "cached re-run's solver effort differs from the first run's:" >&2; echo "$first" >&2; echo "$rerun" >&2; exit 1; }
 
+echo "==> edited re-run smoke (a two-procedure program through a disk cache, one literal of DRIVER edited)"
+# An unchanged re-run hits every procedure even without a snapshot,
+# because each is then looked up by its content key. After an edit of
+# DRIVER, the snapshot read back proves SOLVE unchanged, so SOLVE is the
+# one lookup and it hits; without the snapshot DRIVER is looked up too,
+# and misses.
+cat > "$cachedir/fleet-a.f" <<'EOF'
+PROGRAM DRIVER
+  INTEGER N, TOL
+  N = 1000
+  TOL = 5
+  CALL SOLVE(N, TOL)
+END
+
+SUBROUTINE SOLVE(NPTS, ITOL)
+  INTEGER NPTS, ITOL, I, ACC
+  ACC = 0
+  DO I = 1, NPTS
+    ACC = ACC + ITOL
+  ENDDO
+  RETURN
+END
+EOF
+go run ./cmd/ipcp -cache-dir "$cachedir/edit" "$cachedir/fleet-a.f" > /dev/null
+sed 's/N = 1000/N = 1001/' "$cachedir/fleet-a.f" > "$cachedir/edited.f"
+edited=$(go run ./cmd/ipcp -cache-dir "$cachedir/edit" "$cachedir/edited.f")
+echo "$edited" | grep -q '1/2 procedures re-analyzed, 1 hits, 0 misses' \
+    || { echo "edited re-run did not read its saved snapshot back:" >&2; echo "$edited" >&2; exit 1; }
+
 echo "==> shared-cache sweep smoke (ipcp -all -suite ocean twice on one cache, -cache-gc between)"
 go run ./cmd/ipcp -all -suite ocean -cache-dir "$cachedir/sweep" > /dev/null
 go run ./cmd/ipcp -cache-gc -cache-dir "$cachedir/sweep" > /dev/null
@@ -237,28 +271,11 @@ ipcpd_pid=""
 
 echo "==> fleet smoke (ipcpd -workers 2: cross-shard batch, crash failover, drain)"
 go build -o "$cachedir/ipcp" ./cmd/ipcp
-# One small program under four names. The names are chosen so that
-# rendezvous routing under the default configuration deterministically
-# puts fleet-a/c on shard 1 and fleet-b/d on shard 0 — the batch spans
-# both shards on every run (TestRouteAnalyzeMatchesDispatchKey pins
-# the hash).
-cat > "$cachedir/fleet-a.f" <<'EOF'
-PROGRAM DRIVER
-  INTEGER N, TOL
-  N = 1000
-  TOL = 5
-  CALL SOLVE(N, TOL)
-END
-
-SUBROUTINE SOLVE(NPTS, ITOL)
-  INTEGER NPTS, ITOL, I, ACC
-  ACC = 0
-  DO I = 1, NPTS
-    ACC = ACC + ITOL
-  ENDDO
-  RETURN
-END
-EOF
+# One small program (fleet-a.f, written by the edited re-run smoke)
+# under four names. The names are chosen so that rendezvous routing
+# under the default configuration deterministically puts fleet-a/c on
+# shard 1 and fleet-b/d on shard 0 — the batch spans both shards on
+# every run (TestRouteAnalyzeMatchesDispatchKey pins the hash).
 for f in fleet-b.f fleet-c.f fleet-d.f; do
     cp "$cachedir/fleet-a.f" "$cachedir/$f"
 done
