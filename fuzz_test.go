@@ -126,6 +126,19 @@ func FuzzSummaryCodec(f *testing.F) {
 		Callees:    []string{"P"},
 		Sites:      []*summary.SiteSummary{{Callee: "P", Formal: []summary.Expr{&summary.Const{Val: 1}}}},
 	}))
+	// A shared subterm: the node table writes the one mul node once and
+	// every operator and entry that uses it refers back to it.
+	shared := &summary.Op{Name: "mul", Args: []summary.Expr{
+		&summary.Formal{Index: 0, Name: "N"}, &summary.Const{Val: 2}}}
+	f.Add(summary.EncodeProc(&summary.ProcSummary{
+		Name:       "R",
+		SourceHash: "h3",
+		Returns: &summary.ReturnSummary{
+			Result: &summary.Op{Name: "add", Args: []summary.Expr{shared, shared}},
+			Formal: []summary.Expr{shared},
+		},
+		Sites: []*summary.SiteSummary{{Callee: "P", Formal: []summary.Expr{shared, nil, shared}}},
+	}))
 	f.Add(summary.EncodeSnapshot(&summary.Snapshot{
 		ConfigKey:   "ck",
 		GlobalsHash: "gh",

@@ -11,7 +11,10 @@
 // Value numbering is pessimistic: blocks are visited in reverse
 // postorder and a phi whose back-edge operand has not been computed yet
 // becomes an unknown keyed by its own SSA id. Congruent computations
-// (same operator over congruent operands) receive equal expressions.
+// (same operator over congruent operands) receive equal expressions:
+// each run builds its expressions in a sym.Table of its own, which
+// makes them one node, so runs over different procedures share nothing
+// and need no lock.
 //
 // Return jump functions of callees feed in through the ReturnEval hook:
 // when the hook can show a call-modified binding (or function result)
@@ -28,10 +31,11 @@ import (
 // ReturnEval supplies return-jump-function evaluation during value
 // numbering. argExpr gives the symbolic expression of the call's i-th
 // argument (actuals first, then the implicit global uses in
-// Program.ScalarGlobals order). Implementations return nil when the
-// binding's post-call value is unknown.
+// Program.ScalarGlobals order); t is the caller's table, which any
+// expression the implementation builds goes into. Implementations
+// return nil when the binding's post-call value is unknown.
 type ReturnEval interface {
-	CallDefExpr(call *ir.Instr, def *ir.Value, argExpr func(int) sym.Expr) sym.Expr
+	CallDefExpr(t *sym.Table, call *ir.Instr, def *ir.Value, argExpr func(int) sym.Expr) sym.Expr
 }
 
 // Result maps every SSA value of one procedure to its symbolic
@@ -108,6 +112,7 @@ type analyzer struct {
 	proc  *ir.Proc
 	re    ReturnEval
 	exprs []sym.Expr // indexed by Value.ID
+	t     sym.Table  // this run's operator nodes
 }
 
 // unknown returns the opaque expression for an SSA value.
@@ -153,17 +158,15 @@ func (a *analyzer) visit(i *ir.Instr) {
 		}
 	case ir.OpNeg, ir.OpAbs, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv,
 		ir.OpPow, ir.OpMod, ir.OpMin, ir.OpMax:
-		args := make([]sym.Expr, len(i.Args))
-		ok := true
-		for k := range i.Args {
-			args[k] = a.operandExpr(i.Args[k])
-			if args[k] == nil {
-				ok = false
-				break
+		var buf [4]sym.Expr
+		args := buf[:0]
+		for _, op := range i.Args {
+			if e := a.operandExpr(op); e != nil {
+				args = append(args, e)
 			}
 		}
-		if ok {
-			if e := sym.MakeOp(i.Op, args...); e != nil {
+		if len(args) == len(i.Args) {
+			if e := a.t.MakeOp(i.Op, args...); e != nil {
 				a.exprs[i.Dst.ID] = e
 				return
 			}
@@ -209,7 +212,7 @@ func (a *analyzer) visitCall(i *ir.Instr) {
 	if i.Dst != nil { // function result
 		var e sym.Expr
 		if a.re != nil {
-			e = a.re.CallDefExpr(i, i.Dst, argExpr)
+			e = a.re.CallDefExpr(&a.t, i, i.Dst, argExpr)
 		}
 		if e == nil {
 			e = a.unknown(i.Dst)
@@ -222,7 +225,7 @@ func (a *analyzer) visitCall(i *ir.Instr) {
 		}
 		var e sym.Expr
 		if a.re != nil {
-			e = a.re.CallDefExpr(i, def, argExpr)
+			e = a.re.CallDefExpr(&a.t, i, def, argExpr)
 		}
 		if e == nil {
 			e = a.unknown(def)

@@ -297,7 +297,7 @@ END
 // fixedReturnEval reports constant 99 for every call-modified binding.
 type fixedReturnEval struct{}
 
-func (fixedReturnEval) CallDefExpr(*ir.Instr, *ir.Value, func(int) sym.Expr) sym.Expr {
+func (fixedReturnEval) CallDefExpr(*sym.Table, *ir.Instr, *ir.Value, func(int) sym.Expr) sym.Expr {
 	return sym.NewConst(99)
 }
 

@@ -147,8 +147,13 @@ func (s *Store) Set(proc *ir.Proc, r *Returns) { s.byProc[proc] = r }
 // built, e.g. for recursive procedures).
 func (s *Store) Get(proc *ir.Proc) *Returns { return s.byProc[proc] }
 
-// CallDefExpr implements valnum.ReturnEval.
-func (s *Store) CallDefExpr(call *ir.Instr, def *ir.Value, argExpr func(int) sym.Expr) sym.Expr {
+// unknownArg stands for an argument with no symbolic value. Leaves
+// compare by value, so one shared leaf serves every site.
+var unknownArg = &sym.Unknown{ID: -1}
+
+// CallDefExpr implements valnum.ReturnEval. It substitutes into t, the
+// caller's table.
+func (s *Store) CallDefExpr(t *sym.Table, call *ir.Instr, def *ir.Value, argExpr func(int) sym.Expr) sym.Expr {
 	r := s.byProc[call.Callee]
 	if r == nil {
 		return nil
@@ -169,25 +174,25 @@ func (s *Store) CallDefExpr(call *ir.Instr, def *ir.Value, argExpr func(int) sym
 	}
 	// Substitute the callee's formals and globals with the symbolic
 	// values of the corresponding arguments at this site.
-	subst := sym.Substitute(e,
+	subst := t.Substitute(e,
 		func(j int) sym.Expr {
 			if j >= call.NumActuals {
-				return &sym.Unknown{ID: -1} // arity mismatch: unknown
+				return unknownArg // arity mismatch
 			}
 			if a := argExpr(j); a != nil {
 				return a
 			}
-			return &sym.Unknown{ID: -1}
+			return unknownArg
 		},
 		func(g *ir.GlobalVar) sym.Expr {
 			gi, ok := s.globalIndex[g]
 			if !ok {
-				return &sym.Unknown{ID: -1}
+				return unknownArg
 			}
 			if a := argExpr(call.NumActuals + gi); a != nil {
 				return a
 			}
-			return &sym.Unknown{ID: -1}
+			return unknownArg
 		})
 	// §3.2: a return jump function is used only when it evaluates to a
 	// constant with the information available at the site.

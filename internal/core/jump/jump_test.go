@@ -7,6 +7,9 @@ import (
 	"ipcp/internal/sym"
 )
 
+// tab builds the tests' operator nodes.
+var tab = sym.NewTable()
+
 func litOperand(v int64) ir.Operand {
 	return ir.ConstOperand(ir.IntConst(v))
 }
@@ -54,7 +57,7 @@ func TestFilterPassThrough(t *testing.T) {
 		t.Error("constant rejected")
 	}
 	// 2*f is polynomial, not pass-through.
-	poly := sym.MakeOp(ir.OpMul, sym.NewConst(2), f)
+	poly := tab.MakeOp(ir.OpMul, sym.NewConst(2), f)
 	if e := Filter(PassThrough, varOperand(), poly); e != nil {
 		t.Errorf("polynomial accepted by pass-through flavor: %v", e)
 	}
@@ -62,11 +65,11 @@ func TestFilterPassThrough(t *testing.T) {
 
 func TestFilterPolynomial(t *testing.T) {
 	f := &sym.Formal{Index: 0}
-	poly := sym.MakeOp(ir.OpAdd, sym.MakeOp(ir.OpMul, sym.NewConst(2), f), sym.NewConst(1))
+	poly := tab.MakeOp(ir.OpAdd, tab.MakeOp(ir.OpMul, sym.NewConst(2), f), sym.NewConst(1))
 	if e := Filter(Polynomial, varOperand(), poly); e == nil {
 		t.Error("closed polynomial rejected")
 	}
-	open := sym.MakeOp(ir.OpAdd, f, &sym.Unknown{ID: 3})
+	open := tab.MakeOp(ir.OpAdd, f, &sym.Unknown{ID: 3})
 	if e := Filter(Polynomial, varOperand(), open); e != nil {
 		t.Errorf("open expression accepted: %v", e)
 	}
@@ -86,7 +89,7 @@ func TestFilterContainment(t *testing.T) {
 		{litOperand(5), sym.NewConst(5)},
 		{varOperand(), sym.NewConst(7)},
 		{varOperand(), f},
-		{varOperand(), sym.MakeOp(ir.OpMul, f, sym.NewConst(3))},
+		{varOperand(), tab.MakeOp(ir.OpMul, f, sym.NewConst(3))},
 		{varOperand(), &sym.Unknown{ID: 1}},
 	}
 	order := []Kind{Literal, Intraprocedural, PassThrough, Polynomial}
@@ -127,11 +130,11 @@ func TestStoreEvaluatesConstantReturns(t *testing.T) {
 	def := &ir.Value{CalleeFormal: 0}
 	argExpr := func(i int) sym.Expr { return sym.NewConst(0) }
 
-	if e, ok := s.CallDefExpr(call, def, argExpr).(*sym.Const); !ok || e.Val != 7 {
+	if e, ok := s.CallDefExpr(tab, call, def, argExpr).(*sym.Const); !ok || e.Val != 7 {
 		t.Errorf("formal return JF: %v", e)
 	}
 	gdef := &ir.Value{CalleeFormal: -1, CalleeGlobal: g}
-	if e, ok := s.CallDefExpr(call, gdef, argExpr).(*sym.Const); !ok || e.Val != 9 {
+	if e, ok := s.CallDefExpr(tab, call, gdef, argExpr).(*sym.Const); !ok || e.Val != 9 {
 		t.Errorf("global return JF: %v", e)
 	}
 }
@@ -141,26 +144,26 @@ func TestStoreSubstitutesActuals(t *testing.T) {
 	s := NewStore(prog)
 	// R(A) = A + 1 — constant only when the actual folds.
 	s.Set(callee, &Returns{
-		Formal: []sym.Expr{sym.MakeOp(ir.OpAdd, &sym.Formal{Index: 0}, sym.NewConst(1))},
+		Formal: []sym.Expr{tab.MakeOp(ir.OpAdd, &sym.Formal{Index: 0}, sym.NewConst(1))},
 	})
 	call := &ir.Instr{Op: ir.OpCall, Callee: callee, NumActuals: 1}
 	def := &ir.Value{CalleeFormal: 0}
 
 	constArg := func(i int) sym.Expr { return sym.NewConst(41) }
-	if e, ok := s.CallDefExpr(call, def, constArg).(*sym.Const); !ok || e.Val != 42 {
+	if e, ok := s.CallDefExpr(tab, call, def, constArg).(*sym.Const); !ok || e.Val != 42 {
 		t.Errorf("constant actual: %v", e)
 	}
 
 	// §3.2's limitation: an actual that is a caller formal never
 	// evaluates to a constant.
 	formalArg := func(i int) sym.Expr { return &sym.Formal{Index: 2} }
-	if e := s.CallDefExpr(call, def, formalArg); e != nil {
+	if e := s.CallDefExpr(tab, call, def, formalArg); e != nil {
 		t.Errorf("caller-parameter actual should be nil, got %v", e)
 	}
 
 	// Unknown actual likewise.
 	nilArg := func(i int) sym.Expr { return nil }
-	if e := s.CallDefExpr(call, def, nilArg); e != nil {
+	if e := s.CallDefExpr(tab, call, def, nilArg); e != nil {
 		t.Errorf("unknown actual should be nil, got %v", e)
 	}
 }
@@ -170,7 +173,7 @@ func TestStoreMissingProcedure(t *testing.T) {
 	s := NewStore(prog)
 	call := &ir.Instr{Op: ir.OpCall, Callee: callee, NumActuals: 1}
 	def := &ir.Value{CalleeFormal: 0}
-	if e := s.CallDefExpr(call, def, func(int) sym.Expr { return nil }); e != nil {
+	if e := s.CallDefExpr(tab, call, def, func(int) sym.Expr { return nil }); e != nil {
 		t.Errorf("no return JFs recorded: want nil, got %v", e)
 	}
 	if s.Get(callee) != nil {

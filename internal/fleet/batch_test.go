@@ -211,3 +211,39 @@ func TestFleetBatchFailover(t *testing.T) {
 		t.Errorf("reroutes %q, want %q: one per item the dead shard owned", got, want)
 	}
 }
+
+// TestFleetBatchDoublingChain sends the d = 40 doubling chain, whose
+// jump function is a tree of 2^40 leaves but a DAG of 40 nodes, as one
+// item of a batch through a 2-shard fleet. A worker that could not
+// analyze it would drop the request, and dispatch would re-send it to
+// the runner-up shard; instead every item must answer 200 and equal
+// the local Analyze.
+func TestFleetBatchDoublingChain(t *testing.T) {
+	sources := map[string]string{
+		"chain": suite.DoublingChain(40),
+		"randp": suite.Random(3, 4).Source,
+	}
+	names := []string{"chain", "randp"}
+	_, _, fc, _ := startFleet(t, 2, server.Config{Workers: 1})
+	breq := server.BatchRequest{Config: server.ConfigOf(e2eConfig)}
+	for _, name := range names {
+		breq.Items = append(breq.Items, server.BatchItem{Source: sources[name], Program: name})
+	}
+	res, err := fc.Batch(context.Background(), breq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if res[i].Status != http.StatusOK {
+			t.Fatalf("item %s: status %d (%s)", name, res[i].Status, res[i].Error)
+		}
+		want := ipcp.MustLoad(sources[name]).Analyze(e2eConfig)
+		normalize(want, res[i].Report)
+		if !reflect.DeepEqual(res[i].Report, want) {
+			t.Errorf("item %s: fleet batch report diverges from local Analyze", name)
+		}
+	}
+	if v, ok := res[0].Report.ConstantValue("SINK", "M"); !ok || v != 1<<40 {
+		t.Errorf("chain: SINK's M = %d (constant %v), want 2^40", v, ok)
+	}
+}

@@ -336,6 +336,7 @@ func bind(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, cg *callgrap
 	}
 
 	nformals := len(proc.Formals)
+	binder := summary.NewBinder(prog, nformals)
 	seed := &core.ProcSeed{Uses: &core.ProcUses{
 		Formal: make([]core.VarUses, len(ps.FormalUses)),
 		Global: make([]core.VarUses, len(ps.GlobalUses)),
@@ -359,11 +360,11 @@ func bind(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, cg *callgrap
 			Global: make(map[*ir.GlobalVar]sym.Expr),
 		}
 		var err error
-		if r.Result, err = summary.ToSym(ps.Returns.Result, prog, nformals); err != nil {
+		if r.Result, err = binder.ToSym(ps.Returns.Result); err != nil {
 			return nil, err
 		}
 		for i, pe := range ps.Returns.Formal {
-			if r.Formal[i], err = summary.ToSym(pe, prog, nformals); err != nil {
+			if r.Formal[i], err = binder.ToSym(pe); err != nil {
 				return nil, err
 			}
 		}
@@ -371,7 +372,7 @@ func bind(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, cg *callgrap
 			if ge.ID < 0 || ge.ID >= len(prog.Globals) || prog.Globals[ge.ID].String() != ge.Ref {
 				return nil, fmt.Errorf("incr: %s return-JF global %d/%s unresolvable", proc.Name, ge.ID, ge.Ref)
 			}
-			se, err := summary.ToSym(ge.E, prog, nformals)
+			se, err := binder.ToSym(ge.E)
 			if err != nil {
 				return nil, err
 			}
@@ -399,12 +400,12 @@ func bind(ps *summary.ProcSummary, proc *ir.Proc, prog *ir.Program, cg *callgrap
 		var err error
 		for i, pe := range ss.Formal {
 			// Site jump functions range over the *caller's* entry values.
-			if site.Formal[i], err = summary.ToSym(pe, prog, nformals); err != nil {
+			if site.Formal[i], err = binder.ToSym(pe); err != nil {
 				return nil, err
 			}
 		}
 		for k, pe := range ss.Global {
-			if site.Global[k], err = summary.ToSym(pe, prog, nformals); err != nil {
+			if site.Global[k], err = binder.ToSym(pe); err != nil {
 				return nil, err
 			}
 		}
@@ -459,19 +460,20 @@ func encodeProc(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core.S
 		SourceHash: fps[name],
 		Callees:    calleeNames(n),
 	}
+	var export summary.Exporter
 	if r := sums.Returns[name]; r != nil {
 		rs := &summary.ReturnSummary{Formal: make([]summary.Expr, len(r.Formal))}
 		var err error
-		if rs.Result, err = summary.FromSym(r.Result); err != nil {
+		if rs.Result, err = export.FromSym(r.Result); err != nil {
 			return nil, err
 		}
 		for i, e := range r.Formal {
-			if rs.Formal[i], err = summary.FromSym(e); err != nil {
+			if rs.Formal[i], err = export.FromSym(e); err != nil {
 				return nil, err
 			}
 		}
 		for g, e := range r.Global {
-			pe, err := summary.FromSym(e)
+			pe, err := export.FromSym(e)
 			if err != nil {
 				return nil, err
 			}
@@ -521,12 +523,12 @@ func encodeProc(proc *ir.Proc, n *callgraph.Node, prog *ir.Program, sums *core.S
 		}
 		var err error
 		for i, e := range site.Formal {
-			if ss.Formal[i], err = summary.FromSym(e); err != nil {
+			if ss.Formal[i], err = export.FromSym(e); err != nil {
 				return nil, err
 			}
 		}
 		for k, e := range site.Global {
-			if ss.Global[k], err = summary.FromSym(e); err != nil {
+			if ss.Global[k], err = export.FromSym(e); err != nil {
 				return nil, err
 			}
 		}

@@ -529,3 +529,29 @@ func TestClientReadyAndHealth(t *testing.T) {
 		t.Fatalf("draining server: got %v, want HTTP 503", err)
 	}
 }
+
+// TestServerDoublingChain posts the d = 40 doubling chain to
+// /v1/analyze: a 700-byte source whose jump function is a tree of 2^40
+// leaves but a DAG of 40 nodes. The worker must answer 200 with the
+// local Analyze's report, SINK's formal the constant 2^40.
+func TestServerDoublingChain(t *testing.T) {
+	src := suite.DoublingChain(40)
+	want := ipcp.MustLoad(src).Analyze(e2eConfig)
+	normalize(want)
+	if v, ok := want.ConstantValue("SINK", "M"); !ok || v != 1<<40 {
+		t.Fatalf("local Analyze: SINK's M = %d (constant %v), want 2^40", v, ok)
+	}
+	_, c := startServer(t, server.Config{Workers: 1})
+	resp, err := c.Analyze(context.Background(), server.AnalyzeRequest{
+		Source:  src,
+		Program: "chain",
+		Config:  server.ConfigOf(e2eConfig),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalize(resp.Report)
+	if !reflect.DeepEqual(resp.Report, want) {
+		t.Fatal("served report diverges from local Analyze")
+	}
+}

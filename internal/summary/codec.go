@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync"
 )
 
 // Binary format. Every stored value is
@@ -21,8 +22,9 @@ import (
 //
 // Decoding is defensive — it must survive arbitrary bytes (the fuzz
 // target feeds it some): every length is checked against the bytes
-// actually remaining, expression nesting is depth-capped, and every
-// failure is an error, never a panic.
+// actually remaining, an expression node may refer only to nodes before
+// it, expression nesting is depth-capped, and every failure is an
+// error, never a panic.
 
 // Version is the codec version; bump on any format change.
 // Version 2 added the warm-start fields of ProcStamp (a jump-function
@@ -36,8 +38,10 @@ import (
 // the two procedure blobs back into one record (kindProc) and dropped
 // SharedKey from ProcStamp. kindDelta and the chain files were removed
 // later without a bump: no record or snapshot encoding changed, so
-// every stored key stays valid.
-const Version = 6
+// every stored key stays valid. Version 7 writes each expression list
+// as a node table whose operators refer back to earlier nodes, so a
+// shared subexpression is written once.
+const Version = 7
 
 const magic = "IPCS"
 
@@ -62,7 +66,13 @@ func corrupt(format string, args ...any) error {
 // ---------------------------------------------------------------------------
 // Writer
 
-type writer struct{ buf []byte }
+// writer accumulates a payload; index and nodes are the node table of
+// the expression list being written.
+type writer struct {
+	buf   []byte
+	index map[Expr]int
+	nodes []Expr
+}
 
 func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
@@ -101,39 +111,84 @@ func (w *writer) uses(us []UseCount) {
 		w.varint(int64(u.Control))
 	}
 }
-func (w *writer) expr(e Expr) {
+
+// Expression lists. The codec writes each list of expressions as a node
+// table followed by the list:
+//
+//	node count | node... | entry count | entry...
+//
+// A node is a leaf (tag 1 constant, 2 formal, 3 global) or an operator
+// (tag 4: name, argument count, one node index per argument) whose
+// arguments refer back to earlier nodes only. A node the list's
+// expressions share is written once, so an expression encodes in
+// bytes linear in its DAG, however large its tree. An entry is 0 for ⊥
+// or 1 + its node's index.
+
+// exprs writes one expression list.
+func (w *writer) exprs(es []Expr) {
+	clear(w.index)
+	w.nodes = w.nodes[:0]
+	for _, e := range es {
+		if e != nil {
+			w.collect(e)
+		}
+	}
+	w.count(len(w.nodes))
+	for _, e := range w.nodes {
+		switch e := e.(type) {
+		case *Const:
+			w.buf = append(w.buf, 1)
+			w.varint(e.Val)
+		case *Formal:
+			w.buf = append(w.buf, 2)
+			w.varint(int64(e.Index))
+			w.str(e.Name)
+		case *Global:
+			w.buf = append(w.buf, 3)
+			w.varint(int64(e.ID))
+			w.str(e.Ref)
+		case *Op:
+			w.buf = append(w.buf, 4)
+			w.str(e.Name)
+			w.count(len(e.Args))
+			for _, a := range e.Args {
+				w.uvarint(uint64(w.index[a]))
+			}
+		}
+	}
+	w.count(len(es))
+	for _, e := range es {
+		if e == nil {
+			w.uvarint(0)
+		} else {
+			w.uvarint(uint64(w.index[e]) + 1)
+		}
+	}
+}
+
+// collect adds e's nodes to the table in postorder, each node once.
+func (w *writer) collect(e Expr) {
+	if _, ok := w.index[e]; ok {
+		return
+	}
 	switch e := e.(type) {
-	case nil:
-		w.buf = append(w.buf, 0)
-	case *Const:
-		w.buf = append(w.buf, 1)
-		w.varint(e.Val)
-	case *Formal:
-		w.buf = append(w.buf, 2)
-		w.varint(int64(e.Index))
-		w.str(e.Name)
-	case *Global:
-		w.buf = append(w.buf, 3)
-		w.varint(int64(e.ID))
-		w.str(e.Ref)
+	case *Const, *Formal, *Global:
 	case *Op:
-		w.buf = append(w.buf, 4)
-		w.str(e.Name)
-		w.count(len(e.Args))
 		for _, a := range e.Args {
-			w.expr(a)
+			w.collect(a)
 		}
 	default:
 		panic(fmt.Sprintf("summary: unencodable expression %T", e))
 	}
+	if w.index == nil {
+		w.index = make(map[Expr]int)
+	}
+	w.index[e] = len(w.nodes)
+	w.nodes = append(w.nodes, e)
 }
 
-func (w *writer) exprs(es []Expr) {
-	w.count(len(es))
-	for _, e := range es {
-		w.expr(e)
-	}
-}
+// expr writes one expression as a list of one.
+func (w *writer) expr(e Expr) { w.exprs([]Expr{e}) }
 
 // seal prepends the header (magic, version, kind, payload checksum) to
 // the accumulated payload.
@@ -151,10 +206,23 @@ func (w *writer) seal(kind byte) []byte {
 // ---------------------------------------------------------------------------
 // Reader
 
+// reader walks a payload; scratch holds the node table of the
+// expression list being read (DecodeProc sets it).
 type reader struct {
-	data []byte
-	pos  int
+	data    []byte
+	pos     int
+	scratch *nodeTable
 }
+
+// nodeTable is a decoder's scratch node table: the nodes of one list
+// and their operator nesting. A list's table lives only while the list
+// is read, so nodeTables recycles them across lists and records.
+type nodeTable struct {
+	nodes []Expr
+	depth []int32
+}
+
+var nodeTables = sync.Pool{New: func() any { return new(nodeTable) }}
 
 func (r *reader) remaining() int { return len(r.data) - r.pos }
 
@@ -299,83 +367,136 @@ func (r *reader) uses() ([]UseCount, error) {
 	return out, nil
 }
 
-func (r *reader) expr(depth int) (Expr, error) {
-	if depth > maxExprDepth {
-		return nil, corrupt("expression nesting exceeds %d", maxExprDepth)
-	}
-	tag, err := r.byteVal()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case 0:
-		return nil, nil
-	case 1:
-		v, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		return &Const{Val: v}, nil
-	case 2:
-		idx, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		return &Formal{Index: int(idx), Name: name}, nil
-	case 3:
-		id, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		ref, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		return &Global{ID: int(id), Ref: ref}, nil
-	case 4:
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		op := &Op{Name: name, Args: make([]Expr, n)}
-		for i := range op.Args {
-			a, err := r.expr(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			if a == nil {
-				return nil, corrupt("⊥ argument inside operator %q", name)
-			}
-			op.Args[i] = a
-		}
-		return op, nil
-	}
-	return nil, corrupt("bad expression tag %d", tag)
-}
-
-func (r *reader) exprs() ([]Expr, error) {
+// table reads a list's node table into the reader's scratch. The node
+// count is bounded by the bytes remaining, an operator's arguments must
+// refer to earlier nodes, and no operator may nest deeper than
+// maxExprDepth.
+func (r *reader) table() ([]Expr, error) {
 	n, err := r.count()
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
+	tab := r.scratch
+	tab.nodes = append(tab.nodes[:0], make([]Expr, n)...)
+	nodes := tab.nodes
+	var depth []int32
+	for i := range nodes {
+		tag, err := r.byteVal()
+		if err != nil {
+			return nil, err
+		}
+		switch tag {
+		case 1:
+			v, err := r.varint()
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = &Const{Val: v}
+		case 2:
+			idx, err := r.varint()
+			if err != nil {
+				return nil, err
+			}
+			name, err := r.str()
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = &Formal{Index: int(idx), Name: name}
+		case 3:
+			id, err := r.varint()
+			if err != nil {
+				return nil, err
+			}
+			ref, err := r.str()
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = &Global{ID: int(id), Ref: ref}
+		case 4:
+			name, err := r.str()
+			if err != nil {
+				return nil, err
+			}
+			argc, err := r.count()
+			if err != nil {
+				return nil, err
+			}
+			if depth == nil {
+				tab.depth = append(tab.depth[:0], make([]int32, n)...)
+				depth = tab.depth
+			}
+			op := &Op{Name: name, Args: make([]Expr, argc)}
+			for j := range op.Args {
+				ref, err := r.uvarint()
+				if err != nil {
+					return nil, err
+				}
+				if ref >= uint64(i) {
+					return nil, corrupt("node %d refers to node %d, not an earlier one", i, ref)
+				}
+				op.Args[j] = nodes[ref]
+				depth[i] = max(depth[i], depth[ref]+1)
+			}
+			if depth[i] > maxExprDepth {
+				return nil, corrupt("expression nesting exceeds %d", maxExprDepth)
+			}
+			nodes[i] = op
+		default:
+			return nil, corrupt("bad expression tag %d", tag)
+		}
+	}
+	return nodes, nil
+}
+
+// entry reads one list entry of a list over nodes: nil for ⊥, else the
+// node it refers to.
+func (r *reader) entry(nodes []Expr) (Expr, error) {
+	ref, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if ref > uint64(len(nodes)) {
+		return nil, corrupt("list entry refers to node %d of a %d-node table", ref-1, len(nodes))
+	}
+	if ref == 0 {
 		return nil, nil
 	}
-	out := make([]Expr, n)
-	for i := range out {
-		if out[i], err = r.expr(0); err != nil {
+	return nodes[ref-1], nil
+}
+
+// exprs reads one expression list.
+func (r *reader) exprs() ([]Expr, error) {
+	nodes, err := r.table()
+	if err != nil {
+		return nil, err
+	}
+	m, err := r.count()
+	if err != nil || m == 0 {
+		return nil, err
+	}
+	out := make([]Expr, m)
+	for j := range out {
+		if out[j], err = r.entry(nodes); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// expr reads a list of one expression.
+func (r *reader) expr() (Expr, error) {
+	nodes, err := r.table()
+	if err != nil {
+		return nil, err
+	}
+	m, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	if m != 1 {
+		return nil, corrupt("%d expressions where one belongs", m)
+	}
+	return r.entry(nodes)
 }
 
 // open validates the header against the expected kind and returns a
@@ -445,6 +566,11 @@ func DecodeProc(data []byte) (*ProcSummary, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.scratch = nodeTables.Get().(*nodeTable)
+	defer func() {
+		clear(r.scratch.nodes[:cap(r.scratch.nodes)]) // pin no decoded node
+		nodeTables.Put(r.scratch)
+	}()
 	s := &ProcSummary{}
 	if s.Name, err = r.str(); err != nil {
 		return nil, err
@@ -461,7 +587,7 @@ func DecodeProc(data []byte) (*ProcSummary, error) {
 	}
 	if hasReturns {
 		ret := &ReturnSummary{}
-		if ret.Result, err = r.expr(0); err != nil {
+		if ret.Result, err = r.expr(); err != nil {
 			return nil, err
 		}
 		if ret.Formal, err = r.exprs(); err != nil {
@@ -481,7 +607,7 @@ func DecodeProc(data []byte) (*ProcSummary, error) {
 			if ge.Ref, err = r.str(); err != nil {
 				return nil, err
 			}
-			if ge.E, err = r.expr(0); err != nil {
+			if ge.E, err = r.expr(); err != nil {
 				return nil, err
 			}
 			ret.Globals = append(ret.Globals, ge)

@@ -135,8 +135,8 @@ func TestGoldenHeader(t *testing.T) {
 	if string(enc[:4]) != "IPCS" {
 		t.Fatalf("magic = %q, want IPCS", enc[:4])
 	}
-	if v := uint16(enc[4])<<8 | uint16(enc[5]); v != Version {
-		t.Fatalf("version = %d, want %d", v, Version)
+	if v := uint16(enc[4])<<8 | uint16(enc[5]); v != 7 || Version != 7 {
+		t.Fatalf("version = %d (Version %d), want 7", v, Version)
 	}
 	if enc[6] != 1 {
 		t.Fatalf("kind = %d, want 1 (procedure)", enc[6])
@@ -278,5 +278,163 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 	if v, ok := s2.Get(k); !ok || string(v) != "payload" {
 		t.Fatalf("cross-handle read got %q, %v", v, ok)
+	}
+}
+
+// chainExpr returns the portable doubling chain of depth d: each
+// operator adds the node before it to itself, so the expression is a
+// DAG of d operators over a tree of 2^d leaves.
+func chainExpr(d int) Expr {
+	var e Expr = &Formal{Index: 0, Name: "K0"}
+	for i := 0; i < d; i++ {
+		e = &Op{Name: "add", Args: []Expr{e, e}}
+	}
+	return e
+}
+
+// TestExprSharingRoundTrip encodes a record whose return and site jump
+// functions are the d = 40 chain: the encoding must grow linearly in d,
+// and the decoded expressions must share their nodes as the encoded
+// ones did.
+func TestExprSharingRoundTrip(t *testing.T) {
+	record := func(d int) *ProcSummary {
+		e := chainExpr(d)
+		return &ProcSummary{
+			Name:       "CHAIN",
+			SourceHash: "h",
+			Returns:    &ReturnSummary{Result: e, Formal: []Expr{e}},
+			Sites:      []*SiteSummary{{Callee: "SINK", Formal: []Expr{e, nil, e}}},
+		}
+	}
+	enc20, enc40 := EncodeProc(record(20)), EncodeProc(record(40))
+	// Three lists hold the chain; each writes its 40 operators once, at
+	// 8 bytes apiece.
+	if grow := len(enc40) - len(enc20); grow > 3*20*8 {
+		t.Fatalf("20 more chain links cost %d bytes (%d at d = 20, %d at d = 40)", grow, len(enc20), len(enc40))
+	}
+	roundTripProcs(t, []*ProcSummary{record(40)})
+	got, err := DecodeProc(enc40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := got.Sites[0].Formal
+	if site[0] != site[2] {
+		t.Fatal("one list's two entries for one node decoded as two nodes")
+	}
+	e, depth := site[0], 0
+	for {
+		op, ok := e.(*Op)
+		if !ok {
+			break
+		}
+		if op.Args[0] != op.Args[1] {
+			t.Fatalf("link %d: the shared argument decoded as two nodes", depth)
+		}
+		e, depth = op.Args[0], depth+1
+	}
+	if depth != 40 {
+		t.Fatalf("decoded chain has depth %d, want 40", depth)
+	}
+}
+
+// procWithList seals a record with one call site whose formal list is
+// whatever list writes, so a test can hand the decoder a node table no
+// encoder would produce.
+func procWithList(list func(w *writer)) []byte {
+	w := &writer{}
+	w.str("P")
+	w.str("h")
+	w.strs(nil)
+	w.boolean(false)
+	w.bools(nil)
+	w.bools(nil)
+	w.ints(nil)
+	w.ints(nil)
+	w.uses(nil)
+	w.uses(nil)
+	w.varint(0)
+	w.count(1)
+	w.str("Q")
+	list(w)
+	w.exprs(nil)
+	return w.seal(kindProc)
+}
+
+// constNode and addNode write raw node-table entries.
+func constNode(w *writer, v int64) {
+	w.buf = append(w.buf, 1)
+	w.varint(v)
+}
+
+func addNode(w *writer, refs ...uint64) {
+	w.buf = append(w.buf, 4)
+	w.str("add")
+	w.count(len(refs))
+	for _, r := range refs {
+		w.uvarint(r)
+	}
+}
+
+// TestDecodeRejectsBadNodeTables hands the decoder node tables that
+// refer where no node is: each must fail with ErrCorrupt, never panic
+// or build a cycle. The well-formed table decodes.
+func TestDecodeRejectsBadNodeTables(t *testing.T) {
+	cases := []struct {
+		name string
+		list func(w *writer)
+		ok   bool
+	}{
+		{"well formed", func(w *writer) {
+			w.count(2)
+			constNode(w, 1)
+			addNode(w, 0, 0)
+			w.count(1)
+			w.uvarint(2)
+		}, true},
+		{"argument refers to its own node", func(w *writer) {
+			w.count(2)
+			constNode(w, 1)
+			addNode(w, 0, 1)
+			w.count(1)
+			w.uvarint(2)
+		}, false},
+		{"argument refers to a later node", func(w *writer) {
+			w.count(3)
+			constNode(w, 1)
+			addNode(w, 0, 2)
+			constNode(w, 2)
+			w.count(1)
+			w.uvarint(2)
+		}, false},
+		{"argument refers past the table", func(w *writer) {
+			w.count(2)
+			constNode(w, 1)
+			addNode(w, 0, 7)
+			w.count(1)
+			w.uvarint(2)
+		}, false},
+		{"list entry refers past the table", func(w *writer) {
+			w.count(1)
+			constNode(w, 1)
+			w.count(1)
+			w.uvarint(2)
+		}, false},
+		{"node count exceeds the bytes remaining", func(w *writer) {
+			w.count(1000)
+			constNode(w, 1)
+			w.count(1)
+			w.uvarint(1)
+		}, false},
+	}
+	for _, tc := range cases {
+		s, err := DecodeProc(procWithList(tc.list))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && len(s.Sites) != 1:
+			t.Errorf("%s: decoded %d sites", tc.name, len(s.Sites))
+		case !tc.ok && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
+		}
 	}
 }

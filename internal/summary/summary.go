@@ -85,7 +85,7 @@ func (*Global) isExpr() {}
 func (*Op) isExpr()     {}
 
 // opByName maps operator spellings back to IR operators — exactly the
-// arithmetic set sym.MakeOp accepts.
+// arithmetic set sym.Table.MakeOp accepts.
 var opByName = map[string]ir.Op{}
 
 func init() {
@@ -97,11 +97,20 @@ func init() {
 	}
 }
 
+// Exporter converts the symbolic jump functions of one record to
+// portable form. An operator node reached more than once, from one
+// expression or several, is converted once, so the portable
+// expressions share it as the symbolic ones do and the codec writes it
+// once. The zero Exporter is ready to use.
+type Exporter struct {
+	memo map[*sym.Op]*Op
+}
+
 // FromSym converts a symbolic jump function to portable form. It
 // returns an error on any leaf that has no portable coordinate (an
 // Unknown, or an operator outside the arithmetic set) — callers treat
 // that summary as unstorable and simply skip caching it.
-func FromSym(e sym.Expr) (Expr, error) {
+func (x *Exporter) FromSym(e sym.Expr) (Expr, error) {
 	switch e := e.(type) {
 	case nil:
 		return nil, nil
@@ -112,73 +121,101 @@ func FromSym(e sym.Expr) (Expr, error) {
 	case *sym.GlobalEntry:
 		return &Global{ID: e.G.ID, Ref: e.G.String()}, nil
 	case *sym.Op:
+		if out, ok := x.memo[e]; ok {
+			return out, nil
+		}
 		name := e.Op.String()
 		if _, ok := opByName[name]; !ok {
 			return nil, fmt.Errorf("summary: operator %q is not portable", name)
 		}
 		out := &Op{Name: name, Args: make([]Expr, len(e.Args))}
 		for i, a := range e.Args {
-			pa, err := FromSym(a)
+			pa, err := x.FromSym(a)
 			if err != nil {
 				return nil, err
 			}
-			if pa == nil {
-				return nil, fmt.Errorf("summary: ⊥ argument inside %q", name)
-			}
 			out.Args[i] = pa
 		}
+		if x.memo == nil {
+			x.memo = make(map[*sym.Op]*Op)
+		}
+		x.memo[e] = out
 		return out, nil
 	}
 	return nil, fmt.Errorf("summary: expression %v is not portable", e)
 }
 
-// ToSym binds a portable expression into a program: formals become
-// sym.Formal leaves (validated against nformals, the arity of the
-// procedure whose entry values the expression ranges over), globals
-// resolve by ID against prog.Globals with the Ref spelling
-// cross-checked, and operators rebuild through sym.MakeOp — which is
-// idempotent on the normalized trees the propagation stores, so the
+// Binder binds the portable expressions of one record into a program.
+// It rebuilds every operator in a sym.Table of its own, once per
+// portable node, so a node the stored expressions share is rebuilt
+// once and stays shared.
+type Binder struct {
+	prog     *ir.Program
+	nformals int
+	table    sym.Table
+	memo     map[*Op]sym.Expr
+}
+
+// NewBinder returns a binder for the expressions of a record over the
+// entry values of a procedure with nformals formals in prog.
+func NewBinder(prog *ir.Program, nformals int) Binder {
+	return Binder{prog: prog, nformals: nformals}
+}
+
+// ToSym binds a portable expression: formals become sym.Formal leaves
+// (validated against the binder's arity), globals resolve by ID against
+// prog.Globals with the Ref spelling cross-checked, and operators
+// rebuild through Table.MakeOp. The propagation stores normalized
+// expressions and MakeOp orders operands by structure alone, so the
 // bound expression is structurally identical to the one encoded.
-func ToSym(e Expr, prog *ir.Program, nformals int) (sym.Expr, error) {
+func (b *Binder) ToSym(e Expr) (sym.Expr, error) {
 	switch e := e.(type) {
 	case nil:
 		return nil, nil
 	case *Const:
 		return sym.NewConst(e.Val), nil
 	case *Formal:
-		if e.Index < 0 || e.Index >= nformals {
-			return nil, fmt.Errorf("summary: formal index %d out of range [0,%d)", e.Index, nformals)
+		if e.Index < 0 || e.Index >= b.nformals {
+			return nil, fmt.Errorf("summary: formal index %d out of range [0,%d)", e.Index, b.nformals)
 		}
 		return &sym.Formal{Index: e.Index, Name: e.Name}, nil
 	case *Global:
-		if e.ID < 0 || e.ID >= len(prog.Globals) {
+		if e.ID < 0 || e.ID >= len(b.prog.Globals) {
 			return nil, fmt.Errorf("summary: global id %d out of range", e.ID)
 		}
-		g := prog.Globals[e.ID]
+		g := b.prog.Globals[e.ID]
 		if g.String() != e.Ref {
 			return nil, fmt.Errorf("summary: global id %d is %s, summary says %s", e.ID, g, e.Ref)
 		}
 		return &sym.GlobalEntry{G: g}, nil
 	case *Op:
+		if out, ok := b.memo[e]; ok {
+			return out, nil
+		}
 		op, ok := opByName[e.Name]
 		if !ok {
 			return nil, fmt.Errorf("summary: unknown operator %q", e.Name)
 		}
-		args := make([]sym.Expr, len(e.Args))
-		for i, a := range e.Args {
-			sa, err := ToSym(a, prog, nformals)
+		var buf [4]sym.Expr
+		args := buf[:0]
+		for _, a := range e.Args {
+			sa, err := b.ToSym(a)
 			if err != nil {
 				return nil, err
 			}
 			if sa == nil {
 				return nil, fmt.Errorf("summary: ⊥ argument inside %q", e.Name)
 			}
-			args[i] = sa
+			args = append(args, sa)
 		}
-		out := sym.MakeOp(op, args...)
+		out := b.table.MakeOp(op, args...)
 		if out == nil {
 			return nil, fmt.Errorf("summary: %q failed to rebuild", e.Name)
 		}
+		if b.memo == nil {
+			b.memo = make(map[*Op]sym.Expr)
+		}
+		b.memo[e] = out
 		return out, nil
 	}
 	return nil, fmt.Errorf("summary: unknown expression variant %T", e)

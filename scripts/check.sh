@@ -13,10 +13,13 @@
 #                      which turns the concurrency regression tests and
 #                      the determinism differential suite into a
 #                      shared-state audit of the parallel pipeline
-#   4b. the allocation golden of Tables 2 and 3 (TestTableAllocGolden)
-#      and the front end's allocation bound (TestParseAllocBound)
+#   4b. the allocation golden of Tables 2 and 3 (TestTableAllocGolden),
+#      the front end's allocation bound (TestParseAllocBound) and the
+#      symbolic-expression bounds (TestDoublingChainAllocBound: the
+#      d = 40 doubling chain under every flavor, with and without a
+#      cache; TestSumAllocLinear: a k-term sum allocates linearly in k)
 #      without -race: the race detector changes what a run allocates,
-#      so the -race run above excludes both files
+#      so the -race run above excludes their files
 #   5. the determinism suite and the matrix differential tests a
 #      second time (-count=2 disables test caching), so
 #      schedule-dependent flakiness — in the matrix runner's shared
@@ -48,6 +51,11 @@
 #      saved every flavor's snapshot, so the collection deletes nothing
 #      and every flavor row of the second sweep must hit all 19 of
 #      ocean's procedures
+#   7b. a doubling-chain smoke: generate K1 = K0 + K0, ..., K40 =
+#      K39 + K39 (a 40-node DAG whose tree has 2^40 leaves) and run
+#      ipcp -all -cache-dir on it twice, each under timeout 20; the
+#      second run must hit every procedure under every flavor, and a
+#      cached polynomial run must report SINK's M = 2^40
 #   8. an analysis-server smoke run: start ipcpd on an ephemeral port,
 #      analyze ocean through it twice with ipcp -server (the second
 #      run must hit the daemon's resident snapshot), then SIGTERM it
@@ -109,6 +117,9 @@ go test -run TestTableAllocGolden -count=1 ./internal/report
 
 echo "==> go test -run TestParseAllocBound -count=1 ./internal/mf/parser (without -race)"
 go test -run TestParseAllocBound -count=1 ./internal/mf/parser
+
+echo "==> go test -run 'TestDoublingChainAllocBound|TestSumAllocLinear' -count=1 . (without -race)"
+go test -run 'TestDoublingChainAllocBound|TestSumAllocLinear' -count=1 .
 
 echo "==> go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short ."
 go test -race -run 'TestDeterminism|TestAnalyzeMatrix' -count=2 $short .
@@ -212,6 +223,33 @@ full_rows=$(echo "$sweep" | awk 'NR>1 && $NF == 19' | wc -l)
 [ "$full_rows" -eq 4 ] \
     || { echo "second shared-cache sweep did not hit all 19 procedures under every flavor:" >&2; echo "$sweep" >&2; exit 1; }
 
+echo "==> doubling-chain smoke (d = 40 through ipcp -all -cache-dir, twice, 20 s each)"
+# K1 = K0 + K0, ..., K40 = K39 + K39 passed to SINK: a 40-node DAG whose
+# tree has 2^40 leaves. Each run must finish inside the timeout, the
+# second must hit all three procedures under every flavor, and the
+# cached polynomial run must still find SINK's M = 2^40.
+go build -o "$cachedir/ipcp" ./cmd/ipcp
+{
+    printf 'PROGRAM MAIN\n  INTEGER N\n  N = 1\n  CALL CHAIN(N)\nEND\n\nSUBROUTINE CHAIN(K0)\n  INTEGER K0\n'
+    i=1
+    while [ "$i" -le 40 ]; do
+        printf '  K%d = K%d + K%d\n' "$i" $((i - 1)) $((i - 1))
+        i=$((i + 1))
+    done
+    printf '  CALL SINK(K40)\n  RETURN\nEND\n\nSUBROUTINE SINK(M)\n  INTEGER M, R\n  R = M\n  RETURN\nEND\n'
+} > "$cachedir/chain.f"
+timeout 20 "$cachedir/ipcp" -all -cache-dir "$cachedir/chain" "$cachedir/chain.f" > /dev/null \
+    || { echo "cold doubling-chain sweep failed or timed out" >&2; exit 1; }
+chain=$(timeout 20 "$cachedir/ipcp" -all -cache-dir "$cachedir/chain" "$cachedir/chain.f") \
+    || { echo "warm doubling-chain sweep failed or timed out" >&2; exit 1; }
+full_rows=$(echo "$chain" | awk 'NR>1 && $NF == 3' | wc -l)
+[ "$full_rows" -eq 4 ] \
+    || { echo "warm doubling-chain sweep did not hit all 3 procedures under every flavor:" >&2; echo "$chain" >&2; exit 1; }
+chain=$(timeout 20 "$cachedir/ipcp" -constants -jump polynomial -cache-dir "$cachedir/chain" "$cachedir/chain.f") \
+    || { echo "cached polynomial doubling-chain run failed or timed out" >&2; exit 1; }
+echo "$chain" | grep -q 'M *= 1099511627776 ' \
+    || { echo "cached polynomial run lost SINK's M = 2^40:" >&2; echo "$chain" >&2; exit 1; }
+
 echo "==> analysis-server smoke (ipcpd ephemeral port, remote analyze, graceful drain)"
 go build -o "$cachedir/ipcpd" ./cmd/ipcpd
 "$cachedir/ipcpd" -addr 127.0.0.1:0 > "$cachedir/ipcpd.log" 2>&1 &
@@ -270,7 +308,6 @@ wait "$ipcpd_pid" \
 ipcpd_pid=""
 
 echo "==> fleet smoke (ipcpd -workers 2: cross-shard batch, crash failover, drain)"
-go build -o "$cachedir/ipcp" ./cmd/ipcp
 # One small program (fleet-a.f, written by the edited re-run smoke)
 # under four names. The names are chosen so that rendezvous routing
 # under the default configuration deterministically puts fleet-a/c on
