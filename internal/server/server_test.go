@@ -531,7 +531,7 @@ func TestClientReadyAndHealth(t *testing.T) {
 }
 
 // TestServerDoublingChain posts the d = 40 doubling chain to
-// /v1/analyze: a 700-byte source whose jump function is a tree of 2^40
+// /v1/analyze: an 865-byte source whose jump function is a tree of 2^40
 // leaves but a DAG of 40 nodes. The worker must answer 200 with the
 // local Analyze's report, SINK's formal the constant 2^40.
 func TestServerDoublingChain(t *testing.T) {

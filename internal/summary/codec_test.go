@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"ipcp/internal/ir"
 )
 
 // sampleProc exercises every field of the record: a full return
@@ -435,6 +437,24 @@ func TestDecodeRejectsBadNodeTables(t *testing.T) {
 			t.Errorf("%s: decoded %d sites", tc.name, len(s.Sites))
 		case !tc.ok && !errors.Is(err, ErrCorrupt):
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestBindRejectsWrongArity binds decodable operators with the wrong
+// number of arguments: each is an error, never a fold that indexes
+// past its operands.
+func TestBindRejectsWrongArity(t *testing.T) {
+	b := NewBinder(ir.NewProgram(), 1)
+	n := &Formal{Index: 0, Name: "N"}
+	for _, e := range []Expr{
+		&Op{Name: "add"},
+		&Op{Name: "add", Args: []Expr{n}},
+		&Op{Name: "neg", Args: []Expr{n, n}},
+		&Op{Name: "max"},
+	} {
+		if got, err := b.ToSym(e); err == nil {
+			t.Errorf("%s over %d arguments bound to %v", e.(*Op).Name, len(e.(*Op).Args), got)
 		}
 	}
 }
