@@ -8,7 +8,7 @@ import (
 )
 
 // tab builds the tests' operator nodes.
-var tab = sym.NewTable()
+var tab = new(sym.Table)
 
 func litOperand(v int64) ir.Operand {
 	return ir.ConstOperand(ir.IntConst(v))

@@ -285,9 +285,6 @@ type Table struct {
 	n     int
 }
 
-// NewTable returns an empty table.
-func NewTable() *Table { return new(Table) }
-
 // MakeOp builds op(args...) in t, constant-folding when every argument
 // is a constant and ordering the operands of commutative operators by
 // Compare, so that congruent expressions are one node. Operator

@@ -12,7 +12,7 @@ import (
 )
 
 func TestConstFolding(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	e := tab.MakeOp(ir.OpAdd, NewConst(2), NewConst(3))
 	c, ok := e.(*Const)
 	if !ok || c.Val != 5 {
@@ -102,8 +102,8 @@ func TestCanonicalStructure(t *testing.T) {
 		"max(B, ?2, min(9, A))",
 		"add(%2, %2) where %1 = add(A, A), %2 = add(%1, %1)",
 	}
-	a := build(NewTable(), false)
-	b := build(NewTable(), true)
+	a := build(new(Table), false)
+	b := build(new(Table), true)
 	for i := range a {
 		if got := a[i].String(); got != want[i] {
 			t.Errorf("expression %d prints %q, want %q", i, got, want[i])
@@ -136,7 +136,7 @@ func TestCanonicalStructure(t *testing.T) {
 }
 
 func TestCommutativeCanonicalization(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	f := &Formal{Index: 0, Name: "A"}
 	g := &Formal{Index: 1, Name: "B"}
 	ab := tab.MakeOp(ir.OpAdd, f, g)
@@ -151,7 +151,7 @@ func TestCommutativeCanonicalization(t *testing.T) {
 }
 
 func TestIdentities(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	f := &Formal{Index: 0, Name: "A"}
 	if e := tab.MakeOp(ir.OpAdd, f, NewConst(0)); !Equal(e, f) {
 		t.Errorf("a+0 = %v", e)
@@ -168,7 +168,7 @@ func TestIdentities(t *testing.T) {
 }
 
 func TestUnknownCongruence(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	u1, u2 := &Unknown{ID: 10}, &Unknown{ID: 10}
 	u3 := &Unknown{ID: 11}
 	if !Equal(u1, u2) || Equal(u1, u3) {
@@ -183,7 +183,7 @@ func TestUnknownCongruence(t *testing.T) {
 }
 
 func TestSupport(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	g := &ir.GlobalVar{ID: 3, Block: "BLK", Name: "G"}
 	e := tab.MakeOp(ir.OpAdd,
 		tab.MakeOp(ir.OpMul, &Formal{Index: 0}, NewConst(2)),
@@ -231,7 +231,7 @@ func (m mapEnv) GlobalValue(g *ir.GlobalVar) lattice.Value {
 }
 
 func TestEval(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	g := &ir.GlobalVar{ID: 0, Block: "B", Name: "G"}
 	// e = 2*f0 + g
 	e := tab.MakeOp(ir.OpAdd, tab.MakeOp(ir.OpMul, NewConst(2), &Formal{Index: 0}), &GlobalEntry{G: g})
@@ -284,7 +284,7 @@ func TestEval(t *testing.T) {
 }
 
 func TestSubstitute(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	g := &ir.GlobalVar{ID: 0, Block: "B", Name: "G"}
 	e := tab.MakeOp(ir.OpAdd, &Formal{Index: 0}, &GlobalEntry{G: g})
 	// f0 := 3, g stays.
@@ -310,7 +310,7 @@ func TestSubstitute(t *testing.T) {
 		t.Fatalf("div-by-zero substitute: %v", r)
 	}
 	// Substituting into another table rebuilds the expression there.
-	other := NewTable()
+	other := new(Table)
 	if r := other.Substitute(e, nil, nil); r == e || Compare(r, e) != 0 {
 		t.Fatalf("substitute into another table: %v", r)
 	}
@@ -320,7 +320,7 @@ func TestSubstitute(t *testing.T) {
 // a tree of 2^63 - 1 nodes: every walk must cost what the 62-node DAG
 // costs.
 func TestDoublingChainIsLinear(t *testing.T) {
-	tab := NewTable()
+	tab := new(Table)
 	var e Expr = &Formal{Index: 0, Name: "K0"}
 	for i := 0; i < 62; i++ {
 		e = tab.MakeOp(ir.OpAdd, e, e)
@@ -368,7 +368,7 @@ func genExpr(r *rand.Rand, tab *Table, depth int) Expr {
 
 // propTable holds the quick-checked expressions: Equal compares within
 // one table.
-var propTable = NewTable()
+var propTable = new(Table)
 
 type exprBox struct{ E Expr }
 

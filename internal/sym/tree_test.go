@@ -293,7 +293,7 @@ func TestTreeReferenceProperty(t *testing.T) {
 	big := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		ta, tb := NewTable(), NewTable()
+		ta, tb := new(Table), new(Table)
 		pool := genTwins(r, 60, ta, tb, globals)
 		spell := make([]string, len(pool))
 		for i, x := range pool {
