@@ -191,7 +191,21 @@ var binOps = map[ast.BinaryOp]ir.Op{
 }
 
 func (b *builder) genBinary(e *ast.BinaryExpr) (ir.Operand, ir.Type) {
-	x, xt := b.genExpr(e.X)
+	return b.genBinaryAt(e, e.Pos())
+}
+
+// genBinaryAt lowers e, whose position is pos. A binary expression
+// starts where its left operand does, so every node of a left spine
+// shares one position: it is passed down rather than recomputed, since
+// e.Pos() walks the whole spine and a k-term chain would cost O(k²).
+func (b *builder) genBinaryAt(e *ast.BinaryExpr, pos tokenPos) (ir.Operand, ir.Type) {
+	var x ir.Operand
+	var xt ir.Type
+	if l, ok := e.X.(*ast.BinaryExpr); ok {
+		x, xt = b.genBinaryAt(l, pos)
+	} else {
+		x, xt = b.genExpr(e.X)
+	}
 	y, yt := b.genExpr(e.Y)
 	op := binOps[e.Op]
 	var t ir.Type
@@ -205,7 +219,7 @@ func (b *builder) genBinary(e *ast.BinaryExpr) (ir.Operand, ir.Type) {
 		t = ir.Bool
 	}
 	tmp := b.newTemp(t)
-	b.emit(&ir.Instr{Op: op, Var: tmp, Args: []ir.Operand{x, y}, Pos: e.Pos()})
+	b.emit(&ir.Instr{Op: op, Var: tmp, Args: []ir.Operand{x, y}, Pos: pos})
 	return ir.VarOperand(tmp), t
 }
 

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"ipcp/internal/ir"
+	"ipcp/internal/mf/ast"
 	"ipcp/internal/mf/parser"
 	"ipcp/internal/mf/sema"
+	"ipcp/internal/mf/token"
 )
 
 // build parses, analyzes, and lowers src.
@@ -558,5 +560,60 @@ END
 	// header + END + 1 decl + (assign, if, assign, endif) = 7.
 	if main.SrcLines != 7 {
 		t.Fatalf("SrcLines = %d, want 7", main.SrcLines)
+	}
+}
+
+// countingLit is an integer literal that counts the calls to its Pos.
+type countingLit struct {
+	*ast.IntLit
+	calls *int
+}
+
+func (c countingLit) Pos() token.Pos {
+	*c.calls++
+	return c.IntLit.Pos()
+}
+
+// TestBinaryChainPosOnce lowers `K = 1 + 2 + … + 2` for k = 100 and
+// 400 terms with the leftmost literal swapped, after sema, for one
+// that counts the calls to its Pos. Every operator of the chain starts
+// at that literal, so every add carries its position; lowering must
+// ask for it once per chain, not once per operator, which made a
+// k-term sum cost O(k²).
+func TestBinaryChainPosOnce(t *testing.T) {
+	var calls [2]int
+	for i, k := range []int{100, 400} {
+		f, err := parser.Parse("PROGRAM P\n  INTEGER K\n  K = 1" + strings.Repeat(" + 2", k-1) + "\nEND\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := sema.Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := f.Units[0].Body[0].(*ast.AssignStmt).RHS.(*ast.BinaryExpr)
+		for {
+			l, ok := e.X.(*ast.BinaryExpr)
+			if !ok {
+				break
+			}
+			e = l
+		}
+		lit := e.X.(*ast.IntLit)
+		e.X = countingLit{IntLit: lit, calls: &calls[i]}
+		proc := findProc(t, Build(sp), "P")
+		if n := countOps(proc, ir.OpAdd); n != k-1 {
+			t.Fatalf("k = %d: %d adds, want %d", k, n, k-1)
+		}
+		for _, b := range proc.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpAdd && in.Pos != lit.LitPos {
+					t.Fatalf("k = %d: add at %v, want the chain's start %v", k, in.Pos, lit.LitPos)
+				}
+			}
+		}
+	}
+	if calls[0] != calls[1] || calls[0] > 1 {
+		t.Fatalf("lowering asked the chain's first literal for its position %d times at k = 100 and %d at k = 400, want once each", calls[0], calls[1])
 	}
 }
