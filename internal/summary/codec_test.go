@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ipcp/internal/ir"
+	"ipcp/internal/sym"
 )
 
 // sampleProc exercises every field of the record: a full return
@@ -455,6 +456,36 @@ func TestBindRejectsWrongArity(t *testing.T) {
 	} {
 		if got, err := b.ToSym(e); err == nil {
 			t.Errorf("%s over %d arguments bound to %v", e.(*Op).Name, len(e.(*Op).Args), got)
+		}
+	}
+}
+
+// TestExportDepthMatchesDecoder exports the symbolic sums J + 1 + … + 1
+// nested exactly as deep as the decoder accepts and one deeper: the
+// first is stored and read back, the second is refused at export, so
+// no record is written that every read would reject.
+func TestExportDepthMatchesDecoder(t *testing.T) {
+	var tab sym.Table
+	var e sym.Expr = &sym.Formal{Index: 0, Name: "J"}
+	for d := 1; d <= maxExprDepth+1; d++ {
+		e = tab.MakeOp(ir.OpAdd, e, sym.NewConst(1))
+		if d < maxExprDepth {
+			continue
+		}
+		var x Exporter
+		pe, err := x.FromSym(e)
+		if d > maxExprDepth {
+			if err == nil {
+				t.Fatalf("depth %d exported, but the decoder rejects it", d)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("depth %d: %v", d, err)
+		}
+		enc := EncodeProc(&ProcSummary{Name: "DEEP", SourceHash: "h", Returns: &ReturnSummary{Result: pe, Formal: []Expr{pe}}})
+		if _, err := DecodeProc(enc); err != nil {
+			t.Fatalf("depth %d exported, then failed to decode: %v", d, err)
 		}
 	}
 }

@@ -103,46 +103,67 @@ func init() {
 // expressions share it as the symbolic ones do and the codec writes it
 // once. The zero Exporter is ready to use.
 type Exporter struct {
-	memo map[*sym.Op]*Op
+	memo map[*sym.Op]exported
+}
+
+// exported is one converted operator and its nesting depth.
+type exported struct {
+	op    *Op
+	depth int
 }
 
 // FromSym converts a symbolic jump function to portable form. It
 // returns an error on any leaf that has no portable coordinate (an
-// Unknown, or an operator outside the arithmetic set) — callers treat
-// that summary as unstorable and simply skip caching it.
+// Unknown, or an operator outside the arithmetic set) and on any
+// expression nested deeper than the decoder accepts (maxExprDepth) —
+// callers treat that summary as unstorable and simply skip caching
+// it, rather than store a record every read would reject.
 func (x *Exporter) FromSym(e sym.Expr) (Expr, error) {
+	out, _, err := x.fromSym(e)
+	return out, err
+}
+
+// fromSym is FromSym plus the result's depth, counted as the decoder
+// counts it: 0 for a leaf, one more than its deepest argument for an
+// operator.
+func (x *Exporter) fromSym(e sym.Expr) (Expr, int, error) {
 	switch e := e.(type) {
 	case nil:
-		return nil, nil
+		return nil, 0, nil
 	case *sym.Const:
-		return &Const{Val: e.Val}, nil
+		return &Const{Val: e.Val}, 0, nil
 	case *sym.Formal:
-		return &Formal{Index: e.Index, Name: e.Name}, nil
+		return &Formal{Index: e.Index, Name: e.Name}, 0, nil
 	case *sym.GlobalEntry:
-		return &Global{ID: e.G.ID, Ref: e.G.String()}, nil
+		return &Global{ID: e.G.ID, Ref: e.G.String()}, 0, nil
 	case *sym.Op:
-		if out, ok := x.memo[e]; ok {
-			return out, nil
+		if m, ok := x.memo[e]; ok {
+			return m.op, m.depth, nil
 		}
 		name := e.Op.String()
 		if _, ok := opByName[name]; !ok {
-			return nil, fmt.Errorf("summary: operator %q is not portable", name)
+			return nil, 0, fmt.Errorf("summary: operator %q is not portable", name)
 		}
 		out := &Op{Name: name, Args: make([]Expr, len(e.Args))}
+		depth := 0
 		for i, a := range e.Args {
-			pa, err := x.FromSym(a)
+			pa, d, err := x.fromSym(a)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			out.Args[i] = pa
+			depth = max(depth, d+1)
+		}
+		if depth > maxExprDepth {
+			return nil, 0, fmt.Errorf("summary: expression nesting exceeds %d", maxExprDepth)
 		}
 		if x.memo == nil {
-			x.memo = make(map[*sym.Op]*Op)
+			x.memo = make(map[*sym.Op]exported)
 		}
-		x.memo[e] = out
-		return out, nil
+		x.memo[e] = exported{out, depth}
+		return out, depth, nil
 	}
-	return nil, fmt.Errorf("summary: expression %v is not portable", e)
+	return nil, 0, fmt.Errorf("summary: expression %v is not portable", e)
 }
 
 // Binder binds the portable expressions of one record into a program.
