@@ -28,8 +28,6 @@
 //	-remote-cache URL  add a shared remote tier behind the local cache: a
 //	                   blob service speaking ipcpd's /v1/blob protocol;
 //	                   remote failures degrade to recomputation
-//	-wal               journal cache puts for crash recovery (default
-//	                   true with -cache-dir; -wal=false disables)
 //	-baseline old.f    analyze old.f first to warm the cache, then analyze
 //	                   the input incrementally against it
 //
@@ -75,7 +73,6 @@ func main() {
 	workers := flag.Int("j", 0, "analysis workers (0 = one per CPU, 1 = sequential)")
 	cacheDir := flag.String("cache-dir", "", "persist summaries and a snapshot under this directory and re-analyze incrementally")
 	remoteCache := flag.String("remote-cache", "", "share summaries through a blob service at this URL (ipcpd's /v1/blob endpoint), tiered behind the local cache")
-	walOn := flag.Bool("wal", true, "journal cache puts to a write-ahead log for crash recovery (needs -cache-dir; -wal=false disables)")
 	baseline := flag.String("baseline", "", "warm the cache from this source file, then analyze the input incrementally")
 	cacheGC := flag.Bool("cache-gc", false, "garbage-collect the -cache-dir (delete unreferenced summaries, enforce -cache-budget) and exit")
 	cacheBudget := flag.Int64("cache-budget", 0, "byte budget for -cache-gc (0 = delete only unreferenced summaries)")
@@ -186,16 +183,16 @@ func main() {
 		// -cache-dir each flavor also keeps its snapshot, under the
 		// name a single-flavor run uses, so -cache-gc keeps the
 		// records every flavor stored.
-		cache := openCache(*cacheDir, *remoteCache, *walOn)
+		cache := openCache(*cacheDir, *remoteCache)
 		fmt.Printf("%-16s  %12s  %10s  %6s\n", "jump function", "substituted", "constants", "hits")
 		for _, cfg := range cfgs {
 			prev := loadSnapshot(*cacheDir, cfg, cache)
 			rep, snap := prog.AnalyzeIncremental(cfg, prev, cache)
+			reportStoreErr(rep.Incremental)
 			saveSnapshot(*cacheDir, cfg, snap)
 			fmt.Printf("%-16s  %12d  %10d  %6d\n",
 				cfg.Jump, rep.TotalSubstituted, rep.TotalConstants, rep.Incremental.CacheHits)
 		}
-		closeCache(cache)
 		if *tracePasses {
 			fmt.Println(cache.Stats())
 		}
@@ -233,7 +230,7 @@ func main() {
 		cache *ipcp.SummaryCache
 	)
 	if *cacheDir != "" || *baseline != "" || *remoteCache != "" {
-		rep, cache = analyzeIncremental(prog, cfg, *cacheDir, *remoteCache, *baseline, *walOn)
+		rep, cache = analyzeIncremental(prog, cfg, *cacheDir, *remoteCache, *baseline)
 	} else {
 		rep = prog.Analyze(cfg)
 	}
@@ -308,50 +305,34 @@ func printConstants(rep *ipcp.Report) {
 	}
 }
 
-// openCache builds the summary cache the flags describe: a local tier
-// (on disk under cacheDir when given, else in memory) with an optional
-// shared remote tier layered behind it. With a cache directory and the
-// WAL on (the default), puts are journaled before they are acknowledged
-// and a journal a crashed run left behind is replayed first — the note
-// on stderr says how much. Remote failures only cost recomputation,
-// never correctness.
-func openCache(cacheDir, remoteURL string, walOn bool) *ipcp.SummaryCache {
-	if cacheDir != "" && walOn {
-		cache, replay, err := ipcp.NewDurableCache(ipcp.DurableCacheOptions{
+// openCache builds the summary cache the flags describe. A cache
+// directory opens as memory in front of disk, in front of the remote
+// when one is given, and every put is on disk before it returns.
+// Without a directory the local tier is memory. Remote failures only
+// cost recomputation, never correctness.
+func openCache(cacheDir, remoteURL string) *ipcp.SummaryCache {
+	if cacheDir != "" {
+		cache, _, err := ipcp.NewDurableCache(ipcp.DurableCacheOptions{
 			Dir:       cacheDir,
 			RemoteURL: remoteURL,
 		})
 		if err != nil {
 			cli.Fatal("ipcp", err)
 		}
-		if replay.Replayed > 0 || replay.Corrupt > 0 {
-			fmt.Fprintf(os.Stderr, "ipcp: wal recovery: %d records replayed, %d already present, %d corrupt\n",
-				replay.Replayed, replay.Skipped, replay.Corrupt)
-		}
 		return cache
 	}
-	var (
-		local *ipcp.SummaryCache
-		err   error
-	)
-	if cacheDir != "" {
-		if local, err = ipcp.NewDiskCache(cacheDir); err != nil {
-			cli.Fatal("ipcp", err)
-		}
-	} else {
-		local = ipcp.NewMemoryCache()
-	}
+	local := ipcp.NewMemoryCache()
 	if remoteURL == "" {
 		return local
 	}
 	return ipcp.NewTieredCache(local, ipcp.NewRemoteCache(remoteURL))
 }
 
-// closeCache flushes and closes the cache at exit, surfacing any
-// write-back or journal error the analysis could not return.
-func closeCache(cache *ipcp.SummaryCache) {
-	if err := cache.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ipcp: cache close: %v\n", err)
+// reportStoreErr prints the first summary a run failed to store. The
+// run's results stand; a later run recomputes what is missing.
+func reportStoreErr(st *ipcp.IncrementalStats) {
+	if st.StoreErr != nil {
+		fmt.Fprintf(os.Stderr, "ipcp: cache write: %v\n", st.StoreErr)
 	}
 }
 
@@ -359,20 +340,22 @@ func closeCache(cache *ipcp.SummaryCache) {
 // cache the flags describe, seed it from the previous on-disk snapshot
 // and/or an in-process baseline analysis, analyze the program
 // incrementally, and persist the new snapshot.
-func analyzeIncremental(prog *ipcp.Program, cfg ipcp.Config, cacheDir, remoteURL, baseline string, walOn bool) (*ipcp.Report, *ipcp.SummaryCache) {
-	cache := openCache(cacheDir, remoteURL, walOn)
+func analyzeIncremental(prog *ipcp.Program, cfg ipcp.Config, cacheDir, remoteURL, baseline string) (*ipcp.Report, *ipcp.SummaryCache) {
+	cache := openCache(cacheDir, remoteURL)
 	prev := loadSnapshot(cacheDir, cfg, cache)
 	if baseline != "" {
 		base, err := ipcp.LoadFile(baseline)
 		if err != nil {
 			cli.Fatal("ipcp", err)
 		}
-		_, prev = base.AnalyzeIncremental(cfg, prev, cache)
+		var baseRep *ipcp.Report
+		baseRep, prev = base.AnalyzeIncremental(cfg, prev, cache)
+		reportStoreErr(baseRep.Incremental)
 	}
 
 	rep, snap := prog.AnalyzeIncremental(cfg, prev, cache)
+	reportStoreErr(rep.Incremental)
 	saveSnapshot(cacheDir, cfg, snap)
-	closeCache(cache)
 	return rep, cache
 }
 

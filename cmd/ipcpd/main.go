@@ -19,8 +19,6 @@
 //	-gc-interval 10m       sweep the disk cache this often (0 = never)
 //	-remote-cache URL      shared remote summary-cache tier (a peer
 //	                       ipcpd's /v1/blob endpoint)
-//	-wal                   journal cache puts for crash recovery
-//	                       (default true; needs -cache-dir)
 //
 // With -workers N the process becomes a routing front end: it spawns N
 // shared-nothing worker ipcpds on loopback ports, supervises them
@@ -69,7 +67,6 @@ func main() {
 	cacheBudget := flag.Int64("cache-budget", 0, "GC byte budget for the disk cache (0 = unreferenced only)")
 	gcInterval := flag.Duration("gc-interval", 0, "sweep the disk cache this often (0 = never)")
 	remoteCache := flag.String("remote-cache", "", "shared remote summary-cache tier (base URL of a peer ipcpd)")
-	walOn := flag.Bool("wal", true, "journal cache puts to a write-ahead log for crash recovery (needs -cache-dir)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for open requests")
 	flag.Parse()
 
@@ -88,7 +85,7 @@ func main() {
 
 	if *workers > 0 {
 		runFleet(l, sig, logger, *workers, *pool, *queue, *timeout, *maxTimeout,
-			*cacheDir, *cacheBudget, *gcInterval, *remoteCache, *walOn, *drainTimeout)
+			*cacheDir, *cacheBudget, *gcInterval, *remoteCache, *drainTimeout)
 		return
 	}
 
@@ -101,7 +98,6 @@ func main() {
 		CacheBudget:    *cacheBudget,
 		GCInterval:     *gcInterval,
 		RemoteCache:    *remoteCache,
-		DisableWAL:     !*walOn,
 		Log:            logger,
 	})
 	if err != nil {
@@ -132,7 +128,7 @@ func main() {
 // loopback port.
 func runFleet(l net.Listener, sig chan os.Signal, logger *log.Logger, n, pool, queue int,
 	timeout, maxTimeout time.Duration, cacheDir string, cacheBudget int64,
-	gcInterval time.Duration, remoteCache string, walOn bool, drainTimeout time.Duration) {
+	gcInterval time.Duration, remoteCache string, drainTimeout time.Duration) {
 
 	bin, err := os.Executable()
 	if err != nil {
@@ -148,10 +144,9 @@ func runFleet(l net.Listener, sig chan os.Signal, logger *log.Logger, n, pool, q
 			"-drain-timeout", drainTimeout.String(),
 		}
 		if cacheDir != "" {
-			// Each shard journals into its own directory, so a crashed
-			// worker's replacement recovers exactly its shard's puts.
+			// Each shard stores into its own directory, so a crashed
+			// worker's replacement finds exactly its shard's puts.
 			a = append(a, "-cache-dir", filepath.Join(cacheDir, fmt.Sprintf("shard-%d", shard)))
-			a = append(a, "-wal="+strconv.FormatBool(walOn))
 		}
 		if cacheBudget != 0 {
 			a = append(a, "-cache-budget", strconv.FormatInt(cacheBudget, 10))

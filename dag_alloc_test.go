@@ -62,9 +62,6 @@ func TestDoublingChainAllocBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				inc, _ = ipcp.MustLoad(src).AnalyzeIncremental(cfg, nil, cache)
-				if err := cache.Close(); err != nil {
-					t.Fatal(err)
-				}
 			})
 			t.Logf("%s through a %s cache: %.2f MB", jf, run, float64(got)/(1<<20))
 			if got > limit {

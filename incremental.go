@@ -17,8 +17,9 @@ import (
 // re-analysis".
 
 // SummaryCache is a content-addressed store of per-procedure analysis
-// summaries, shared across AnalyzeIncremental runs (and, for the disk
-// variant, across processes). Safe for concurrent use.
+// summaries, shared across AnalyzeIncremental runs (and, for a cache
+// opened by NewDurableCache, across processes). Safe for concurrent
+// use.
 type SummaryCache struct {
 	store summary.Store
 }
@@ -34,16 +35,6 @@ func NewBoundedMemoryCache(maxEntries int) *SummaryCache {
 	return &SummaryCache{store: summary.NewMemStore(maxEntries)}
 }
 
-// NewDiskCache opens (creating if needed) a summary cache persisted
-// under dir — the library form of cmd/ipcp's -cache-dir.
-func NewDiskCache(dir string) (*SummaryCache, error) {
-	st, err := summary.NewDiskStore(dir)
-	if err != nil {
-		return nil, fmt.Errorf("ipcp: %w", err)
-	}
-	return &SummaryCache{store: st}, nil
-}
-
 // NewRemoteCache returns a cache backed by a blob service speaking the
 // content-addressed protocol an ipcpd daemon serves at /v1/blob/ — the
 // library form of cmd/ipcp's -remote-cache. Remote failures (network
@@ -55,10 +46,9 @@ func NewRemoteCache(baseURL string) *SummaryCache {
 
 // NewTieredCache stacks caches fastest-first into one read-through
 // hierarchy — typically memory in front of disk in front of a remote.
-// Lookups probe in order and back-fill the faster tiers on a hit;
-// writes land in the first tier synchronously and drain to the rest in
-// the background (Flush waits for them). Content-addressed keys make
-// the tiers coherent by construction.
+// Lookups probe in order and back-fill the faster tiers on a hit; a
+// write lands in every tier before it returns. Content-addressed keys
+// make the tiers coherent by construction.
 func NewTieredCache(tiers ...*SummaryCache) *SummaryCache {
 	stores := make([]summary.Store, len(tiers))
 	for i, t := range tiers {
@@ -101,14 +91,6 @@ func (c *SummaryCache) TierStats() []CacheStats {
 		return out
 	}
 	return []CacheStats{c.Stats()}
-}
-
-// Flush blocks until pending background write-backs (a tiered cache's
-// slower tiers) have drained; on other caches it is a no-op.
-func (c *SummaryCache) Flush() {
-	if ts, ok := c.store.(*summary.TieredStore); ok {
-		ts.Flush()
-	}
 }
 
 // String renders the counters in one line (the -trace-passes cache
@@ -238,6 +220,13 @@ type IncrementalStats struct {
 	// Stage 3 solves every run from the initial VAL sets, so it equals
 	// the Report's SolverPasses.
 	WorklistVisited int64
+
+	// StoreErr is the first summary this run failed to write to the
+	// cache (nil when every write landed). A failed write never changes
+	// the analysis; it only costs a later run a recomputation. cmd/ipcp
+	// prints it on stderr and ipcpd logs it; it does not travel over
+	// the wire.
+	StoreErr error `json:"-"`
 }
 
 // HitRate returns the fraction of this run's cache lookups that hit,
@@ -308,6 +297,7 @@ func (p *Program) analyzeIncremental(icfg core.Config, cfg Config, prev *Snapsho
 		CacheHits:       st.Hits,
 		CacheMisses:     st.Misses,
 		WorklistVisited: st.WorklistVisited,
+		StoreErr:        st.StoreErr,
 	}
 	return rep, &Snapshot{snap: snap, cache: cache}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ipcp"
@@ -295,8 +296,8 @@ func TestDeterminismIncrementalConfigIsolation(t *testing.T) {
 }
 
 // TestIncrementalDiskCache round-trips the whole program database
-// through disk: a disk-backed cache plus a snapshot file, reopened
-// cold (fresh store handles, as a new process would), must yield a
+// through disk: a cache directory plus a snapshot file, reopened cold
+// (fresh store handles, as a new process would), must yield a
 // 100%-hit unchanged re-run and a scratch-equal report after an edit.
 func TestIncrementalDiskCache(t *testing.T) {
 	dir := t.TempDir()
@@ -304,10 +305,7 @@ func TestIncrementalDiskCache(t *testing.T) {
 	gen := suite.Random(7, 6)
 	cfg := ipcp.Config{Jump: ipcp.PassThrough, ReturnJumpFunctions: true, MOD: true}
 
-	cache, err := ipcp.NewDiskCache(filepath.Join(dir, "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := openCache(t, filepath.Join(dir, "cache"))
 	prog := ipcp.MustLoad(gen.Source)
 	_, snap := prog.AnalyzeIncremental(cfg, nil, cache)
 	if err := snap.Save(snapPath); err != nil {
@@ -315,10 +313,7 @@ func TestIncrementalDiskCache(t *testing.T) {
 	}
 
 	// "New process": reopen everything from disk.
-	cache2, err := ipcp.NewDiskCache(filepath.Join(dir, "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache2 := openCache(t, filepath.Join(dir, "cache"))
 	loaded, err := ipcp.LoadSnapshot(snapPath, cache2)
 	if err != nil {
 		t.Fatal(err)
@@ -361,6 +356,49 @@ func TestIncrementalDiskCache(t *testing.T) {
 	again, _ := prog2.AnalyzeIncremental(cfg, reloaded, cache2)
 	if st := again.Incremental; st.Reanalyzed != 0 || st.HitRate() != 1.0 {
 		t.Fatalf("re-run against the saved post-edit snapshot expected full reuse, got %+v", st)
+	}
+}
+
+// deepProgram returns a program whose procedure DEEP runs n statements
+// J = J + 1 over its formal and passes J to SINK; under polynomial jump
+// functions J's return jump function nests n operators deep.
+func deepProgram(n int) string {
+	var b strings.Builder
+	b.WriteString("PROGRAM MAIN\n  INTEGER N\n  N = 1\n  CALL DEEP(N)\nEND\n\n")
+	b.WriteString("SUBROUTINE DEEP(J)\n  INTEGER J\n")
+	for i := 0; i < n; i++ {
+		b.WriteString("  J = J + 1\n")
+	}
+	b.WriteString("  CALL SINK(J)\n  RETURN\nEND\n\n")
+	b.WriteString("SUBROUTINE SINK(M)\n  INTEGER M, R\n  R = M\n  RETURN\nEND\n")
+	return b.String()
+}
+
+// TestIncrementalSkipsUndecodableRecord analyzes deepProgram(5000)
+// under polynomial jump functions through a cache directory, then
+// re-runs it unchanged. DEEP's record nests deeper than the decoder
+// accepts, so it is never stored: the re-run makes no put, counts no
+// store error, and still equals scratch. DEEP itself is re-derived on
+// every run.
+func TestIncrementalSkipsUndecodableRecord(t *testing.T) {
+	cfg := ipcp.Config{Jump: ipcp.Polynomial, ReturnJumpFunctions: true, MOD: true, Workers: 1}
+	prog := ipcp.MustLoad(deepProgram(5000))
+	cache := openCache(t, t.TempDir())
+	_, snap := prog.AnalyzeIncremental(cfg, nil, cache)
+	before := cache.Stats()
+	rerun, _ := prog.AnalyzeIncremental(cfg, snap, cache)
+	after := cache.Stats()
+	if puts := after.Puts - before.Puts; puts != 0 {
+		t.Errorf("unchanged re-run stored %d records", puts)
+	}
+	if after.Errors != 0 || rerun.Incremental.StoreErr != nil {
+		t.Errorf("store errors: cache %d, report %v", after.Errors, rerun.Incremental.StoreErr)
+	}
+	t.Logf("re-run: %+v", *rerun.Incremental)
+	scratch := prog.Analyze(cfg)
+	normalizeIncrementalReports(scratch, rerun)
+	if !reflect.DeepEqual(scratch, rerun) {
+		t.Fatal("re-run diverges from scratch")
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +24,6 @@ import (
 	"ipcp/internal/server"
 	"ipcp/internal/server/client"
 	"ipcp/internal/suite"
-	"ipcp/internal/wal"
 )
 
 // End-to-end proof of the fleet contract: a report served through the
@@ -44,7 +42,7 @@ type testWorkers struct {
 	t   *testing.T
 	cfg server.Config
 
-	// cfgFor, when non-nil, overrides cfg per shard — the WAL recovery
+	// cfgFor, when non-nil, overrides cfg per shard — the crash-restart
 	// test gives each shard its own cache directory, the way ipcpd
 	// -workers does with DIR/shard-<i>.
 	cfgFor func(shard int) server.Config
@@ -445,13 +443,12 @@ func TestFleetFailoverAndRestart(t *testing.T) {
 
 // TestFleetCrashRestartRecoversWAL is the fleet half of the durability
 // contract. Each shard gets its own cache directory (as ipcpd -workers
-// lays them out); the victim shard's directory is pre-seeded with a
-// write-ahead journal holding every summary of the program's donor run
-// — the state a shard killed after acknowledging its puts but before
-// any write-back leaves behind. The worker must replay the journal at
-// boot (the first analysis runs at a 100% summary hit rate), and after
-// a crash plus supervisor restart on the same directory the lineage
-// must still be warm.
+// lays them out); the victim shard's directory is pre-seeded with the
+// blobs of the program's donor run — what a shard killed right after
+// acknowledging its puts leaves behind, since every acknowledged put is
+// on disk. The worker must serve them at boot (the first analysis runs
+// at a 100% summary hit rate), and after a crash plus supervisor
+// restart on the same directory the lineage must still be warm.
 func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	root := t.TempDir()
 	gen := suite.Random(3, 6)
@@ -462,7 +459,7 @@ func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	// cache, producing the exact content-addressed blobs a shard's
 	// analysis would have put (keys are deterministic across processes).
 	donorDir := t.TempDir()
-	donorCache, err := ipcp.NewDiskCache(donorDir)
+	donorCache, _, err := ipcp.NewDurableCache(ipcp.DurableCacheOptions{Dir: donorDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +469,10 @@ func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	victim := 1
 	name := byShard[victim][0]
 
-	// Seed the victim shard's journal with the donor blobs, unconfirmed —
-	// as if a previous worker died right after acknowledging them.
+	// Seed the victim shard's directory with the donor blobs, as if a
+	// previous worker died right after acknowledging them.
 	shardDir := filepath.Join(root, fmt.Sprintf("shard-%d", victim))
-	j, err := wal.Open(shardDir, wal.Options{})
-	if err != nil {
+	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(donorDir)
@@ -485,27 +481,17 @@ func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	}
 	seeded := 0
 	for _, e := range entries {
-		hexKey, ok := strings.CutSuffix(e.Name(), ".ipcs")
-		if !ok {
+		if !strings.HasSuffix(e.Name(), ".ipcs") {
 			continue
 		}
-		raw, err := hex.DecodeString(hexKey)
-		if err != nil || len(raw) != 32 {
-			continue
-		}
-		payload, err := os.ReadFile(filepath.Join(donorDir, e.Name()))
+		blob, err := os.ReadFile(filepath.Join(donorDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var key wal.Key
-		copy(key[:], raw)
-		if _, err := j.Append(key, payload); err != nil {
+		if err := os.WriteFile(filepath.Join(shardDir, e.Name()), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		seeded++
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if seeded == 0 {
 		t.Fatal("donor run produced no cache blobs to seed")
@@ -517,8 +503,8 @@ func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	}
 	fl, _, c, _ := startFleetWorkers(t, 2, tw)
 
-	// First analysis on the recovered shard: every summary lookup must
-	// hit — the only possible source is the journal replay.
+	// First analysis on the seeded shard: every summary lookup must
+	// hit — the only possible source is the seeded directory.
 	ctx := context.Background()
 	req := server.AnalyzeRequest{Source: gen.Source, Program: name, Config: server.ConfigOf(e2eConfig)}
 	resp, err := c.Analyze(ctx, req)
@@ -527,15 +513,15 @@ func TestFleetCrashRestartRecoversWAL(t *testing.T) {
 	}
 	st := resp.Report.Incremental
 	if st == nil || st.HitRate() != 1 {
-		t.Fatalf("first analysis after WAL seed did not run fully warm: %+v", st)
+		t.Fatalf("first analysis on the seeded directory did not run fully warm: %+v", st)
 	}
 	normalize(resp.Report)
 	if !reflect.DeepEqual(resp.Report, want) {
-		t.Fatal("WAL-recovered report diverges from local Analyze")
+		t.Fatal("report from the seeded directory diverges from local Analyze")
 	}
 
 	// Crash the shard and let the supervisor restart it on the same
-	// directory: the lineage must come back warm from disk plus journal.
+	// directory: the lineage must come back warm from disk.
 	tw.kill(victim)
 	deadline := time.Now().Add(5 * time.Second)
 	for {

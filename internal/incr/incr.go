@@ -86,6 +86,11 @@ type Stats struct {
 	// Stage 3 always solves from the initial VAL sets, so it equals the
 	// Result's SolverPasses.
 	WorklistVisited int64
+
+	// StoreErr is the first record this run failed to store (nil when
+	// every record landed). A failed store never changes the result; it
+	// only costs a later run a recomputation.
+	StoreErr error
 }
 
 // Engine drives incremental analysis over one summary store. An Engine
@@ -172,22 +177,36 @@ func (e *Engine) Analyze(sp *sema.Program, cfg core.Config, prev *summary.Snapsh
 	stats.WorklistVisited = int64(res.SolverPasses)
 
 	// Stamp the new snapshot with each procedure's source fingerprint
-	// and record key, and persist the records this run had to rebuild
-	// (reused ones are already stored under the same keys).
+	// and record key.
 	snap := &summary.Snapshot{
 		ConfigKey:   cfgKey,
 		GlobalsHash: globalsHash,
 		Procs:       make(map[string]summary.ProcStamp, len(irp.Procs)),
 	}
 	for _, proc := range irp.Procs {
-		name := proc.Name
-		snap.Procs[name] = summary.ProcStamp{SourceHash: fps[name], Key: keys[name]}
+		snap.Procs[proc.Name] = summary.ProcStamp{SourceHash: fps[proc.Name], Key: keys[proc.Name]}
+	}
+	// Store the records this run had to rebuild (reused ones are already
+	// stored under the same keys) over cfg.Workers, as the fetch loop:
+	// a put returns only once every tier holds the record, so a cold
+	// run's writes overlap. Each failure lands in its procedure's slot,
+	// so the first one reported is the first in program order.
+	putErrs := make([]error, len(irp.Procs))
+	par.For(cfg.Workers, len(irp.Procs), func(i int) {
+		proc := irp.Procs[i]
 		if seeds[proc] != nil {
-			continue
+			return
 		}
-		if ps, err := encodeProc(proc, cg.Nodes[proc], irp, sums, mods, fps); err == nil {
-			//lint:ignore codecerr cache Put is best-effort here; a failed write only costs a future recomputation
-			_ = e.store.Put(keys[name], summary.EncodeProc(ps))
+		ps, err := encodeProc(proc, cg.Nodes[proc], irp, sums, mods, fps)
+		if err != nil {
+			return
+		}
+		putErrs[i] = e.store.Put(keys[proc.Name], summary.EncodeProc(ps))
+	})
+	for _, err := range putErrs {
+		if err != nil {
+			stats.StoreErr = err
+			break
 		}
 	}
 	return res, snap, stats, nil

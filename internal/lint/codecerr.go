@@ -7,31 +7,29 @@ import (
 
 // errPkgs are the durability-contract packages: every error their
 // APIs return is part of an acknowledgment protocol. A codec decode
-// error distinguishes corruption from absence; a WAL append error
-// means the Put was never journaled and must not be acked; a store
-// Put/Flush error is the difference between "durable" and "silently
-// dropped".
+// error distinguishes corruption from absence; a store Put error is
+// the difference between "on every tier" and "silently dropped". The
+// wal package is now an inert stub kept for old callers.
 var errPkgs = []string{
 	"ipcp/internal/summary",
 	"ipcp/internal/wal",
 }
 
 // CodecErr enforces the durability ack contract: errors returned by
-// the summary codec (Encode/Decode families), the write-ahead journal
-// (Append, Replay, Close, ...), and the summary stores (Put,
-// FlushErr, ...) must never be discarded — neither by calling in
-// statement position nor by assigning the error to the blank
-// identifier. Best-effort paths that genuinely may drop the error
-// (e.g. an async write-back that already counts it) say so with
+// the summary codec (Encode/Decode families) and the summary stores
+// (Put, ...) must never be discarded — neither by calling in statement
+// position nor by assigning the error to the blank identifier.
+// Best-effort paths that genuinely may drop the error (e.g. a
+// read-through fill whose tier already counts it) say so with
 // //lint:ignore and a reason.
 var CodecErr = &Analyzer{
 	Name: "codecerr",
 	Doc: `flag discarded errors from summary codec / WAL / store APIs
 
-An acked Put that silently failed to journal, a decode error folded
-into "miss", or an unflushed write-back breaks the crash-durability
-contract: errors from ipcp/internal/summary and ipcp/internal/wal
-must be handled or explicitly suppressed with an audit note.`,
+An acked Put that silently failed to reach a tier, or a decode error
+folded into "miss", breaks the crash-durability contract: errors from
+ipcp/internal/summary and ipcp/internal/wal must be handled or
+explicitly suppressed with an audit note.`,
 	Run: runCodecErr,
 }
 

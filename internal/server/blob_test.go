@@ -129,8 +129,7 @@ func TestServerRemoteCacheSharing(t *testing.T) {
 
 	machine1 := ipcp.NewTieredCache(ipcp.NewMemoryCache(), ipcp.NewRemoteCache(base))
 	prog := ipcp.MustLoad(src)
-	rep1, _ := prog.AnalyzeIncremental(cfg, nil, machine1)
-	machine1.Flush() // write-back to the server must land before machine 2 reads
+	rep1, _ := prog.AnalyzeIncremental(cfg, nil, machine1) // every put reached the server before it returned
 
 	machine2 := ipcp.NewTieredCache(ipcp.NewMemoryCache(), ipcp.NewRemoteCache(base))
 	rep2, _ := prog.AnalyzeIncremental(cfg, nil, machine2)

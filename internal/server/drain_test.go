@@ -13,11 +13,10 @@ import (
 )
 
 // TestServerShutdownFlushesRemoteTier pins the graceful-drain contract
-// for the tiered summary store: the write-back queue to the remote
-// tier is asynchronous, so a server that exits right after answering
-// could silently drop its summaries. Shutdown must flush — after the
-// drain, a cold machine sharing only the remote tier reuses every
-// summary the server computed.
+// for the tiered summary store: a server that exits right after
+// answering must not drop its summaries. Every put reaches the remote
+// tier before it returns, so after the drain a cold machine sharing
+// only the remote tier reuses every summary the server computed.
 func TestServerShutdownFlushesRemoteTier(t *testing.T) {
 	_, base := startBlobServer(t, server.Config{Workers: 1})
 
@@ -34,7 +33,7 @@ func TestServerShutdownFlushesRemoteTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain: the flush happens here, not on some background cadence.
+	// Drain: nothing is left to flush.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -106,9 +106,6 @@ type metrics struct {
 	snapEvicted atomic.Int64 // resident snapshots dropped by the LRU bound
 	batchItems  atomic.Int64 // batch items answered with a report
 	batchErrors atomic.Int64 // batch items answered with a per-item error
-	walReplayed atomic.Int64 // journal records replayed at boot
-	walSkipped  atomic.Int64 // journal records already present at boot
-	walCorrupt  atomic.Int64 // torn or corrupt journal records dropped at boot
 }
 
 func newMetrics(endpoints ...string) *metrics {
@@ -189,9 +186,6 @@ func (m *metrics) write(w io.Writer, queueDepth, snapshots int, cache ipcp.Cache
 	counter("ipcpd_summary_cache_errors_total", "Summary-store operations that failed (I/O or remote faults, degraded to misses).", cache.Errors)
 	counter("ipcpd_cache_gc_runs_total", "Cache GC sweeps completed.", m.gcRuns.Load())
 	counter("ipcpd_cache_gc_deleted_total", "Files deleted by cache GC.", m.gcDeleted.Load())
-	counter("ipcpd_wal_replayed_total", "Write-ahead journal records replayed into the cache at boot.", m.walReplayed.Load())
-	counter("ipcpd_wal_skipped_total", "Journal records already present in the cache at boot.", m.walSkipped.Load())
-	counter("ipcpd_wal_corrupt_total", "Torn or corrupt journal records dropped at boot.", m.walCorrupt.Load())
 	fmt.Fprintf(w, "# HELP ipcpd_uptime_seconds Seconds since the server started.\n# TYPE ipcpd_uptime_seconds gauge\nipcpd_uptime_seconds %g\n",
 		time.Since(m.start).Seconds())
 }

@@ -58,17 +58,10 @@ type Config struct {
 
 	// RemoteCache, when non-empty, layers a shared remote blob tier —
 	// another ipcpd's /v1/blob endpoint — behind the local cache, so
-	// shard-local caches share procedure summaries fleet-wide. Remote
-	// faults degrade to misses; queued write-backs are flushed during
-	// graceful shutdown.
+	// shard-local caches share procedure summaries fleet-wide. Each
+	// summary put waits for the remote's acknowledgment; remote faults
+	// degrade to misses and are logged.
 	RemoteCache string
-
-	// DisableWAL turns off the disk cache's write-ahead journal (the
-	// -wal=false escape hatch). With a CacheDir and the WAL on — the
-	// default — every accepted summary put is journaled before it is
-	// acknowledged and replayed at the next boot if the process dies
-	// before the write-back lands.
-	DisableWAL bool
 
 	// MaxSnapshots bounds the resident snapshot map: the server keeps
 	// the snapshots of at most this many program lineages (default 64),
@@ -132,14 +125,12 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxSnapshots = 64
 	}
 	var cache *ipcp.SummaryCache
-	var replay ipcp.WALReplayStats
-	switch {
-	case cfg.CacheDir != "" && !cfg.DisableWAL:
-		// The durable stack: memory in front of disk (in front of the
-		// remote), journaled so a crash loses no acknowledged put.
-		// Recovery replays whatever the last process left behind.
+	if cfg.CacheDir != "" {
+		// Memory in front of disk (in front of the remote): every put
+		// is on disk before it returns, so a crash loses no
+		// acknowledged put.
 		var err error
-		cache, replay, err = ipcp.NewDurableCache(ipcp.DurableCacheOptions{
+		cache, _, err = ipcp.NewDurableCache(ipcp.DurableCacheOptions{
 			Dir:        cfg.CacheDir,
 			RemoteURL:  cfg.RemoteCache,
 			MemEntries: 4096,
@@ -147,16 +138,11 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-	case cfg.CacheDir != "":
-		var err error
-		if cache, err = ipcp.NewDiskCache(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	default:
+	} else {
 		cache = ipcp.NewMemoryCache()
-	}
-	if cfg.RemoteCache != "" && (cfg.CacheDir == "" || cfg.DisableWAL) {
-		cache = ipcp.NewTieredCache(cache, ipcp.NewRemoteCache(cfg.RemoteCache))
+		if cfg.RemoteCache != "" {
+			cache = ipcp.NewTieredCache(cache, ipcp.NewRemoteCache(cfg.RemoteCache))
+		}
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -167,13 +153,6 @@ func New(cfg Config) (*Server, error) {
 		snapshots: make(map[string]*list.Element),
 		snapOrder: list.New(),
 		gcStop:    make(chan struct{}),
-	}
-	s.metrics.walReplayed.Store(int64(replay.Replayed))
-	s.metrics.walSkipped.Store(int64(replay.Skipped))
-	s.metrics.walCorrupt.Store(int64(replay.Corrupt))
-	if replay.Replayed > 0 || replay.Corrupt > 0 {
-		s.logf("wal recovery: %d records replayed, %d already present, %d corrupt",
-			replay.Replayed, replay.Skipped, replay.Corrupt)
 	}
 	s.ready.Store(true)
 	if cfg.CacheDir != "" && cfg.GCInterval > 0 {
@@ -226,12 +205,9 @@ func (s *Server) Serve(l net.Listener) error {
 // Shutdown drains the server: readiness goes false (load balancers
 // stop sending), the HTTP server stops accepting and waits for open
 // requests up to ctx's deadline, then the worker pool finishes every
-// admitted job, the cache is closed — pending write-backs flushed so
-// no queued put is dropped, then the journal's confirmed segments
-// retired (a clean shutdown leaves nothing for the next boot to
-// replay) — and the GC loop stops. A write-back the shutdown had to
-// abandon is logged, its journal record left for the next boot.
-// Admissions racing with shutdown get 503.
+// admitted job (a job's summary puts have landed in every cache tier
+// by the time it finishes), and the GC loop stops. Admissions racing
+// with shutdown get 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
 	s.mu.Lock()
@@ -242,9 +218,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = srv.Shutdown(ctx)
 	}
 	s.pool.drain()
-	if cerr := s.cache.Close(); cerr != nil {
-		s.logf("cache close: %v", cerr)
-	}
 	s.gcOnce.Do(func() { close(s.gcStop) })
 	s.gcDone.Wait()
 	return err
@@ -500,7 +473,8 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // analyze runs one incremental analysis inside a pool worker and
-// advances the lineage's snapshot.
+// advances the lineage's snapshot. A summary the run failed to store
+// is logged; the report stands.
 func (s *Server) analyze(ctx context.Context, prog *ipcp.Program, cfg ipcp.Config, lineage string) (*ipcp.Report, error) {
 	if s.gate != nil {
 		s.gate()
@@ -508,6 +482,9 @@ func (s *Server) analyze(ctx context.Context, prog *ipcp.Program, cfg ipcp.Confi
 	rep, snap, err := prog.AnalyzeIncrementalContext(ctx, cfg, s.snapshot(lineage), s.cache)
 	if err != nil {
 		return nil, err
+	}
+	if err := rep.Incremental.StoreErr; err != nil {
+		s.logf("cache write: %v", err)
 	}
 	s.setSnapshot(lineage, snap)
 	return rep, nil

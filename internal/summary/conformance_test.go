@@ -17,8 +17,7 @@ import (
 // storeVariants enumerates the implementations under test. The bounded
 // variant's cap exceeds every key count the shared battery uses, so
 // eviction never interferes here; eviction semantics get their own
-// test below. Tiered variants register a Flush cleanup so background
-// write-backs drain before the test's temp dirs vanish.
+// test below.
 func storeVariants() map[string]func(t *testing.T) Store {
 	return map[string]func(t *testing.T) Store{
 		"memory":  func(t *testing.T) Store { return NewMemStore(0) },
@@ -31,26 +30,20 @@ func storeVariants() map[string]func(t *testing.T) Store {
 			return s
 		},
 		"tiered": func(t *testing.T) Store {
-			s := NewTieredStore(NewMemStore(0), NewMemStore(0))
-			t.Cleanup(s.Flush)
-			return s
+			return NewTieredStore(NewMemStore(0), NewMemStore(0))
 		},
 		"tiered-disk": func(t *testing.T) Store {
 			d, err := NewDiskStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := NewTieredStore(NewMemStore(0), d)
-			t.Cleanup(s.Flush)
-			return s
+			return NewTieredStore(NewMemStore(0), d)
 		},
 		"remote": func(t *testing.T) Store {
 			return NewRemoteStore(newFakeBlobServer(t).URL())
 		},
 		"tiered-remote": func(t *testing.T) Store {
-			s := NewTieredStore(NewMemStore(0), NewRemoteStore(newFakeBlobServer(t).URL()))
-			t.Cleanup(s.Flush)
-			return s
+			return NewTieredStore(NewMemStore(0), NewRemoteStore(newFakeBlobServer(t).URL()))
 		},
 	}
 }
@@ -62,14 +55,6 @@ func TestStoreConformance(t *testing.T) {
 			t.Run("Counters", func(t *testing.T) { testStoreCounters(t, mk(t)) })
 			t.Run("Concurrent", func(t *testing.T) { testStoreConcurrent(t, mk(t)) })
 		})
-	}
-}
-
-// flush drains pending background work on stores that have any, so
-// counter checks and temp-dir cleanup see a quiescent store.
-func flush(s Store) {
-	if f, ok := s.(interface{ Flush() }); ok {
-		f.Flush()
 	}
 }
 
@@ -117,7 +102,6 @@ func testStoreCounters(t *testing.T, s Store) {
 	s.Get(KeyOf("missing"))
 	s.Get(KeyOf("missing too"))
 	s.Get(KeyOf("still missing"))
-	flush(s)
 	want := StoreStats{Hits: 2, Misses: 3, Puts: 3, PutBytes: 3, Evictions: 0}
 	if got := s.Stats(); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
@@ -150,7 +134,6 @@ func testStoreConcurrent(t *testing.T, s Store) {
 		}(g)
 	}
 	wg.Wait()
-	flush(s)
 	want := StoreStats{
 		Hits:     goroutines * keys,
 		Misses:   goroutines,

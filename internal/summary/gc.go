@@ -103,11 +103,6 @@ func GCDir(dir string, extraLive []Key, budgetBytes int64) (GCStats, error) {
 			for _, k := range snap.Keys() {
 				live[k] = true
 			}
-		case strings.HasSuffix(name, ".wal"):
-			// Write-ahead journal segments belong to the WAL's own
-			// retirement protocol: they hold puts whose write-back has
-			// not confirmed, and GC must never touch them.
-			continue
 		case strings.HasSuffix(name, ".ipcs"):
 			raw, err := hex.DecodeString(strings.TrimSuffix(name, ".ipcs"))
 			if err != nil || len(raw) != len(Key{}) {

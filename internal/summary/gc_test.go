@@ -127,9 +127,10 @@ func TestGCDirSkipsCorruptSnapshots(t *testing.T) {
 }
 
 // TestGCDirIgnoresForeignFiles pins the ownership rule: GC deletes
-// only files it can prove are unreferenced store blobs. WAL segments,
-// notes, badly named .ipcs files — anything else in the directory —
-// must survive a sweep untouched.
+// only files it can prove are unreferenced store blobs. Journal
+// segments an older release left behind, notes, badly named .ipcs
+// files — anything else in the directory — must survive a sweep
+// untouched.
 func TestGCDirIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewDiskStore(dir)
@@ -142,7 +143,7 @@ func TestGCDirIgnoresForeignFiles(t *testing.T) {
 	}
 
 	foreign := []string{
-		"wal-0000000000000001.wal", // journal segment: WAL retirement owns it
+		"wal-0000000000000001.wal", // an older release's journal segment
 		"notes.txt",                // a user's file
 		"README",                   // no extension at all
 		"not-hex-at-all.ipcs",      // .ipcs but not a key of ours

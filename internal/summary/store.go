@@ -139,9 +139,16 @@ func (s *MemStore) Len() int {
 // DiskStore persists values as one file per key under a directory
 // (cmd/ipcp -cache-dir), so summaries survive across processes. Writes
 // go through a temp file and a rename, keeping concurrent readers from
-// ever seeing a torn value.
+// ever seeing a torn value. A Put that returned nil has finished its
+// write and rename, so the value survives the process being killed.
 type DiskStore struct {
 	dir string
+
+	// Sync, when set before the store is first used, fsyncs each value
+	// before the rename that publishes it, so an acknowledged Put also
+	// survives power loss, at the cost of one fsync per Put.
+	Sync bool
+
 	counters
 }
 
@@ -185,20 +192,18 @@ func (s *DiskStore) Put(k Key, v []byte) error {
 		s.errors.Add(1)
 		return err
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(v); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		s.errors.Add(1)
-		return err
+	_, err = tmp.Write(v)
+	if err == nil && s.Sync {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		s.errors.Add(1)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(name, s.path(k)); err != nil {
-		os.Remove(name)
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path(k))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		s.errors.Add(1)
 		return err
 	}

@@ -1,70 +1,35 @@
 package summary
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"ipcp/internal/wal"
-)
+import "ipcp/internal/wal"
 
 // TieredStore composes stores into a cache hierarchy — typically
 // memory in front of disk in front of a remote — with read-through
-// fill and asynchronous write-back. Because every key is a complete
-// content address (the key change *is* the invalidation), tiers never
-// need coherence traffic: a value under a key is the same value in
-// every tier that has it, so filling and writing back can be lazy and
-// lossy without ever serving a wrong answer.
+// fill and write-through puts. Because every key is a complete content
+// address (the key change *is* the invalidation), tiers never need
+// coherence traffic: a value under a key is the same value in every
+// tier that has it, so a fill may be lost without ever serving a
+// wrong answer.
 type TieredStore struct {
 	tiers []Store
 	counters
-
-	// journal, when non-nil, logs every accepted Put before it is
-	// acknowledged; a record is confirmed back (retiring its segment
-	// once drained) only after every backing tier's write-back
-	// succeeded, so a crash at any point loses no acknowledged put.
-	journal *wal.Journal
-
-	// Write-back to the slower tiers runs on background goroutines,
-	// bounded by sem so a burst of Puts cannot pile up unbounded
-	// concurrency against a remote.
-	wg  sync.WaitGroup
-	sem chan struct{}
-
-	// flushErr holds the first asynchronous failure — a write-back or
-	// journal error the Put that caused it could not return — surfaced
-	// by FlushErr so shutdown paths can report instead of silently
-	// dropping it.
-	flushMu  sync.Mutex
-	flushErr error
 }
 
-// writeBackWorkers bounds the concurrent background Puts draining into
-// the non-primary tiers.
-const writeBackWorkers = 4
-
 // NewTieredStore stacks stores fastest-first. Get probes in order and
-// back-fills every faster tier on a hit; Put writes the first tier
-// synchronously and the rest asynchronously (Flush drains). A single
-// tier is legal (the stack degenerates to that store plus counters),
-// zero tiers is a programming error.
+// back-fills every faster tier on a hit; Put writes every tier before
+// it returns. A single tier is legal (the stack degenerates to that
+// store plus counters), zero tiers is a programming error.
 func NewTieredStore(tiers ...Store) *TieredStore {
 	if len(tiers) == 0 {
 		panic("summary: NewTieredStore needs at least one tier")
 	}
-	return &TieredStore{tiers: tiers, sem: make(chan struct{}, writeBackWorkers)}
+	return &TieredStore{tiers: tiers}
 }
 
-// NewDurableTieredStore is NewTieredStore with a write-ahead journal:
-// every accepted Put is appended to j before it is acknowledged, and
-// j's segments retire only once the asynchronous write-backs confirm
-// every backing tier. With a single tier the journal itself is the
-// durable copy and records are never confirmed — recovery replays
-// them into whatever stack the next open builds.
-func NewDurableTieredStore(j *wal.Journal, tiers ...Store) *TieredStore {
-	s := NewTieredStore(tiers...)
-	s.journal = j
-	return s
+// NewDurableTieredStore is NewTieredStore; the journal is ignored.
+//
+// Deprecated: use NewTieredStore, whose Put is write-through.
+func NewDurableTieredStore(_ *wal.Journal, tiers ...Store) *TieredStore {
+	return NewTieredStore(tiers...)
 }
 
 // Get implements Store: the first tier that has the value wins, and
@@ -87,136 +52,44 @@ func (s *TieredStore) Get(k Key) ([]byte, bool) {
 	return nil, false
 }
 
-// Put implements Store: journaled first (when a journal is attached),
-// then synchronous into the first tier (so the value is immediately
-// visible to this process), write-back into the rest in the
-// background. The journal record is confirmed — making its segment
-// retirable — only when every backing tier's write-back succeeded; a
-// failed write-back leaves the record on disk for the next open's
-// recovery to retry, and a failed journal append degrades to the
-// unjournaled behavior (counted in Errors and FlushErr) rather than
-// refusing the put.
+// Put implements Store: it writes every tier, fastest first, before it
+// returns, so a nil error means every tier holds v — on disk, a
+// finished write and rename; on a remote, the peer's acknowledgment. A
+// failing tier does not stop the slower ones; Put returns the first
+// failure, and only a Put that returns nil counts in Puts.
 func (s *TieredStore) Put(k Key, v []byte) error {
-	var seq uint64
-	logged := false
-	if s.journal != nil {
-		if sq, jerr := s.journal.Append(wal.Key(k), v); jerr == nil {
-			seq, logged = sq, true
-		} else {
-			s.errors.Add(1)
-			s.noteErr(fmt.Errorf("summary: wal append: %w", jerr))
+	var first error
+	for _, t := range s.tiers {
+		if err := t.Put(k, v); err != nil && first == nil {
+			first = err
 		}
 	}
-	err := s.tiers[0].Put(k, v)
-	if err == nil {
-		s.puts.Add(1)
-		s.putBytes.Add(int64(len(v)))
+	if first != nil {
+		return first
 	}
-	rest := s.tiers[1:]
-	if len(rest) == 0 {
-		return err
-	}
-	// One confirmation per put: the last write-back to finish confirms,
-	// unless any of them failed.
-	var remaining atomic.Int32
-	var failed atomic.Bool
-	remaining.Store(int32(len(rest)))
-	for _, t := range rest {
-		t := t
-		s.wg.Add(1)
-		s.sem <- struct{}{}
-		go func() {
-			defer func() { <-s.sem; s.wg.Done() }()
-			if perr := t.Put(k, v); perr != nil {
-				failed.Store(true)
-				s.noteErr(perr)
-			}
-			if remaining.Add(-1) == 0 && logged && !failed.Load() {
-				s.journal.Confirm(seq)
-			}
-		}()
-	}
-	return err
+	s.puts.Add(1)
+	s.putBytes.Add(int64(len(v)))
+	return nil
 }
 
-func (s *TieredStore) noteErr(err error) {
-	s.flushMu.Lock()
-	if s.flushErr == nil {
-		s.flushErr = err
-	}
-	s.flushMu.Unlock()
-}
+// Close does nothing: Put leaves no work behind.
+//
+// Deprecated: a TieredStore needs no closing.
+func (s *TieredStore) Close() error { return nil }
 
-// Flush blocks until every pending write-back has drained — tests and
-// process shutdown call it so slower tiers are complete — then retires
-// the journal's fully confirmed segments, so a clean shutdown leaves
-// nothing for the next boot to replay.
-func (s *TieredStore) Flush() {
-	s.wg.Wait()
-	if s.journal != nil {
-		s.journal.Sweep()
-	}
-}
-
-// FlushErr returns the first error any asynchronous write-back or
-// journal operation has hit since the store was opened (sticky; nil
-// when everything drained cleanly). Put cannot return these — they
-// happen after it acknowledged — so shutdown paths check here instead
-// of silently dropping them.
-func (s *TieredStore) FlushErr() error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	return s.flushErr
-}
-
-// Close flushes pending write-backs, retires what the journal can
-// retire, and closes it — unconfirmed records stay on disk for the
-// next open's recovery. It returns FlushErr, so callers logging the
-// close also surface any write-back the shutdown is abandoning.
-func (s *TieredStore) Close() error {
-	s.Flush()
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			s.noteErr(err)
-		}
-	}
-	return s.FlushErr()
-}
-
-// Journal exposes the attached write-ahead journal (nil without one) —
-// servers read its Stats for metrics.
-func (s *TieredStore) Journal() *wal.Journal { return s.journal }
-
-// ReplayStats counts one journal recovery.
+// ReplayStats is what RecoverJournal returns: always zero.
+//
+// Deprecated: nothing is journaled.
 type ReplayStats struct {
-	Replayed int // records re-put into the store
-	Skipped  int // records whose key was already present
-	Corrupt  int // torn or corrupt records dropped at open
+	Replayed int
+	Skipped  int
+	Corrupt  int
 }
 
-// RecoverJournal replays j's surviving records into store — skipping
-// keys already present, re-putting the rest — and drops the recovered
-// segments. Call it at boot, after building the store stack but before
-// serving: when store is itself journaled by j, the re-puts land in
-// fresh segments, so dropping the old ones loses nothing. An error
-// aborts the replay with the segments kept for the next boot.
-func RecoverJournal(j *wal.Journal, store Store) (ReplayStats, error) {
-	var rs ReplayStats
-	wst, err := wal.Recover(j, func(k wal.Key, v []byte) error {
-		key := Key(k)
-		if _, ok := store.Get(key); ok {
-			rs.Skipped++
-			return nil
-		}
-		if err := store.Put(key, v); err != nil {
-			return err
-		}
-		rs.Replayed++
-		return nil
-	})
-	rs.Corrupt = wst.Corrupt
-	return rs, err
-}
+// RecoverJournal replays nothing.
+//
+// Deprecated: nothing is journaled.
+func RecoverJournal(*wal.Journal, Store) (ReplayStats, error) { return ReplayStats{}, nil }
 
 // Stats implements Store. The hit/miss/put counters are the stack's
 // own (one logical lookup regardless of how many tiers it probed);
@@ -234,7 +107,7 @@ func (s *TieredStore) Stats() StoreStats {
 
 // TierStats returns each tier's own counters, fastest-first. Note the
 // traffic a tier sees is shaped by the stack: tier i only sees the
-// Gets that missed tiers 0..i-1, plus fills and write-backs as Puts.
+// Gets that missed tiers 0..i-1, plus fills and writes as Puts.
 func (s *TieredStore) TierStats() []StoreStats {
 	out := make([]StoreStats, len(s.tiers))
 	for i, t := range s.tiers {

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -11,7 +12,6 @@ import (
 func TestTieredReadThroughFill(t *testing.T) {
 	fast, slow := NewMemStore(0), NewMemStore(0)
 	s := NewTieredStore(fast, slow)
-	defer s.Flush()
 
 	k := KeyOf("fill")
 	if err := slow.Put(k, []byte("deep")); err != nil {
@@ -29,29 +29,64 @@ func TestTieredReadThroughFill(t *testing.T) {
 	}
 }
 
-// TestTieredWriteBack pins that Put lands synchronously in tier 0 and,
-// after Flush, in every slower tier.
-func TestTieredWriteBack(t *testing.T) {
+// TestTieredWriteThrough pins that every tier holds the value as soon
+// as Put returns nil.
+func TestTieredWriteThrough(t *testing.T) {
 	fast, slow := NewMemStore(0), NewMemStore(0)
 	s := NewTieredStore(fast, slow)
 
-	k := KeyOf("writeback")
+	k := KeyOf("writethrough")
 	if err := s.Put(k, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fast.Get(k); !ok {
-		t.Fatal("tier 0 missing the value immediately after Put")
+	for i, tier := range []*MemStore{fast, slow} {
+		if v, ok := tier.Get(k); !ok || !bytes.Equal(v, []byte("v")) {
+			t.Fatalf("tier %d right after Put = %q, %v", i, v, ok)
+		}
 	}
-	s.Flush()
-	if v, ok := slow.Get(k); !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("slow tier after Flush = %q, %v", v, ok)
+}
+
+// failingStore is a tier that holds nothing: every Put fails with its
+// own error.
+type failingStore struct {
+	counters
+	err error
+}
+
+func (f *failingStore) Get(Key) ([]byte, bool) { return nil, false }
+func (f *failingStore) Put(Key, []byte) error {
+	f.errors.Add(1)
+	return f.err
+}
+func (f *failingStore) Stats() StoreStats { return f.stats() }
+
+// TestTieredPutReturnsFirstError drives two failing tiers between
+// working ones: Put returns the first tier's failure, still writes the
+// tiers behind it, and counts no put.
+func TestTieredPutReturnsFirstError(t *testing.T) {
+	first := &failingStore{err: errors.New("disk full")}
+	second := &failingStore{err: errors.New("remote down")}
+	fast, last := NewMemStore(0), NewMemStore(0)
+	s := NewTieredStore(fast, first, second, last)
+
+	k := KeyOf("failing")
+	if err := s.Put(k, []byte("v")); err != first.err {
+		t.Fatalf("Put = %v, want the first failing tier's %v", err, first.err)
+	}
+	for i, tier := range []*MemStore{fast, last} {
+		if _, ok := tier.Get(k); !ok {
+			t.Fatalf("working tier %d missing the value after a failed Put", i)
+		}
+	}
+	if st := s.Stats(); st.Puts != 0 || st.Errors != 2 {
+		t.Fatalf("stack stats = %+v; want no put and both tiers' errors", st)
 	}
 }
 
 // TestTieredFaultyRemoteDegrades stacks memory over a remote that is
-// serving 500s: reads and writes keep working out of the memory tier,
-// and the remote's failures surface only as the aggregated Errors
-// counter — the layered cache never fails an analysis.
+// serving 500s: Put reports the remote's failure, reads keep working
+// out of the memory tier, and the failures count in the aggregated
+// Errors counter.
 func TestTieredFaultyRemoteDegrades(t *testing.T) {
 	f := newFakeBlobServer(t)
 	f.setMode("error")
@@ -59,18 +94,17 @@ func TestTieredFaultyRemoteDegrades(t *testing.T) {
 	s := NewTieredStore(NewMemStore(0), remote)
 
 	k := KeyOf("degrade")
-	if err := s.Put(k, []byte("local")); err != nil {
-		t.Fatalf("Put with faulty remote tier: %v", err)
+	if err := s.Put(k, []byte("local")); err == nil {
+		t.Fatal("Put through a faulty remote tier returned nil")
 	}
-	s.Flush()
 	if v, ok := s.Get(k); !ok || !bytes.Equal(v, []byte("local")) {
 		t.Fatalf("Get with faulty remote tier = %q, %v", v, ok)
 	}
 	if st := s.Stats(); st.Errors == 0 {
 		t.Fatal("remote failures did not surface in aggregated Errors")
 	}
-	if st := s.Stats(); st.Hits != 1 || st.Puts != 1 {
-		t.Fatalf("stack stats = %+v; faults must not disturb hit/put counts", st)
+	if st := s.Stats(); st.Hits != 1 || st.Puts != 0 {
+		t.Fatalf("stack stats = %+v; want the local hit and no put", st)
 	}
 
 	// A miss probes the remote too: still a clean miss, one more error.
@@ -88,7 +122,6 @@ func TestTieredFaultyRemoteDegrades(t *testing.T) {
 func TestTieredTierStats(t *testing.T) {
 	fast, slow := NewMemStore(1), NewMemStore(0) // tier 0 holds one entry
 	s := NewTieredStore(fast, slow)
-	defer s.Flush()
 
 	k1, k2 := KeyOf("t1"), KeyOf("t2")
 	if err := s.Put(k1, []byte("a")); err != nil {
@@ -97,7 +130,6 @@ func TestTieredTierStats(t *testing.T) {
 	if err := s.Put(k2, []byte("b")); err != nil { // evicts k1 from tier 0
 		t.Fatal(err)
 	}
-	s.Flush()
 	if v, ok := s.Get(k1); !ok || !bytes.Equal(v, []byte("a")) { // served by tier 1
 		t.Fatalf("Get(k1) = %q, %v", v, ok)
 	}
@@ -124,7 +156,6 @@ func TestTieredTierStats(t *testing.T) {
 // as that store plus counters.
 func TestTieredSingleTier(t *testing.T) {
 	s := NewTieredStore(NewMemStore(0))
-	defer s.Flush()
 	k := KeyOf("single")
 	if err := s.Put(k, []byte("v")); err != nil {
 		t.Fatal(err)

@@ -1,506 +1,40 @@
-// Package wal implements the write-ahead journal that makes the
-// summary store crash-durable. A store that acknowledges a Put before
-// its slower tiers have confirmed it (summary.TieredStore writes disk
-// and remote tiers asynchronously) appends the record here first; a
-// crash then loses nothing, because the next open replays every record
-// whose write-back never confirmed.
+// Package wal is what remains of the write-ahead journal that once
+// stood in front of the summary store's asynchronous write-backs. The
+// store now writes every tier before a Put returns, so nothing is left
+// to journal or replay. These inert declarations keep old callers
+// compiling; see DESIGN.md, "Crash durability".
 //
-// The journal is a sequence of segment files, "wal-%016x.wal", each
-//
-//	magic "IPWL" | version u16 | segment seq u64
-//
-// followed by length-prefixed records
-//
-//	payload length u32 | key [32]byte | sha256(key ‖ payload) | payload
-//
-// with all fixed-width fields big-endian. Appends go to one active
-// segment, rotated past Options.SegmentBytes; a segment is deleted
-// ("retired") once every record appended to it has been confirmed by
-// the caller, so the journal's steady-state size is the write-back
-// backlog, not the write history. Open scans the segments a previous
-// process left behind, truncates any torn tail (a record cut short by
-// a crash mid-append), and exposes the survivors through Replay.
-//
-// The package deliberately knows nothing about the summary codec: a
-// record is an opaque (key, payload) pair, so the store above decides
-// what replaying one means.
+// Deprecated: use summary.NewTieredStore, whose Put is write-through.
 package wal
 
-import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-)
-
-// Key is a journal record's content address — the same 32 bytes as a
-// summary.Key, kept as a plain array so the packages stay decoupled.
-type Key = [32]byte
-
-const (
-	segMagic      = "IPWL"
-	segVersion    = 1
-	segHeaderSize = 4 + 2 + 8
-	recHeaderSize = 4 + 32 + sha256.Size
-
-	// DefaultSegmentBytes is the rotation threshold when Options leaves
-	// SegmentBytes zero.
-	DefaultSegmentBytes = 4 << 20
-
-	// MaxRecordBytes caps one record's payload — matching the blob
-	// protocol's cap — so a corrupt length prefix cannot demand a giant
-	// read.
-	MaxRecordBytes = 64 << 20
-)
-
-// ErrCorrupt is wrapped by every scan failure: torn tails, bad
-// checksums, impossible lengths.
-var ErrCorrupt = errors.New("wal: corrupt record")
-
-// ErrCrashed is returned by Append after an injected crash point (see
-// CrashAfter) — the in-process stand-in for the process dying.
-var ErrCrashed = errors.New("wal: crashed (injected)")
-
-// SyncPolicy says when the active segment is fsynced.
+// SyncPolicy once said when a journal segment was fsynced.
+//
+// Deprecated: summary.DiskStore.Sync fsyncs each blob before its rename.
 type SyncPolicy int
 
-const (
-	// SyncRotate (the default) fsyncs on segment rotation and Close.
-	// Acknowledged records are write()n before the Put returns, so a
-	// process crash (SIGKILL) loses nothing; only an OS crash can lose
-	// the tail of the active segment.
-	SyncRotate SyncPolicy = iota
-	// SyncAlways fsyncs after every append: power-loss durable, one
-	// fsync per Put.
-	SyncAlways
-	// SyncNever never fsyncs; the OS flushes on its own schedule.
-	SyncNever
-)
+// SyncRotate was the default policy.
+//
+// Deprecated: nothing is journaled.
+const SyncRotate SyncPolicy = 0
 
-// Options tunes a Journal. The zero value is usable.
+// Options configures nothing.
+//
+// Deprecated: nothing is journaled.
 type Options struct {
-	SegmentBytes int64 // rotation threshold (default DefaultSegmentBytes)
-	Sync         SyncPolicy
+	Sync SyncPolicy
 }
 
-// Stats counts a journal's traffic since Open.
-type Stats struct {
-	Appends         int64
-	AppendBytes     int64
-	Syncs           int64
-	SegmentsCreated int64
-	SegmentsRetired int64
-	LiveSegments    int
-}
+// Journal journals nothing.
+//
+// Deprecated: nothing is journaled.
+type Journal struct{}
 
-// RecoverStats describes what Open found left behind by the previous
-// process.
-type RecoverStats struct {
-	Segments    int // readable segments carried into Replay
-	Records     int // intact records in them
-	Corrupt     int // torn or corrupt tails truncated away
-	BadSegments int // segments whose header was unreadable
-}
+// Open touches nothing and returns an inert journal.
+//
+// Deprecated: nothing is journaled.
+func Open(string, Options) (*Journal, error) { return &Journal{}, nil }
 
-// segState tracks one live segment's unconfirmed records.
-type segState struct {
-	path    string
-	pending int
-	sealed  bool
-}
-
-// Journal is an append-only, segmented, checksummed record log. All
-// methods are safe for concurrent use.
-type Journal struct {
-	dir  string
-	opts Options
-
-	mu         sync.Mutex
-	active     *os.File
-	activeSeq  uint64
-	activeSize int64
-	nextSeq    uint64
-	segs       map[uint64]*segState
-	recovered  []string // sanitized pre-existing segments, oldest first
-	recStats   RecoverStats
-
-	appends     int64
-	appendBytes int64
-	syncs       int64
-	created     int64
-	retired     int64
-
-	// Crash injection (tests only): after crashLeft more successful
-	// appends the next one writes crashTorn bytes of its record and the
-	// journal refuses all further work.
-	crashArmed bool
-	crashLeft  int
-	crashTorn  int
-	crashed    bool
-}
-
-// Open scans dir (created if needed) for segments a previous process
-// left behind, truncates torn tails so every surviving record is
-// intact, and returns a journal whose next append starts a fresh
-// segment numbered after the highest found. Call Replay before
-// appending anything you would mind re-reading.
-func Open(dir string, opts Options) (*Journal, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	j := &Journal{dir: dir, opts: opts, nextSeq: 1, segs: make(map[uint64]*segState)}
-	type found struct {
-		seq  uint64
-		path string
-	}
-	var olds []found
-	for _, e := range entries {
-		name := e.Name()
-		var seq uint64
-		if n, err := fmt.Sscanf(name, "wal-%016x.wal", &seq); n != 1 || err != nil {
-			continue
-		}
-		olds = append(olds, found{seq, filepath.Join(dir, name)})
-		if seq >= j.nextSeq {
-			j.nextSeq = seq + 1
-		}
-	}
-	sort.Slice(olds, func(a, b int) bool { return olds[a].seq < olds[b].seq })
-	for _, o := range olds {
-		records, corrupt, ok := sanitize(o.path)
-		if !ok {
-			j.recStats.BadSegments++
-			j.recovered = append(j.recovered, o.path) // DropRecovered still deletes it
-			continue
-		}
-		j.recStats.Segments++
-		j.recStats.Records += records
-		j.recStats.Corrupt += corrupt
-		j.recovered = append(j.recovered, o.path)
-	}
-	return j, nil
-}
-
-// sanitize validates one pre-existing segment, truncating it at the
-// first torn or corrupt record so later reads see only intact ones.
-// ok=false means the header itself was unreadable and the segment
-// holds nothing recoverable.
-func sanitize(path string) (records, corrupt int, ok bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, false
-	}
-	if len(data) < segHeaderSize || string(data[:4]) != segMagic ||
-		binary.BigEndian.Uint16(data[4:]) != segVersion {
-		return 0, 0, false
-	}
-	off := segHeaderSize
-	for off < len(data) {
-		_, _, n, err := ScanRecord(data[off:])
-		if err != nil {
-			corrupt++
-			_ = os.Truncate(path, int64(off))
-			break
-		}
-		records++
-		off += n
-	}
-	return records, corrupt, true
-}
-
-// EncodeRecord renders one record in the journal's canonical on-disk
-// form: length prefix, key, checksum over key and payload, payload.
-func EncodeRecord(key Key, payload []byte) []byte {
-	out := make([]byte, recHeaderSize, recHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(len(payload)))
-	copy(out[4:], key[:])
-	h := sha256.New()
-	h.Write(key[:])
-	h.Write(payload)
-	copy(out[4+32:], h.Sum(nil))
-	return append(out, payload...)
-}
-
-// ScanRecord parses the record at the head of data, returning the key,
-// the payload (aliasing data), and the bytes consumed. It never
-// panics; torn or corrupt input yields an error wrapping ErrCorrupt.
-func ScanRecord(data []byte) (key Key, payload []byte, n int, err error) {
-	if len(data) < recHeaderSize {
-		return key, nil, 0, fmt.Errorf("%w: torn header (%d bytes)", ErrCorrupt, len(data))
-	}
-	plen := binary.BigEndian.Uint32(data)
-	if plen > MaxRecordBytes {
-		return key, nil, 0, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, plen)
-	}
-	if int(plen) > len(data)-recHeaderSize {
-		return key, nil, 0, fmt.Errorf("%w: torn payload (%d of %d bytes)", ErrCorrupt, len(data)-recHeaderSize, plen)
-	}
-	copy(key[:], data[4:])
-	payload = data[recHeaderSize : recHeaderSize+int(plen)]
-	h := sha256.New()
-	h.Write(key[:])
-	h.Write(payload)
-	if !bytes.Equal(h.Sum(nil), data[4+32:recHeaderSize]) {
-		return key, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return key, payload, recHeaderSize + int(plen), nil
-}
-
-// Append logs one record and returns the sequence number of the
-// segment holding it — the token Confirm takes once the record's
-// write-back has landed in every backing tier. The record is written
-// (and, under SyncAlways, fsynced) before Append returns, so an
-// acknowledged Put is recoverable from the moment the caller sees it.
-func (j *Journal) Append(key Key, payload []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.crashed {
-		return 0, ErrCrashed
-	}
-	rec := EncodeRecord(key, payload)
-	if j.active == nil || (j.activeSize+int64(len(rec)) > j.opts.SegmentBytes && j.activeSize > segHeaderSize) {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if j.crashArmed {
-		if j.crashLeft == 0 {
-			j.crashed = true
-			torn := min(j.crashTorn, len(rec))
-			if torn > 0 {
-				j.active.Write(rec[:torn])
-				j.activeSize += int64(torn)
-			}
-			return 0, ErrCrashed
-		}
-		j.crashLeft--
-	}
-	if _, err := j.active.Write(rec); err != nil {
-		// The tail may be torn mid-record; roll it back so later
-		// appends stay scannable, poisoning the journal if even the
-		// rollback fails.
-		if j.active.Truncate(j.activeSize) != nil {
-			j.crashed = true
-		}
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	j.activeSize += int64(len(rec))
-	j.appends++
-	j.appendBytes += int64(len(rec))
-	if j.opts.Sync == SyncAlways {
-		if err := j.active.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-		j.syncs++
-	}
-	j.segs[j.activeSeq].pending++
-	return j.activeSeq, nil
-}
-
-// rotateLocked seals the active segment (it retires immediately if
-// already fully confirmed) and opens the next one.
-func (j *Journal) rotateLocked() error {
-	if j.active != nil {
-		if j.opts.Sync != SyncNever {
-			if err := j.active.Sync(); err == nil {
-				j.syncs++
-			}
-		}
-		j.active.Close()
-		st := j.segs[j.activeSeq]
-		st.sealed = true
-		j.maybeRetireLocked(j.activeSeq, st)
-		j.active = nil
-	}
-	seq := j.nextSeq
-	path := filepath.Join(j.dir, fmt.Sprintf("wal-%016x.wal", seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	var hdr [segHeaderSize]byte
-	copy(hdr[:], segMagic)
-	binary.BigEndian.PutUint16(hdr[4:], segVersion)
-	binary.BigEndian.PutUint64(hdr[6:], seq)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("wal: %w", err)
-	}
-	j.nextSeq = seq + 1
-	j.active = f
-	j.activeSeq = seq
-	j.activeSize = segHeaderSize
-	j.segs[seq] = &segState{path: path}
-	j.created++
-	return nil
-}
-
-// Confirm reports that one record appended under seq has landed in
-// every backing tier. A sealed segment whose records are all confirmed
-// is deleted — the retirement protocol that keeps the journal bounded
-// by the write-back backlog.
-func (j *Journal) Confirm(seq uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.segs[seq]
-	if st == nil {
-		return
-	}
-	if st.pending > 0 {
-		st.pending--
-	}
-	j.maybeRetireLocked(seq, st)
-}
-
-func (j *Journal) maybeRetireLocked(seq uint64, st *segState) {
-	if !st.sealed || st.pending != 0 {
-		return
-	}
-	if os.Remove(st.path) == nil {
-		j.retired++
-	}
-	delete(j.segs, seq)
-}
-
-// Sweep retires the active segment if every record in it has been
-// confirmed (the next append starts a fresh one). Callers run it after
-// draining write-backs — Flush, shutdown — so a cleanly stopped
-// process leaves no segments for the next boot to replay.
-func (j *Journal) Sweep() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.active == nil {
-		return
-	}
-	st := j.segs[j.activeSeq]
-	if st.pending != 0 {
-		return
-	}
-	j.active.Close()
-	j.active = nil
-	if os.Remove(st.path) == nil {
-		j.retired++
-	}
-	delete(j.segs, j.activeSeq)
-}
-
-// Close syncs and closes the active segment without deleting anything:
-// records still unconfirmed stay on disk for the next Open to recover.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.active == nil {
-		return nil
-	}
-	var err error
-	if j.opts.Sync != SyncNever {
-		if err = j.active.Sync(); err == nil {
-			j.syncs++
-		}
-	}
-	if cerr := j.active.Close(); err == nil {
-		err = cerr
-	}
-	j.active = nil
-	return err
-}
-
-// Replay streams every surviving record from the segments Open found,
-// oldest segment first, in append order. fn's error aborts the replay.
-// Open already truncated torn tails, so every record delivered here
-// passed its checksum.
-func (j *Journal) Replay(fn func(key Key, payload []byte) error) error {
-	j.mu.Lock()
-	paths := append([]string(nil), j.recovered...)
-	j.mu.Unlock()
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil || len(data) < segHeaderSize || string(data[:4]) != segMagic {
-			continue // sanitize already counted it as bad
-		}
-		off := segHeaderSize
-		for off < len(data) {
-			key, payload, n, err := ScanRecord(data[off:])
-			if err != nil {
-				break
-			}
-			if err := fn(key, payload); err != nil {
-				return err
-			}
-			off += n
-		}
-	}
-	return nil
-}
-
-// DropRecovered deletes the segments Open found. Call it after Replay
-// has re-put every surviving record (re-puts through a journaled store
-// land in fresh segments, so nothing is lost by dropping the old ones).
-func (j *Journal) DropRecovered() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, path := range j.recovered {
-		os.Remove(path)
-	}
-	j.recovered = nil
-}
-
-// RecoverStats reports what Open found.
-func (j *Journal) RecoverStats() RecoverStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recStats
-}
-
-// Stats reports the journal's counters.
-func (j *Journal) Stats() Stats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Stats{
-		Appends:         j.appends,
-		AppendBytes:     j.appendBytes,
-		Syncs:           j.syncs,
-		SegmentsCreated: j.created,
-		SegmentsRetired: j.retired,
-		LiveSegments:    len(j.segs),
-	}
-}
-
-// Recover replays every surviving record through put and, if all of
-// them were accepted, deletes the recovered segments. It returns what
-// Open found; the caller's put decides what replaying means (the
-// summary store re-puts records whose key is absent).
-func Recover(j *Journal, put func(key Key, payload []byte) error) (RecoverStats, error) {
-	st := j.RecoverStats()
-	if err := j.Replay(put); err != nil {
-		return st, err
-	}
-	j.DropRecovered()
-	return st, nil
-}
-
-// CrashAfter arms the crash-injection hook: the next n Appends
-// succeed, then the following one writes only tornBytes bytes of its
-// record (a torn tail, as a crash mid-write leaves) and fails with
-// ErrCrashed, as does every Append after it. Tests use it to place a
-// deterministic crash point between any two acknowledged puts.
-func (j *Journal) CrashAfter(n, tornBytes int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.crashArmed = true
-	j.crashLeft = n
-	j.crashTorn = tornBytes
-}
+// Close does nothing.
+//
+// Deprecated: nothing is journaled.
+func (*Journal) Close() error { return nil }
