@@ -1,28 +1,40 @@
 package summary
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
-	"reflect"
+	"os"
 	"testing"
-
-	"ipcp/internal/wal"
 )
 
-// Crash-semantics battery. These tests simulate a process dying at
-// every interesting point of a batch of Puts — after the journal
-// append, before the write-back lands — and assert the invariant the
-// WAL exists to provide: every put the store acknowledged before the
-// crash is recovered bit-identically, no matter where the crash fell.
+// Crash-point battery. These tests stop the disk tier of a write-through
+// stack at every point of a batch of Puts, as a process killed there
+// would, drop the stack, reopen the directory, and assert the invariant
+// the write-through contract provides: every put the store acknowledged
+// before the crash is recovered bit-identically, no matter where the
+// crash fell. TestDurableCacheSIGKILL checks the same with a real
+// SIGKILL of a child process.
 
-// deadStore is a backing tier that accepts nothing: write-backs never
-// land, so recovery must come entirely from the journal.
-type deadStore struct{ counters }
+// dyingDisk is a disk tier that dies after left more writes: every Put
+// after that leaves a torn temp file, as a process killed mid-write
+// leaves it, and fails.
+type dyingDisk struct {
+	*DiskStore
+	left int
+}
 
-func (d *deadStore) Get(Key) ([]byte, bool) { return nil, false }
-func (d *deadStore) Put(Key, []byte) error  { return errors.New("dead tier") }
-func (d *deadStore) Stats() StoreStats      { return d.stats() }
+func (d *dyingDisk) Put(k Key, v []byte) error {
+	if d.left == 0 {
+		if f, err := os.CreateTemp(d.Dir(), "put-*"); err == nil {
+			f.Write(v[:min(13, len(v))])
+			f.Close()
+		}
+		return errors.New("disk died mid-write")
+	}
+	d.left--
+	return d.DiskStore.Put(k, v)
+}
 
 func crashKey(i int) Key { return KeyOf("crash", fmt.Sprint(i)) }
 
@@ -30,65 +42,61 @@ func crashVal(i int) []byte {
 	return []byte(fmt.Sprintf("summary-payload-%d-%s", i, string(make([]byte, i%7))))
 }
 
-// TestCrashAtEveryPoint kills the journal after n appends for every n
-// in a batch of puts, restarts, and checks the acknowledged prefix is
-// recovered exactly.
+// crashRun puts batch records through memory in front of a disk tier
+// that dies after n writes, and returns the indices whose Put was
+// acknowledged.
+func crashRun(t *testing.T, dir string, batch, n int) []int {
+	t.Helper()
+	disk, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewTieredStore(NewMemStore(0), &dyingDisk{DiskStore: disk, left: n})
+	var acked []int
+	for i := 0; i < batch; i++ {
+		if err := store.Put(crashKey(i), crashVal(i)); err == nil {
+			acked = append(acked, i)
+		}
+	}
+	return acked
+}
+
+// TestCrashAtEveryPoint kills the disk tier after n writes for every n
+// in a batch of puts, reopens the directory, and checks the
+// acknowledged prefix is recovered exactly.
 func TestCrashAtEveryPoint(t *testing.T) {
 	const batch = 6
 	for n := 0; n <= batch; n++ {
-		n := n
 		t.Run(fmt.Sprintf("crash-after-%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-			if err != nil {
-				t.Fatal(err)
+			acked := crashRun(t, dir, batch, n)
+			if len(acked) != n {
+				t.Fatalf("acknowledged %d puts, want the %d the disk took before the crash", len(acked), n)
 			}
-			store := NewDurableTieredStore(j, NewMemStore(0), &deadStore{})
-			j.CrashAfter(n, 13) // torn 13-byte tail after the nth append
-
-			acked := 0
-			for i := 0; i < batch; i++ {
-				// Put still succeeds into tier0 even when the journal is
-				// dead — but only journaled puts are durable, so the
-				// acknowledged-durable prefix is the first n.
-				if err := store.Put(crashKey(i), crashVal(i)); err != nil {
-					t.Fatalf("put %d: %v", i, err)
+			for j, i := range acked {
+				if i != j {
+					t.Fatalf("acknowledged put %d after the crash", i)
 				}
-				acked++
 			}
-			if acked != batch {
-				t.Fatalf("acked %d, want %d", acked, batch)
-			}
-			store.Flush()
-			// The process dies here: no Close, the mem tier is gone, the
-			// dead tier never stored anything. All that survives is the
-			// journal directory.
+			// The process dies here: the memory tier is gone. All that
+			// survives is the directory.
 
-			j2, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+			fresh, err := NewDiskStore(dir)
 			if err != nil {
 				t.Fatal(err)
-			}
-			defer j2.Close()
-			fresh := NewDurableTieredStore(j2, NewMemStore(0))
-			rs, err := RecoverJournal(j2, fresh)
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			if rs.Replayed != n {
-				t.Fatalf("replayed %d records, want the %d journaled before the crash", rs.Replayed, n)
 			}
 			for i := 0; i < n; i++ {
 				got, ok := fresh.Get(crashKey(i))
 				if !ok {
-					t.Fatalf("journaled put %d lost", i)
+					t.Fatalf("acknowledged put %d lost", i)
 				}
-				if !reflect.DeepEqual(got, crashVal(i)) {
-					t.Fatalf("journaled put %d corrupted: got %q want %q", i, got, crashVal(i))
+				if !bytes.Equal(got, crashVal(i)) {
+					t.Fatalf("acknowledged put %d corrupted: got %q want %q", i, got, crashVal(i))
 				}
 			}
 			for i := n; i < batch; i++ {
 				if _, ok := fresh.Get(crashKey(i)); ok {
-					t.Fatalf("unjournaled put %d resurrected from nowhere", i)
+					t.Fatalf("unacknowledged put %d resurrected from a torn write", i)
 				}
 			}
 		})
@@ -96,164 +104,53 @@ func TestCrashAtEveryPoint(t *testing.T) {
 }
 
 // TestCrashRecoveryMatchesCrashFreeRun runs the same batch twice — once
-// crash-free, once with a kill mid-batch plus recovery — and checks the
-// recovered store serves the identical bytes for every key the crashed
-// run journaled.
+// crash-free, once with a kill mid-batch — and checks the reopened
+// directory serves the identical bytes for every key the crashed run
+// acknowledged. Once the next run has re-put the keys it misses, as it
+// would after recomputing them, both directories hold the same blobs.
 func TestCrashRecoveryMatchesCrashFreeRun(t *testing.T) {
 	const batch = 10
 
-	// Crash-free reference: a plain store holding the batch.
-	ref := NewMemStore(0)
-	for i := 0; i < batch; i++ {
-		if err := ref.Put(crashKey(i), crashVal(i)); err != nil {
-			t.Fatal(err)
-		}
+	refDir := t.TempDir()
+	if acked := crashRun(t, refDir, batch, batch); len(acked) != batch {
+		t.Fatalf("crash-free run acknowledged %d puts, want %d", len(acked), batch)
+	}
+	ref, err := NewDiskStore(refDir)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
-	j, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	acked := crashRun(t, dir, batch, batch/2)
+	if len(acked) != batch/2 {
+		t.Fatalf("crashed run acknowledged %d puts, want %d", len(acked), batch/2)
+	}
+	recovered, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewDurableTieredStore(j, NewMemStore(0), &deadStore{})
-	for i := 0; i < batch; i++ {
-		if err := store.Put(crashKey(i), crashVal(i)); err != nil {
-			t.Fatal(err)
+	for _, i := range acked {
+		want, _ := ref.Get(crashKey(i))
+		got, ok := recovered.Get(crashKey(i))
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("key %d: recovered store diverges from crash-free run (ok=%v)", i, ok)
 		}
 	}
-	store.Flush()
-	// Die without Close.
 
-	j2, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	recovered := NewDurableTieredStore(j2, NewMemStore(0))
-	rs, err := RecoverJournal(j2, recovered)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if rs.Replayed != batch {
-		t.Fatalf("replayed %d, want %d", rs.Replayed, batch)
+	next := NewTieredStore(NewMemStore(0), recovered)
+	for i := 0; i < batch; i++ {
+		if _, ok := next.Get(crashKey(i)); ok {
+			continue
+		}
+		if err := next.Put(crashKey(i), crashVal(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < batch; i++ {
 		want, _ := ref.Get(crashKey(i))
 		got, ok := recovered.Get(crashKey(i))
-		if !ok || !reflect.DeepEqual(got, want) {
-			t.Fatalf("key %d: recovered store diverges from crash-free run (ok=%v)", i, ok)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("key %d: directory after the next run diverges from crash-free run (ok=%v)", i, ok)
 		}
-	}
-}
-
-// TestUnconfirmedSegmentsSurviveFailedWriteBack checks the retirement
-// protocol end-to-end at the store level: a failing backing tier means
-// no Confirm, so Flush+Close retire nothing and the next boot replays.
-func TestUnconfirmedSegmentsSurviveFailedWriteBack(t *testing.T) {
-	dir := t.TempDir()
-	waldir := filepath.Join(dir, "wal")
-	j, err := wal.Open(waldir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewDurableTieredStore(j, NewMemStore(0), &deadStore{})
-	if err := store.Put(crashKey(0), crashVal(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err == nil {
-		t.Fatal("Close returned nil despite a failed write-back")
-	}
-
-	j2, err := wal.Open(waldir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if rs := j2.RecoverStats(); rs.Records != 1 {
-		t.Fatalf("next boot sees %d surviving records, want 1", rs.Records)
-	}
-}
-
-// TestConfirmedSegmentsRetireOnCleanShutdown is the happy-path inverse:
-// write-backs land, Flush retires everything, the next boot replays
-// nothing.
-func TestConfirmedSegmentsRetireOnCleanShutdown(t *testing.T) {
-	dir := t.TempDir()
-	waldir := filepath.Join(dir, "wal")
-	j, err := wal.Open(waldir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := NewDiskStore(filepath.Join(dir, "blobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewDurableTieredStore(j, NewMemStore(0), disk)
-	for i := 0; i < 4; i++ {
-		if err := store.Put(crashKey(i), crashVal(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil {
-		t.Fatalf("clean close: %v", err)
-	}
-
-	j2, err := wal.Open(waldir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if rs := j2.RecoverStats(); rs.Records != 0 {
-		t.Fatalf("clean shutdown left %d records to replay", rs.Records)
-	}
-}
-
-// TestFlushErrSticky checks FlushErr reports the first asynchronous
-// failure and keeps reporting it.
-func TestFlushErrSticky(t *testing.T) {
-	store := NewTieredStore(NewMemStore(0), &deadStore{})
-	if store.FlushErr() != nil {
-		t.Fatal("FlushErr non-nil before any failure")
-	}
-	if err := store.Put(crashKey(0), crashVal(0)); err != nil {
-		t.Fatal(err)
-	}
-	store.Flush()
-	first := store.FlushErr()
-	if first == nil {
-		t.Fatal("FlushErr nil after a failed write-back")
-	}
-	if err := store.Put(crashKey(1), crashVal(1)); err != nil {
-		t.Fatal(err)
-	}
-	store.Flush()
-	if store.FlushErr() != first {
-		t.Fatal("FlushErr is not sticky on the first error")
-	}
-}
-
-// TestJournalAppendFailureDegrades checks a dead journal does not take
-// the store down with it: puts keep working, the failure lands in
-// Errors and FlushErr.
-func TestJournalAppendFailureDegrades(t *testing.T) {
-	dir := t.TempDir()
-	j, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.CrashAfter(0, 0) // every append fails from the start
-	store := NewDurableTieredStore(j, NewMemStore(0))
-	if err := store.Put(crashKey(0), crashVal(0)); err != nil {
-		t.Fatalf("put with dead journal: %v", err)
-	}
-	if _, ok := store.Get(crashKey(0)); !ok {
-		t.Fatal("put with dead journal not visible")
-	}
-	if store.Stats().Errors == 0 {
-		t.Fatal("journal failure not counted in Errors")
-	}
-	if store.FlushErr() == nil {
-		t.Fatal("journal failure not surfaced in FlushErr")
 	}
 }
