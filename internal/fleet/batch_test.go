@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,5 +247,171 @@ func TestFleetBatchDoublingChain(t *testing.T) {
 	}
 	if v, ok := res[0].Report.ConstantValue("SINK", "M"); !ok || v != 1<<40 {
 		t.Errorf("chain: SINK's M = %d (constant %v), want 2^40", v, ok)
+	}
+}
+
+// namesOn returns k program names whose lineages shard owns in an
+// n-shard fleet under e2eConfig.
+func namesOn(t *testing.T, shard, n, k int) []string {
+	t.Helper()
+	var names []string
+	for i := 0; len(names) < k && i <= 100; i++ {
+		name := fmt.Sprintf("batch-prog-%d", i)
+		owner, err := fleet.RouteAnalyzeWire(name, server.ConfigOf(e2eConfig), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner == shard {
+			names = append(names, name)
+		}
+	}
+	if len(names) < k {
+		t.Fatalf("first 100 names put fewer than %d programs on shard %d of %d", k, shard, n)
+	}
+	return names
+}
+
+// batchOf is one batch of gen's source under every name, in order.
+func batchOf(source string, names ...string) server.BatchRequest {
+	breq := server.BatchRequest{Config: server.ConfigOf(e2eConfig)}
+	for _, name := range names {
+		breq.Items = append(breq.Items, server.BatchItem{Source: source, Program: name})
+	}
+	return breq
+}
+
+// TestFleetBatchOneCallPerShard pins the sub-batch relay: a batch of
+// four items spanning both shards reaches each shard as one /v1/batch
+// call, while the routing counter still counts items.
+func TestFleetBatchOneCallPerShard(t *testing.T) {
+	_, _, c, base := startFleet(t, 2, server.Config{Workers: 2})
+	byShard := programsSpanningShards(t, 2)
+	names := []string{byShard[0][0], byShard[1][0], byShard[0][1], byShard[1][1]}
+	results, err := c.Batch(context.Background(), batchOf(suite.Random(5, 6).Source, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if !res.OK() {
+			t.Errorf("item %d (%s): status %d: %s", i, names[i], res.Status, res.Error)
+		}
+	}
+	want := []string{
+		`ipcpd_fleet_requests_total{shard="0",endpoint="batch",code="200"} 1`,
+		`ipcpd_fleet_requests_total{shard="1",endpoint="batch",code="200"} 1`,
+	}
+	if got := metricLines(t, base, "ipcpd_fleet_requests_total"); !reflect.DeepEqual(got, want) {
+		t.Errorf("worker calls %q, want %q: one sub-batch per shard", got, want)
+	}
+	want = []string{`ipcpd_fleet_routed_total{shard="0"} 2`, `ipcpd_fleet_routed_total{shard="1"} 2`}
+	if got := metricLines(t, base, "ipcpd_fleet_routed_total"); !reflect.DeepEqual(got, want) {
+		t.Errorf("routed %q, want %q: one per item", got, want)
+	}
+}
+
+// TestFleetBatchCutStream has a shard answer its sub-batch with one
+// complete line (status 500) and then drop the connection, with or
+// without half of a second line. The first item keeps the shard's
+// line, an item whose line was cut mid-way answers 502, and every other
+// item the shard owned comes back 200 from the runner-up, with one
+// reroute each.
+func TestFleetBatchCutStream(t *testing.T) {
+	for _, midLine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("midLine=%v", midLine), func(t *testing.T) {
+			const cut, healthy = 1, 0
+			fl := startFleetWithBrokenShard(t, 2, cut, func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				json.NewEncoder(w).Encode(server.BatchItemResult{Index: 0, Status: http.StatusInternalServerError, Shard: -1, Error: "stub item failed"})
+				if midLine {
+					io.WriteString(w, `{"index":1,"status":200,"shard":-1,"rep`)
+				}
+				http.NewResponseController(w).Flush()
+				panic(http.ErrAbortHandler)
+			}, server.Config{Workers: 2})
+			ts := httptest.NewServer(fl.Handler())
+			t.Cleanup(ts.Close)
+
+			onCut := namesOn(t, cut, 2, 3)
+			names := append([]string{namesOn(t, healthy, 2, 1)[0]}, onCut...)
+			gen := suite.Random(5, 6)
+			local := ipcp.MustLoad(gen.Source).Analyze(e2eConfig)
+			normalize(local)
+			results, err := client.New(ts.URL).Batch(context.Background(), batchOf(gen.Source, names...))
+			if err != nil {
+				t.Fatalf("a cut stream must not fail the whole batch: %v", err)
+			}
+
+			// names[1] is the cut shard's first item, names[2] its second.
+			if res := results[1]; res.Status != http.StatusInternalServerError || res.Error != "stub item failed" || res.Shard != cut {
+				t.Errorf("item 1 (%s): status %d from shard %d (%q), want the stub's 500 line", names[1], res.Status, res.Shard, res.Error)
+			}
+			rerouted := []int{0, 2, 3}
+			if midLine {
+				if res := results[2]; res.Status != http.StatusBadGateway || res.Shard != cut || res.Error == "" {
+					t.Errorf("item 2 (%s) cut mid-line: status %d from shard %d (%q), want 502", names[2], res.Status, res.Shard, res.Error)
+				}
+				rerouted = []int{0, 3}
+			}
+			for _, i := range rerouted {
+				res := results[i]
+				if !res.OK() || res.Shard != healthy {
+					t.Errorf("item %d (%s): status %d from shard %d, want 200 from shard %d: %s",
+						i, names[i], res.Status, res.Shard, healthy, res.Error)
+					continue
+				}
+				normalize(res.Report)
+				if !reflect.DeepEqual(res.Report, local) {
+					t.Errorf("item %d (%s): report diverges from local Analyze", i, names[i])
+				}
+			}
+			want := fmt.Sprintf("ipcpd_fleet_reroutes_total %d", len(rerouted)-1)
+			if got := metricLines(t, ts.URL, "ipcpd_fleet_reroutes_total"); !reflect.DeepEqual(got, []string{want}) {
+				t.Errorf("reroutes %q, want %q: one per item left without a line", got, want)
+			}
+		})
+	}
+}
+
+// TestFleetBatchBusyItems has a shard answer every item 429 inside a
+// 200 stream. The edge re-sends the shed items once, as one sub-batch,
+// after the worker's Retry-After wait; each still answers 429 with the
+// shard's message, and the other shard's item is served.
+func TestFleetBatchBusyItems(t *testing.T) {
+	const busy, healthy = 1, 0
+	var hits atomic.Int32
+	fl := startFleetWithBrokenShard(t, 2, busy, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		var sub server.BatchRequest
+		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		for j := range sub.Items {
+			json.NewEncoder(w).Encode(server.BatchItemResult{Index: j, Status: http.StatusTooManyRequests, Shard: -1, Error: "stub shard busy"})
+		}
+	}, server.Config{Workers: 2})
+	ts := httptest.NewServer(fl.Handler())
+	t.Cleanup(ts.Close)
+
+	names := append(namesOn(t, busy, 2, 2), namesOn(t, healthy, 2, 1)...)
+	start := time.Now()
+	results, err := client.New(ts.URL).Batch(context.Background(), batchOf(suite.Random(5, 6).Source, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < server.BusyRetryAfter {
+		t.Errorf("batch answered after %v, before the worker's %v Retry-After wait", elapsed, server.BusyRetryAfter)
+	}
+	for i, res := range results[:2] {
+		if res.Status != http.StatusTooManyRequests || res.Error != "stub shard busy" || res.Shard != busy {
+			t.Errorf("item %d (%s): status %d from shard %d (%q), want the stub's 429", i, names[i], res.Status, res.Shard, res.Error)
+		}
+	}
+	if res := results[2]; !res.OK() || res.Shard != healthy {
+		t.Errorf("item 2 (%s): status %d from shard %d, want 200 from shard %d: %s", names[2], res.Status, res.Shard, healthy, res.Error)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Errorf("the busy shard saw %d sub-requests, want 2: the call and the edge's one retry", n)
 	}
 }

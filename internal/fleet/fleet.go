@@ -8,9 +8,9 @@
 // cached context). The supervisor health-checks workers, restarts
 // crashes with bounded backoff, re-routes a down shard's lineages to
 // the rendezvous runner-up, and drains everything gracefully on
-// SIGTERM. POST /v1/batch fans one request of N sources out across
-// shards concurrently with per-item statuses. See DESIGN.md, "The
-// analysis fleet".
+// SIGTERM. POST /v1/batch sends each shard one sub-batch of the
+// sources it owns, concurrently, and relays per-item statuses. See
+// DESIGN.md, "The analysis fleet".
 package fleet
 
 import (
@@ -60,10 +60,6 @@ const retryBusy = 2 * time.Second
 // readyTimeout bounds how long a freshly started worker may take to
 // answer /readyz before it is killed and retried.
 const readyTimeout = 30 * time.Second
-
-// batchItemsPerWorker bounds a batch's items in flight across the
-// fleet, per worker.
-const batchItemsPerWorker = 4
 
 // Fleet is the routing front end plus its supervised worker set.
 // Create with New, call Start to spawn the workers, mount Handler (or

@@ -25,14 +25,14 @@ type fleetMetrics struct {
 	latency   map[string]*server.Histogram // per endpoint
 	batchSize *server.Histogram
 
-	reroutes    atomic.Int64 // dispatches failed over to a runner-up shard
-	noWorkers   atomic.Int64 // dispatches refused: empty healthy set
+	reroutes    atomic.Int64 // requests and batch items failed over to a runner-up shard
+	noWorkers   atomic.Int64 // requests and batch items refused: empty healthy set
 	batchItems  atomic.Int64 // batch items answered with a report
 	batchErrors atomic.Int64 // batch items answered with a per-item error
 }
 
 type shardMetrics struct {
-	routed atomic.Int64 // dispatches routed here (routing distribution)
+	routed atomic.Int64 // requests and batch items routed here (routing distribution)
 
 	mu       sync.Mutex
 	requests map[string]map[int]int64 // endpoint → status → count
@@ -127,7 +127,7 @@ func (m *fleetMetrics) write(w io.Writer, shards []ShardStatus) {
 		s.mu.Unlock()
 	}
 
-	fmt.Fprintf(w, "# HELP ipcpd_fleet_routed_total Dispatches routed to each shard (routing distribution).\n")
+	fmt.Fprintf(w, "# HELP ipcpd_fleet_routed_total Requests and batch items routed to each shard (routing distribution).\n")
 	fmt.Fprintf(w, "# TYPE ipcpd_fleet_routed_total counter\n")
 	for i, s := range m.shards {
 		fmt.Fprintf(w, "ipcpd_fleet_routed_total{shard=\"%d\"} %d\n", i, s.routed.Load())
@@ -151,8 +151,8 @@ func (m *fleetMetrics) write(w io.Writer, shards []ShardStatus) {
 
 	counter("ipcpd_fleet_batch_items_total", "Batch items answered with a report.", m.batchItems.Load())
 	counter("ipcpd_fleet_batch_item_errors_total", "Batch items answered with a per-item error.", m.batchErrors.Load())
-	counter("ipcpd_fleet_reroutes_total", "Dispatches failed over to a runner-up shard.", m.reroutes.Load())
-	counter("ipcpd_fleet_no_worker_total", "Dispatches refused because no shard was ready.", m.noWorkers.Load())
+	counter("ipcpd_fleet_reroutes_total", "Requests and batch items failed over to a runner-up shard.", m.reroutes.Load())
+	counter("ipcpd_fleet_no_worker_total", "Requests and batch items refused because no shard was ready.", m.noWorkers.Load())
 	fmt.Fprintf(w, "# HELP ipcpd_fleet_uptime_seconds Seconds since the router started.\n# TYPE ipcpd_fleet_uptime_seconds gauge\nipcpd_fleet_uptime_seconds %g\n",
 		time.Since(m.start).Seconds())
 }

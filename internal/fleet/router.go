@@ -115,21 +115,29 @@ func statusOf(res *http.Response, err error) int {
 	}
 }
 
-// failDispatch writes the edge response for a failed dispatch: a
-// worker's HTTP answer passes through with its message (and
-// Retry-After on 429), anything else gets statusOf's code.
-func (f *Fleet) failDispatch(w http.ResponseWriter, err error) {
+// failure maps a failed dispatch to the edge's answer: a worker's HTTP
+// answer keeps its status and message, anything else gets statusOf's
+// code.
+func failure(err error) (int, error) {
 	code := statusOf(nil, err)
 	var se *client.StatusError
 	switch {
 	case errors.As(err, &se):
-		if se.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(se.RetryAfter/time.Second)))
-		}
 		err = errors.New(se.Message)
 	case code == http.StatusBadGateway:
 		err = fmt.Errorf("fleet: worker unavailable: %w", err)
 	}
+	return code, err
+}
+
+// failDispatch writes the edge response for a failed dispatch, with the
+// worker's Retry-After on a 429.
+func (f *Fleet) failDispatch(w http.ResponseWriter, err error) {
+	var se *client.StatusError
+	if errors.As(err, &se) && se.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(se.RetryAfter/time.Second)))
+	}
+	code, err := failure(err)
 	server.Fail(w, code, err)
 }
 

@@ -212,16 +212,13 @@ func (c *checker) requireLogical(info *UnitInfo, e ast.Expr, what string) ast.Ex
 func (c *checker) checkExpr(info *UnitInfo, e ast.Expr) (ast.Expr, ast.BaseType) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		c.prog.ExprType[e] = ast.Integer
 		return e, ast.Integer
 	case *ast.RealLit:
-		c.prog.ExprType[e] = ast.Real
 		return e, ast.Real
 	case *ast.StrLit:
 		// Strings appear only in WRITE lists; give them NoType.
 		return e, ast.NoType
 	case *ast.LogicalLit:
-		c.prog.ExprType[e] = ast.Logical
 		return e, ast.Logical
 	case *ast.VarRef:
 		return c.checkVarRefExpr(info, e)
@@ -242,14 +239,12 @@ func (c *checker) checkExpr(info *UnitInfo, e ast.Expr) (ast.Expr, ast.BaseType)
 			}
 			t = ast.Logical
 		}
-		c.prog.ExprType[e] = t
 		return e, t
 	case *ast.BinaryExpr:
 		var xt, yt ast.BaseType
 		e.X, xt = c.checkExpr(info, e.X)
 		e.Y, yt = c.checkExpr(info, e.Y)
 		t := c.binaryType(e, xt, yt)
-		c.prog.ExprType[e] = t
 		return e, t
 	}
 	return e, ast.NoType
@@ -318,7 +313,6 @@ func (c *checker) checkVarRefExpr(info *UnitInfo, ref *ast.VarRef) (ast.Expr, as
 			return ref, ast.NoType
 		}
 		c.prog.RefSym[ref] = sym
-		c.prog.ExprType[ref] = sym.Type
 		return ref, sym.Type
 	case ProcedureSym:
 		c.errorf(ref.Pos(), "procedure %s used as a variable", ref.Name)
@@ -330,7 +324,6 @@ func (c *checker) checkVarRefExpr(info *UnitInfo, ref *ast.VarRef) (ast.Expr, as
 			// Whole-array reference: legal only as an actual argument;
 			// checkArguments validates the context.
 			c.prog.RefSym[ref] = sym
-			c.prog.ExprType[ref] = sym.Type
 			return ref, sym.Type
 		}
 		if len(ref.Indexes) != len(sym.Dims) {
@@ -344,7 +337,6 @@ func (c *checker) checkVarRefExpr(info *UnitInfo, ref *ast.VarRef) (ast.Expr, as
 		return ref, ast.NoType
 	}
 	c.prog.RefSym[ref] = sym
-	c.prog.ExprType[ref] = sym.Type
 	return ref, sym.Type
 }
 
@@ -373,7 +365,6 @@ func (c *checker) checkCallExpr(info *UnitInfo, call *ast.CallExpr) (ast.Expr, a
 	c.checkArguments(info, call.Pos(), callee, call.Args)
 	c.prog.CallTargets[call] = &CallTarget{Unit: callee}
 	t := callee.Result.Type
-	c.prog.ExprType[call] = t
 	return call, t
 }
 
@@ -400,7 +391,6 @@ func (c *checker) checkIntrinsicCall(info *UnitInfo, call *ast.CallExpr, in *Int
 		result = ast.Real
 	}
 	c.prog.CallTargets[call] = &CallTarget{Intrinsic: in}
-	c.prog.ExprType[call] = result
 	return call, result
 }
 

@@ -187,9 +187,6 @@ type Program struct {
 
 	// CallTargets resolves each rewritten CallExpr and each CallStmt.
 	CallTargets map[ast.Node]*CallTarget
-
-	// ExprType records the computed type of every expression.
-	ExprType map[ast.Expr]ast.BaseType
 }
 
 // Analyze performs semantic analysis on file. On failure it returns the
@@ -201,7 +198,6 @@ func Analyze(file *ast.File) (*Program, error) {
 			UnitByName:  make(map[string]*UnitInfo),
 			RefSym:      make(map[*ast.VarRef]*Symbol),
 			CallTargets: make(map[ast.Node]*CallTarget),
-			ExprType:    make(map[ast.Expr]ast.BaseType),
 		},
 		blocks: make(map[string][]*Global),
 	}

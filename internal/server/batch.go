@@ -15,9 +15,10 @@ import (
 // analyzed concurrently in one request, streamed back as NDJSON — one
 // BatchItemResult per line, in completion order — with per-item
 // statuses so one failing source never voids its siblings. A fleet
-// router implements the same wire contract by fanning items out across
-// shards (internal/fleet); a single server fans them out across its
-// own worker pool.
+// router implements the same wire contract by sending each shard one
+// sub-batch of the items it owns and relaying the shards' lines
+// (internal/fleet); a single server fans items out across its own
+// worker pool.
 
 // MaxBatchItems bounds one /v1/batch request.
 const MaxBatchItems = 1024
@@ -42,35 +43,55 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
 	return req, true
 }
 
-// StreamBatch answers a batch of n items with 200 and an NDJSON body:
-// it runs line(i) for every item, at most limit at a time, and writes
-// each result as one flushed line in completion order. A fleet edge
-// streams its batches through it too. It returns the first error
-// writing a line.
-func StreamBatch(w http.ResponseWriter, n, limit int, line func(i int) any) error {
+// BatchStream is the answer to a /v1/batch request: status 200 and an
+// NDJSON body of one flushed line per item, in the order the lines are
+// written. It is safe for concurrent use. StreamBatch writes through
+// it, and so does a fleet edge relaying its shards' lines.
+type BatchStream struct {
+	mu      sync.Mutex
+	enc     *json.Encoder
+	flusher http.Flusher
+	err     error
+}
+
+// NewBatchStream starts the answer on w.
+func NewBatchStream(w http.ResponseWriter) *BatchStream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	var (
-		mu   sync.Mutex
-		werr error
-	)
-	par.For(limit, n, func(i int) {
-		v := line(i)
-		mu.Lock()
-		defer mu.Unlock()
-		if err := enc.Encode(v); err != nil {
-			if werr == nil {
-				werr = fmt.Errorf("batch: write item %d: %w", i, err)
-			}
-			return
+	return &BatchStream{enc: json.NewEncoder(w), flusher: flusher}
+}
+
+// Line writes v as item i's line.
+func (s *BatchStream) Line(i int, v any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.enc.Encode(v); err != nil {
+		if s.err == nil {
+			s.err = fmt.Errorf("batch: write item %d: %w", i, err)
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	return werr
+		return
+	}
+	if s.flusher != nil {
+		s.flusher.Flush()
+	}
+}
+
+// Err returns the first error writing a line.
+func (s *BatchStream) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// StreamBatch answers a batch of n items through a BatchStream: it
+// runs line(i) for every item, at most limit at a time, and writes
+// each result as its line in completion order. It returns the first
+// error writing a line.
+func StreamBatch(w http.ResponseWriter, n, limit int, line func(i int) any) error {
+	out := NewBatchStream(w)
+	par.For(limit, n, func(i int) { out.Line(i, line(i)) })
+	return out.Err()
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

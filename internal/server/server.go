@@ -693,10 +693,16 @@ func (s *Server) errStatus(err error) int {
 	}
 }
 
+// BusyRetryAfter is the wait a shed request is asked for: the
+// Retry-After of a 429 answer. A batch item a worker sheds answers 429
+// on its line, where no header fits; a fleet edge waits this long
+// before it re-sends the item.
+const BusyRetryAfter = time.Second
+
 func (s *Server) failErr(w http.ResponseWriter, err error) {
 	code := s.errStatus(err)
 	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", strconv.Itoa(int(BusyRetryAfter/time.Second)))
 	}
 	Fail(w, code, err)
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
 
 // This file implements cross-run garbage collection for disk store
@@ -17,7 +18,14 @@ import (
 // caller-supplied snapshots (a daemon's in-memory ones) — deleting
 // unreferenced .ipcs files, and then enforcing a byte budget over the
 // survivors, coldest (oldest mtime) first. Snapshot files themselves
-// are never collected.
+// are never collected. Neither is a write's temp file, until it is
+// older than tempGrace: then the process that wrote it is gone.
+
+// tempGrace is how old a DiskStore.Put or SaveSnapshotFile temp file
+// (put-<digits>, .snap-<digits>) must be before GCDir deletes it. A
+// write renames its temp file into place within moments, so a temp
+// file an hour old was left by a process killed between the two.
+const tempGrace = time.Hour
 
 // GCStats reports one garbage-collection sweep.
 type GCStats struct {
@@ -41,13 +49,17 @@ type GCStats struct {
 	// Kept counts the surviving files, totalling KeptBytes.
 	Kept      int
 	KeptBytes int64
+
+	// Orphans counts the temp files of killed writes deleted, older
+	// than tempGrace; their bytes are not in DeletedBytes.
+	Orphans int
 }
 
 // String renders the sweep in one line.
 func (s GCStats) String() string {
-	return fmt.Sprintf("cache gc: %d/%d files deleted (%d unreferenced, %d over budget), %d bytes freed, %d kept (%d bytes), %d live keys from %d snapshots",
+	return fmt.Sprintf("cache gc: %d/%d files deleted (%d unreferenced, %d over budget), %d bytes freed, %d kept (%d bytes), %d live keys from %d snapshots, %d orphaned temp files deleted",
 		s.Unreferenced+s.OverBudget, s.Scanned, s.Unreferenced, s.OverBudget,
-		s.DeletedBytes, s.Kept, s.KeptBytes, s.LiveKeys, s.Snapshots)
+		s.DeletedBytes, s.Kept, s.KeptBytes, s.LiveKeys, s.Snapshots, s.Orphans)
 }
 
 // Keys returns the store keys the snapshot references, in unspecified
@@ -67,11 +79,14 @@ func (s *Snapshot) Keys() []Key {
 // still exceed budgetBytes (0 = unbounded), the coldest are deleted
 // until they fit — a collected live entry is only a future cache miss,
 // never an error. extraLive adds keys beyond the directory's snapshot
-// files (e.g. snapshots held in memory by a resident server). The
-// sweep is safe to run concurrently with store readers and writers:
-// deletion of an in-use file only forces a recomputation.
+// files (e.g. snapshots held in memory by a resident server). Temp
+// files of writes killed before their rename are deleted once older
+// than tempGrace. The sweep is safe to run concurrently with store
+// readers and writers: deletion of an in-use file only forces a
+// recomputation.
 func GCDir(dir string, extraLive []Key, budgetBytes int64) (GCStats, error) {
 	var st GCStats
+	orphanedBefore := time.Now().Add(-tempGrace)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return st, fmt.Errorf("summary: cache gc: %w", err)
@@ -117,6 +132,11 @@ func GCDir(dir string, extraLive []Key, budgetBytes int64) (GCStats, error) {
 			st.Scanned++
 			st.ScannedBytes += info.Size()
 			blobs = append(blobs, blob{key: key, path: path, size: info.Size(), mod: info.ModTime().UnixNano()})
+		case isTempName(name, "put-") || isTempName(name, ".snap-"):
+			info, err := e.Info()
+			if err == nil && info.ModTime().Before(orphanedBefore) && os.Remove(path) == nil {
+				st.Orphans++
+			}
 		default:
 			// GC deletes only files it can prove it owns; anything with
 			// an unknown extension is someone else's.
@@ -159,4 +179,11 @@ func GCDir(dir string, extraLive []Key, budgetBytes int64) (GCStats, error) {
 	st.Kept = len(survivors) - i
 	st.KeptBytes = keptBytes
 	return st, nil
+}
+
+// isTempName reports whether name is prefix followed by the decimal
+// digits os.CreateTemp puts in place of a pattern's "*".
+func isTempName(name, prefix string) bool {
+	digits, ok := strings.CutPrefix(name, prefix)
+	return ok && digits != "" && strings.Trim(digits, "0123456789") == ""
 }

@@ -3,6 +3,7 @@ package summary
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -171,6 +172,45 @@ func TestGCDirIgnoresForeignFiles(t *testing.T) {
 	}
 	if _, ok := store.Get(kDead); ok {
 		t.Error("unreferenced entry survived GC")
+	}
+}
+
+// TestGCDirDeletesOrphanedTempFiles covers a write killed between its
+// temp file and its rename: a put-<digits> or .snap-<digits> file older
+// than the grace period is deleted and counted, and a fresh one, which
+// may belong to a write still in flight, is kept.
+func TestGCDirDeletesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	stale := []string{"put-3956999316", ".snap-1234567"}
+	fresh := []string{"put-42", ".snap-77"}
+	old := time.Now().Add(-tempGrace - time.Minute)
+	for _, name := range append(stale, fresh...) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(stale, name) {
+			if err := os.Chtimes(path, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st, err := GCDir(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Orphans != len(stale) || st.Scanned != 0 {
+		t.Errorf("stats %+v, want %d orphans and nothing scanned", st, len(stale))
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale temp file %s survived GC: %v", name, err)
+		}
+	}
+	for _, name := range fresh {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("GC deleted fresh temp file %s: %v", name, err)
+		}
 	}
 }
 

@@ -25,7 +25,8 @@
 #      schedule-dependent flakiness — in the matrix runner's shared
 #      stage-1 products too — has two chances to show up per CI run;
 #      likewise the server's and the fleet's batch tests, whose items
-#      fan out through par.For
+#      fan out through par.For on a server and through one concurrent
+#      sub-batch per shard at the fleet edge
 #   5a. every benchmark once (-benchtime 1x): no test runs their set-up
 #      code, which reaches into IR and analysis types a refactor can
 #      change under them
@@ -68,7 +69,9 @@
 #      acked Put may lose nothing
 #  10. a fleet smoke run: start ipcpd -workers 2, batch four files
 #      whose lineages deterministically span both shards, verify the
-#      routing distribution in /metrics, SIGKILL one worker and require
+#      routing distribution in /metrics and that the batch reached each
+#      shard as one /v1/batch sub-request (a per-item relay would count
+#      two worker calls per shard), SIGKILL one worker and require
 #      immediate failover of a single file and then of the four-file
 #      batch, and a supervised restart, then SIGTERM the fleet and
 #      require a clean drain that reaps every worker
@@ -339,6 +342,8 @@ metrics=$("$cachedir/ipcp" -server "$fleet_addr" -metrics)
 for shard in 0 1; do
     echo "$metrics" | grep -q "ipcpd_fleet_routed_total{shard=\"$shard\"} [1-9]" \
         || { echo "batch did not route anything to shard $shard:" >&2; echo "$metrics" | grep fleet_routed >&2; exit 1; }
+    echo "$metrics" | grep -qx "ipcpd_fleet_requests_total{shard=\"$shard\",endpoint=\"batch\",code=\"200\"} 1" \
+        || { echo "batch did not reach shard $shard as one sub-batch:" >&2; echo "$metrics" | grep fleet_requests >&2; exit 1; }
 done
 
 # Crash one worker (shard 1 owns fleet-a.f): the very next request must
