@@ -320,6 +320,9 @@ func TestFleetBatchCutStream(t *testing.T) {
 		t.Run(fmt.Sprintf("midLine=%v", midLine), func(t *testing.T) {
 			const cut, healthy = 1, 0
 			fl := startFleetWithBrokenShard(t, 2, cut, func(w http.ResponseWriter, r *http.Request) {
+				// Read the whole request first: closing a connection with
+				// unread input resets it, which may discard the line below.
+				io.Copy(io.Discard, r.Body)
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				json.NewEncoder(w).Encode(server.BatchItemResult{Index: 0, Status: http.StatusInternalServerError, Shard: -1, Error: "stub item failed"})
 				if midLine {
